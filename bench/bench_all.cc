@@ -70,7 +70,7 @@ CampaignRow TimedCampaign(const std::string& fuzzer_name,
                           const fuzz::BackendOptions& backend = {}) {
   const minidb::DialectProfile* profile =
       minidb::DialectProfile::ByName(profile_name);
-  auto fuzzer = MakeFuzzer(fuzzer_name, *profile, kSeed);
+  auto fuzzer = fleet::MakeFleetFuzzer(fuzzer_name, *profile, kSeed);
   fuzz::ExecutionHarness harness(*profile, backend);
   std::unique_ptr<triage::OracleSuite> suite;
   if (!oracle_spec.empty()) {

@@ -5,51 +5,25 @@
 #include <memory>
 #include <string>
 
-#include "baselines/sqlancer_like.h"
-#include "baselines/sqlsmith_like.h"
-#include "baselines/squirrel_like.h"
+#include "fleet/shard.h"
 #include "fuzz/campaign.h"
 #include "fuzz/harness.h"
-#include "lego/lego_fuzzer.h"
 #include "minidb/profile.h"
 
 namespace lego::bench {
 
-/// Builds a fuzzer by display name. "lego-" is the ablation.
-inline std::unique_ptr<fuzz::Fuzzer> MakeFuzzer(
-    const std::string& name, const minidb::DialectProfile& profile,
-    uint64_t seed) {
-  if (name == "lego" || name == "lego-") {
-    core::LegoOptions options;
-    options.sequence_algorithms_enabled = (name == "lego");
-    options.rng_seed = seed;
-    return std::make_unique<core::LegoFuzzer>(profile, options);
-  }
-  if (name == "squirrel") {
-    return std::make_unique<baselines::SquirrelLikeFuzzer>(profile, seed);
-  }
-  if (name == "sqlancer") {
-    return std::make_unique<baselines::SqlancerLikeFuzzer>(profile, seed);
-  }
-  if (name == "sqlsmith") {
-    return std::make_unique<baselines::SqlsmithLikeFuzzer>(profile, seed);
-  }
-  return nullptr;
-}
-
-/// Runs one campaign of `executions` runs (split across `workers`).
+/// Runs one serial campaign of `executions` runs. Fuzzer names are the
+/// fleet's ("lego-" is the ablation).
 inline fuzz::CampaignResult RunOne(const std::string& fuzzer_name,
                                    const minidb::DialectProfile& profile,
                                    int executions, uint64_t seed,
-                                   bool stop_when_all_found = false,
-                                   int workers = 1) {
-  auto fuzzer = MakeFuzzer(fuzzer_name, profile, seed);
+                                   bool stop_when_all_found = false) {
+  auto fuzzer = fleet::MakeFleetFuzzer(fuzzer_name, profile, seed);
   fuzz::ExecutionHarness harness(profile);
   fuzz::CampaignOptions options;
   options.max_executions = executions;
   options.snapshot_every = std::max(1, executions / 10);
   options.stop_when_all_bugs_found = stop_when_all_found;
-  options.num_workers = workers;
   return fuzz::RunCampaign(fuzzer.get(), &harness, options);
 }
 

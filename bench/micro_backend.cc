@@ -1,5 +1,5 @@
 // Execution-backend overhead: execs/sec of the in-process engine vs the
-// forked crash-isolated child, at 1 and 4 workers, same budget. The gap is
+// forked crash-isolated child, same budget. The gap is
 // the price of the pipe round-trip + child-side re-parse per statement —
 // the figure that tells you what crash isolation costs on this machine.
 //
@@ -11,25 +11,22 @@
 
 namespace {
 
-// Smaller than micro_parallel's budget: the forked backend runs every
-// statement through a pipe round-trip, so a serial campaign is several
-// times slower per execution.
+// Small: the forked backend runs every statement through a pipe
+// round-trip, so a campaign is several times slower per execution.
 constexpr int kBudget = 2000;
 
 void RunBackendCampaign(benchmark::State& state,
                         lego::fuzz::BackendKind kind) {
   using namespace lego;  // NOLINT(build/namespaces)
-  const int workers = static_cast<int>(state.range(0));
   const auto& profile = minidb::DialectProfile::PgLite();
   fuzz::BackendOptions backend;
   backend.kind = kind;
   for (auto _ : state) {
-    auto fuzzer = bench::MakeFuzzer("lego", profile, /*seed=*/1);
+    auto fuzzer = fleet::MakeFleetFuzzer("lego", profile, /*seed=*/1);
     fuzz::ExecutionHarness harness(profile, backend);
     fuzz::CampaignOptions options;
     options.max_executions = kBudget;
     options.snapshot_every = kBudget;  // curve bookkeeping off the hot path
-    options.num_workers = workers;
     fuzz::CampaignResult result =
         fuzz::RunCampaign(fuzzer.get(), &harness, options);
     benchmark::DoNotOptimize(result.edges);
@@ -39,7 +36,6 @@ void RunBackendCampaign(benchmark::State& state,
     }
   }
   state.SetItemsProcessed(state.iterations() * kBudget);
-  state.counters["workers"] = workers;
 }
 
 void BM_InProcessBackend(benchmark::State& state) {
@@ -53,13 +49,9 @@ void BM_ForkedBackend(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_InProcessBackend)
-    ->Arg(1)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(BM_ForkedBackend)
-    ->Arg(1)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

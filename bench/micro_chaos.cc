@@ -6,7 +6,7 @@
 //    (registry scan + seeded draw — still cheap, only paid in chaos runs).
 // 2. Campaign with all failpoints armed at probability 0 vs disarmed: the
 //    end-to-end cost of *carrying* the chaos layer through a real workload.
-// 3. Governed vs ungoverned forked campaigns at 1 and 4 workers: what the
+// 3. Governed vs ungoverned forked campaigns: what the
 //    per-child rlimit caps (setrlimit at spawn) cost in practice.
 //
 //   ./bench/micro_chaos
@@ -44,7 +44,7 @@ void RunChaosCampaign(benchmark::State& state, bool armed) {
     chaos::DisarmAll();
   }
   for (auto _ : state) {
-    auto fuzzer = bench::MakeFuzzer("lego", profile, /*seed=*/1);
+    auto fuzzer = fleet::MakeFleetFuzzer("lego", profile, /*seed=*/1);
     fuzz::ExecutionHarness harness(profile);
     fuzz::CampaignOptions options;
     options.max_executions = kBudget;
@@ -71,7 +71,6 @@ void BM_Campaign_ChaosArmedNeverFiring(benchmark::State& state) {
 
 void RunGovernedCampaign(benchmark::State& state, bool governed) {
   using namespace lego;  // NOLINT(build/namespaces)
-  const int workers = static_cast<int>(state.range(0));
   const auto& profile = minidb::DialectProfile::PgLite();
   fuzz::BackendOptions backend;
   backend.kind = fuzz::BackendKind::kForked;
@@ -81,12 +80,11 @@ void RunGovernedCampaign(benchmark::State& state, bool governed) {
     backend.max_child_fsize_mb = 64;
   }
   for (auto _ : state) {
-    auto fuzzer = bench::MakeFuzzer("lego", profile, /*seed=*/1);
+    auto fuzzer = fleet::MakeFleetFuzzer("lego", profile, /*seed=*/1);
     fuzz::ExecutionHarness harness(profile, backend);
     fuzz::CampaignOptions options;
     options.max_executions = kBudget;
     options.snapshot_every = kBudget;
-    options.num_workers = workers;
     fuzz::CampaignResult result =
         fuzz::RunCampaign(fuzzer.get(), &harness, options);
     benchmark::DoNotOptimize(result.edges);
@@ -96,7 +94,6 @@ void RunGovernedCampaign(benchmark::State& state, bool governed) {
     }
   }
   state.SetItemsProcessed(state.iterations() * kBudget);
-  state.counters["workers"] = workers;
 }
 
 void BM_ForkedCampaign_Ungoverned(benchmark::State& state) {
@@ -118,13 +115,9 @@ BENCHMARK(BM_Campaign_ChaosArmedNeverFiring)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(BM_ForkedCampaign_Ungoverned)
-    ->Arg(1)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(BM_ForkedCampaign_Governed)
-    ->Arg(1)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

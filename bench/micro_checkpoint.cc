@@ -1,5 +1,5 @@
 // Checkpointing overhead: campaign execs/sec with persistence off vs
-// checkpointing every 1k / 10k executions, at 1 and 4 workers, plus the
+// checkpointing every 1k / 10k executions, plus the
 // latency of a single full state save. The execs/sec deltas between the
 // `ckpt` rows and their `off` baseline are the cost of durability; the
 // save-latency row bounds the stall a serial campaign sees per checkpoint.
@@ -26,21 +26,19 @@ std::string ScratchDir() {
   return dir.string();
 }
 
-/// One campaign per iteration; range(0) = workers, range(1) = checkpoint
-/// interval (0 = persistence off entirely).
+/// One campaign per iteration; range(0) = checkpoint interval (0 =
+/// persistence off entirely).
 void BM_CampaignCheckpoint(benchmark::State& state) {
   using namespace lego;  // NOLINT(build/namespaces)
-  const int workers = static_cast<int>(state.range(0));
-  const int interval = static_cast<int>(state.range(1));
+  const int interval = static_cast<int>(state.range(0));
   const auto& profile = minidb::DialectProfile::PgLite();
   const std::string dir = ScratchDir();
   for (auto _ : state) {
-    auto fuzzer = bench::MakeFuzzer("lego", profile, /*seed=*/1);
+    auto fuzzer = fleet::MakeFleetFuzzer("lego", profile, /*seed=*/1);
     fuzz::ExecutionHarness harness(profile);
     fuzz::CampaignOptions options;
     options.max_executions = kBudget;
     options.snapshot_every = kBudget;
-    options.num_workers = workers;
     if (interval > 0) {
       options.state_dir = dir;
       options.checkpoint_every = interval;
@@ -55,7 +53,6 @@ void BM_CampaignCheckpoint(benchmark::State& state) {
   }
   std::filesystem::remove_all(dir);
   state.SetItemsProcessed(state.iterations() * kBudget);
-  state.counters["workers"] = workers;
   state.counters["ckpt_every"] = interval;
 }
 
@@ -64,7 +61,7 @@ void BM_CampaignCheckpoint(benchmark::State& state) {
 void BM_StateSaveLatency(benchmark::State& state) {
   using namespace lego;  // NOLINT(build/namespaces)
   const auto& profile = minidb::DialectProfile::PgLite();
-  auto fuzzer = bench::MakeFuzzer("lego", profile, /*seed=*/1);
+  auto fuzzer = fleet::MakeFleetFuzzer("lego", profile, /*seed=*/1);
   fuzz::ExecutionHarness harness(profile);
   fuzz::CampaignOptions options;
   options.max_executions = static_cast<int>(state.range(0));
@@ -94,12 +91,9 @@ void BM_StateSaveLatency(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_CampaignCheckpoint)
-    ->Args({1, 0})
-    ->Args({1, 1000})
-    ->Args({1, 10000})
-    ->Args({4, 0})
-    ->Args({4, 1000})
-    ->Args({4, 10000})
+    ->Arg(0)
+    ->Arg(1000)
+    ->Arg(10000)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

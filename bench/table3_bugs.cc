@@ -9,10 +9,38 @@
 //   Comdb2                 0         -         0        7
 //   Total                  0         0        11       52
 
+#include <algorithm>
 #include <vector>
 
 #include "bench_util.h"
+#include "fleet/fleet.h"
+#include "minidb/env.h"
 #include "triage/triage.h"
+
+namespace {
+
+/// The 4-worker cell: a fleet of 4 worker processes spending the same total
+/// budget as the serial cell, 8 shards of budget/8 executions, triaged by
+/// the coordinator. Returns the unique-bug count.
+int FleetUniqueBugs(const std::string& profile, int budget) {
+  using namespace lego;  // NOLINT(build/namespaces)
+  fleet::FleetOptions options;
+  options.config.profile = profile;
+  options.config.fuzzer = "lego";
+  options.config.base_seed = 31;
+  options.config.num_shards = 8;
+  options.config.shard_budget = budget / options.config.num_shards;
+  options.num_workers = 4;
+  options.fleet_dir = "table3_fleet_" + profile;
+  options.triage = true;
+  options.reduce = true;
+  (void)minidb::Env::Posix()->RemoveDirRecursive(options.fleet_dir);
+  fleet::FleetResult result = fleet::RunFleet(options);
+  (void)minidb::Env::Posix()->RemoveDirRecursive(options.fleet_dir);
+  return result.status.ok() ? result.triaged_bugs : -1;
+}
+
+}  // namespace
 
 int main() {
   using namespace lego;  // NOLINT(build/namespaces)
@@ -59,13 +87,13 @@ int main() {
               "LEGO 52\n");
 
   // Triage view: each LEGO campaign's captured crashes ddmin-reduced and
-  // deduplicated by (bug id, minimized type fingerprint). A 4-worker
-  // campaign explores a different trajectory than a 1-worker one (worker w
-  // is seeded base_seed + w), so the two may legitimately report different
-  // bug sets; what must hold is rerun stability — repeating either
-  // configuration with the same base seed triages to the identical
-  // unique-bug count. Each cell below is run twice and flagged UNSTABLE on
-  // any disagreement.
+  // deduplicated by (bug id, minimized type fingerprint). The 4-worker
+  // column is a fleet at the same total budget; its shards are seeded from
+  // the base seed, so it explores a different trajectory than the serial
+  // campaign and may legitimately report a different bug set. What must
+  // hold is rerun stability — repeating either configuration with the same
+  // base seed triages to the identical unique-bug count. Each cell below is
+  // run twice and flagged UNSTABLE on any disagreement.
   std::printf("\nTriaged unique bugs (lego, ddmin-reduced repros; every cell"
               " rerun twice)\n");
   std::printf("%-22s %10s %10s %12s %12s\n", "DBMS", "1 worker", "4 workers",
@@ -77,33 +105,36 @@ int main() {
     bool cell_stable[2] = {true, true};
     int repro_stmts = 0;
     double shrink = 0.0;
-    const int worker_counts[2] = {1, 4};
-    for (int wi = 0; wi < 2; ++wi) {
-      for (int rerun = 0; rerun < 2; ++rerun) {
-        fuzz::CampaignResult result =
-            bench::RunOne("lego", *profile, kBudget, /*seed=*/31,
-                          /*stop_when_all_found=*/false, worker_counts[wi]);
-        triage::TriageOptions triage_options;
-        triage::TriageReport report =
-            triage::TriageCampaign(result, *profile, "", triage_options);
-        if (rerun == 0) {
-          unique[wi] = report.bugs.size();
-        } else if (report.bugs.size() != unique[wi]) {
-          cell_stable[wi] = false;
-          stable = false;
+    for (int rerun = 0; rerun < 2; ++rerun) {
+      fuzz::CampaignResult result =
+          bench::RunOne("lego", *profile, kBudget, /*seed=*/31);
+      triage::TriageOptions triage_options;
+      triage::TriageReport report =
+          triage::TriageCampaign(result, *profile, "", triage_options);
+      if (rerun == 0) {
+        unique[0] = report.bugs.size();
+        int original = 0;
+        for (const triage::TriagedBug& bug : report.bugs) {
+          repro_stmts += bug.reduced_statements;
+          original += bug.original_statements;
         }
-        if (wi == 0 && rerun == 0) {
-          int original = 0;
-          for (const triage::TriagedBug& bug : report.bugs) {
-            repro_stmts += bug.reduced_statements;
-            original += bug.original_statements;
-          }
-          if (repro_stmts > 0) {
-            shrink = static_cast<double>(original) / repro_stmts;
-          }
+        if (repro_stmts > 0) {
+          shrink = static_cast<double>(original) / repro_stmts;
         }
+      } else if (report.bugs.size() != unique[0]) {
+        cell_stable[0] = false;
       }
     }
+    for (int rerun = 0; rerun < 2; ++rerun) {
+      const int bugs = FleetUniqueBugs(profile->name, kBudget);
+      if (rerun == 0) {
+        unique[1] = static_cast<size_t>(std::max(bugs, 0));
+        if (bugs < 0) cell_stable[1] = false;
+      } else if (bugs < 0 || static_cast<size_t>(bugs) != unique[1]) {
+        cell_stable[1] = false;
+      }
+    }
+    if (!cell_stable[0] || !cell_stable[1]) stable = false;
     std::printf("%-22s %10zu %10zu %12d %11.1fx%s%s\n",
                 (std::string(bench::PaperNameOf(profile->name)) + " (" +
                  profile->name + ")")

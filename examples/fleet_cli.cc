@@ -17,9 +17,10 @@
 //                     derived from it)                        (default 1)
 //   --resume        : continue from the fleet.state journal in --fleet-dir;
 //                     completed shards are not re-run
-//   --distill-every N : after every N completed shards, merge collected
-//                     corpus exports, DistillCorpus, and redistribute the
-//                     pool to subsequent leases (0 = off)     (default 0)
+//   --distill-every N : corpus sync in generations of N shards: shard s
+//                     imports the pool distilled from the exports of every
+//                     shard before generation s / N, merged in shard order,
+//                     and waits for it (0 = off)              (default 0)
 //   --oracle LIST   : logic oracles armed inside every worker, same spec
 //                     grammar as fuzz_campaign_cli --oracle
 //   --rule-coverage : grammar-rule feedback inside workers
@@ -48,6 +49,11 @@
 //   --reduce        : ddmin-minimize during --triage
 //   --verbose       : coordinator event log on stderr
 //
+// The merged result depends only on the flags and --seed, not on --workers
+// or on the order shards finish: the summary lines, including "bug ids"
+// (every crash and logic bug id found) and "fleet bug digest", are the
+// same at any worker count.
+//
 // SIGTERM/SIGINT drain the fleet gracefully: leased workers finish their
 // in-flight test case, in-flight shards are re-queued for a later --resume,
 // a final journal is written, and the tool exits 0.
@@ -67,7 +73,6 @@
 #include "fleet/status_json.h"
 #include "minidb/env.h"
 #include "minidb/eval.h"
-#include "util/hash.h"
 
 namespace {
 
@@ -331,14 +336,14 @@ int main(int argc, char** argv) {
                 result.triaged_bugs, options.fleet_dir.c_str());
   }
 
-  // One digest over the deduped finding sets: two runs found the same bugs
-  // iff these lines match.
-  uint64_t digest = 0xf1ee7ULL;
-  for (uint64_t h : result.crash_hashes()) digest = HashMix(digest, h);
-  digest = HashMix(digest, 0x10916);
-  for (uint64_t f : result.logic_fingerprints()) digest = HashMix(digest, f);
+  std::printf("bug ids    :");
+  for (const std::string& id : result.merged_bug_ids()) {
+    std::printf(" %s", id.c_str());
+  }
+  std::printf("\n");
+
   std::printf("fleet bug digest : %016llx\n",
-              static_cast<unsigned long long>(digest));
+              static_cast<unsigned long long>(result.bug_digest()));
 
   if (result.stopped_early) {
     std::printf("fleet: stop signal received; drained with %zu/%d shards "

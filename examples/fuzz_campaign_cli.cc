@@ -2,16 +2,15 @@
 // paper's evaluation runs, as a standalone tool.
 //
 //   ./examples/fuzz_campaign_cli [profile] [fuzzer] [executions] [seed]
-//                                [--workers N] [--reduce] [--repro-dir DIR]
+//                                [--reduce] [--repro-dir DIR]
 //                                [--oracle LIST] [--rule-coverage]
 //                                [--backend=inproc|forked|concurrent]
 //                                [--max-stmt-ms N] [--sessions N]
 //
 //   profile : pglite | mylite | marialite | comdlite       (default pglite)
 //   fuzzer  : lego | lego- | squirrel | sqlancer | sqlsmith (default lego)
-//   executions : campaign budget (total, across workers)    (default 10000)
-//   seed    : RNG seed (worker w derives seed + w)          (default 1)
-//   --workers N : parallel worker threads                   (default 1)
+//   executions : campaign budget                            (default 10000)
+//   seed    : RNG seed                                      (default 1)
 //   --oracle LIST : arm logic-bug oracles, comma-separated from
 //                 tlp | norec | clause | iso | dur, checked in the given
 //                 order with first-finding-wins. "dur" is the durability
@@ -24,7 +23,7 @@
 //   --backend B : execution backend — inproc (embedded minidb), forked,
 //                 or concurrent (N true session threads per case under a
 //                 seeded deterministic interleaving scheduler)
-//                 (crash-isolated child per worker)         (default inproc)
+//                 (crash-isolated child process)           (default inproc)
 //   --max-stmt-ms N : forked only — kill a statement after N ms wall clock
 //   --sessions N : concurrent only — session threads per test case
 //                 (default 2); the per-case interleaving seed is derived
@@ -38,18 +37,16 @@
 //                     plus a manifest.tsv (replay key, signature, trigger,
 //                     campaign seed, state version); bugs already listed
 //                     in the manifest are not re-reduced  (implies --reduce)
-//   --state-dir DIR : persist campaign state under DIR (serial: one atomic
-//                 campaign.state; parallel: per-round checkpoint dirs
-//                 flipped by a LATEST pointer)
-//   --checkpoint-every N : write a checkpoint every N executions (total
-//                 across workers; 0 = only the final state)   (default 0)
-//   --resume    : continue from the newest complete checkpoint in
-//                 --state-dir; the resumed run must use identical flags
+//   --state-dir DIR : persist campaign state under DIR (one atomic
+//                 campaign.state)
+//   --checkpoint-every N : write a checkpoint every N executions (0 = only
+//                 the final state)                            (default 0)
+//   --resume    : continue from the checkpoint in --state-dir; the resumed
+//                 run must use identical flags
 //   --import-corpus FILE : seed the fuzzer with a corpus file exported by
 //                 corpus_cli before the first execution (fresh runs only)
-//   --export-corpus FILE : write the final corpus (every seed of every
-//                 worker) to FILE for reuse via --import-corpus or
-//                 corpus_cli distill
+//   --export-corpus FILE : write the final corpus to FILE for reuse via
+//                 --import-corpus or corpus_cli distill
 //   --planted-crash / --planted-hang / --planted-oom : test-only; arm a
 //                 real abort() / infinite loop / unbounded allocation
 //                 inside minidb (demo of crash isolation + rlimit caps)
@@ -67,7 +64,7 @@
 //                 reopen; mem stays bit-identical)          (default mem)
 //   --db-dir DIR : paged only — on-disk database directory. Treated as a
 //                 scratch dir: wiped on engine reset and removed when the
-//                 tool exits; parallel worker w uses DIR/w<w>
+//                 tool exits
 //   --pool-frames N : paged only — buffer-pool frame budget  (default 64)
 //   --planted-skip-fsync : test-only; the paged engine skips the commit
 //                 fsync, so a kill:N storage schedule loses acknowledged
@@ -78,6 +75,10 @@
 //                 over it dies as a REAL-CPU crash              (default off)
 //   --max-child-fsize-mb N : forked only — RLIMIT_FSIZE cap per child
 //                 (REAL-FSIZE)                                  (default off)
+//
+// The campaign runs in this process, one test case at a time. To spread a
+// campaign over N worker processes, run `fleet_cli run --workers N`, which
+// takes the same backend, storage, oracle, chaos, triage and reduce flags.
 
 #include <csignal>
 
@@ -89,10 +90,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/sqlancer_like.h"
-#include "baselines/sqlsmith_like.h"
-#include "baselines/squirrel_like.h"
 #include "chaos/failpoint.h"
+#include "fleet/shard.h"
 #include "fuzz/campaign.h"
 #include "fuzz/checkpoint.h"
 #include "fuzz/corpus_file.h"
@@ -109,8 +108,7 @@ namespace {
 /// SIGTERM/SIGINT request a graceful drain: the campaign finishes the
 /// in-flight test case, writes its final checkpoint/corpus/triage output
 /// through the normal end-of-run path, and the tool exits 0 — instead of
-/// dying mid-round and stranding a torn ckpt_r<N>/ dir for the resume
-/// fallback to clean up.
+/// dying between checkpoints and losing the work since the last one.
 std::atomic<bool> g_stop_requested{false};
 
 void HandleStopSignal(int) { g_stop_requested.store(true); }
@@ -132,7 +130,6 @@ int main(int argc, char** argv) {
   InstallStopHandlers();
 
   // Split args into flags (anywhere) and positionals.
-  int workers = 1;
   bool reduce = false;
   bool tlp = false;
   std::string oracle_spec;
@@ -289,14 +286,6 @@ int main(int argc, char** argv) {
       backend.max_child_fsize_mb = std::atoi(argv[++i]);
     } else if (arg.rfind("--max-child-fsize-mb=", 0) == 0) {
       backend.max_child_fsize_mb = std::atoi(arg.c_str() + 21);
-    } else if (arg == "--workers") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--workers needs a value\n");
-        return 1;
-      }
-      workers = std::atoi(argv[++i]);
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = std::atoi(arg.c_str() + 10);
     } else if (arg == "--reduce") {
       reduce = true;
     } else if (arg == "--tlp") {
@@ -359,13 +348,12 @@ int main(int argc, char** argv) {
       export_corpus = argv[++i];
     } else if (arg.rfind("--export-corpus=", 0) == 0) {
       export_corpus = arg.substr(16);
+    } else if (!arg.empty() && arg[0] == '-') {
+      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
+      return 1;
     } else {
       pos.push_back(std::move(arg));
     }
-  }
-  if (workers < 1) {
-    std::fprintf(stderr, "--workers must be >= 1\n");
-    return 1;
   }
 
   std::string profile_name = pos.size() > 0 ? pos[0] : "pglite";
@@ -384,25 +372,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::unique_ptr<fuzz::Fuzzer> fuzzer;
-  core::LegoFuzzer* lego_ptr = nullptr;
-  if (fuzzer_name == "lego" || fuzzer_name == "lego-") {
-    core::LegoOptions options;
-    options.sequence_algorithms_enabled = (fuzzer_name == "lego");
-    options.rng_seed = seed;
-    auto lego = std::make_unique<core::LegoFuzzer>(*profile, options);
-    lego_ptr = lego.get();
-    fuzzer = std::move(lego);
-  } else if (fuzzer_name == "squirrel") {
-    fuzzer = std::make_unique<baselines::SquirrelLikeFuzzer>(*profile, seed);
-  } else if (fuzzer_name == "sqlancer") {
-    fuzzer = std::make_unique<baselines::SqlancerLikeFuzzer>(*profile, seed);
-  } else if (fuzzer_name == "sqlsmith") {
-    fuzzer = std::make_unique<baselines::SqlsmithLikeFuzzer>(*profile, seed);
-  } else {
+  std::unique_ptr<fuzz::Fuzzer> fuzzer =
+      fleet::MakeFleetFuzzer(fuzzer_name, *profile, seed);
+  if (fuzzer == nullptr) {
     std::fprintf(stderr, "unknown fuzzer '%s'\n", fuzzer_name.c_str());
     return 1;
   }
+  const auto* lego_ptr = dynamic_cast<const core::LegoFuzzer*>(fuzzer.get());
 
   // Planted defects must be armed before any backend spawns: forked
   // children inherit the flags at fork time.
@@ -477,7 +453,6 @@ int main(int argc, char** argv) {
   options.max_executions = executions;
   options.stop_flag = &g_stop_requested;
   options.snapshot_every = std::max(1, executions / 10);
-  options.num_workers = workers;
   options.state_dir = state_dir;
   options.checkpoint_every = checkpoint_every;
   options.resume = resume;
@@ -507,10 +482,9 @@ int main(int argc, char** argv) {
                 import_corpus.c_str());
   }
 
-  std::printf("fuzzing %s with %s for %d executions (seed %llu, %d worker%s)\n",
+  std::printf("fuzzing %s with %s for %d executions (seed %llu)\n",
               profile->name.c_str(), fuzzer->name().c_str(), executions,
-              static_cast<unsigned long long>(seed), workers,
-              workers == 1 ? "" : "s");
+              static_cast<unsigned long long>(seed));
   // Only announce non-default backends, keeping the default in-process
   // output byte-identical to the historical tool.
   if (backend.storage == fuzz::StorageKind::kPaged) {
@@ -607,12 +581,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(ss.commits),
                 static_cast<unsigned long long>(ss.checkpoints));
   }
-  if (result.checkpoints_failed > 0 || result.checkpoint_fallbacks > 0 ||
-      result.workers_parked > 0) {
-    std::printf("  self-healing       : %d checkpoint write(s) failed, "
-                "%d checkpoint(s) skipped at resume, %d worker(s) parked\n",
-                result.checkpoints_failed, result.checkpoint_fallbacks,
-                result.workers_parked);
+  if (result.checkpoints_failed > 0) {
+    std::printf("  self-healing       : %d checkpoint write(s) failed\n",
+                result.checkpoints_failed);
   }
   if (chaos || !chaos_fps.empty()) {
     std::printf("  chaos schedule     :\n");
@@ -654,9 +625,7 @@ int main(int argc, char** argv) {
                   bug.artifact_path.c_str());
     }
   }
-  // In parallel mode the prototype fuzzer never runs (its per-worker clones
-  // do), so its internal maps are empty — only report them for serial runs.
-  if (lego_ptr != nullptr && workers == 1) {
+  if (lego_ptr != nullptr) {
     std::printf("  affinity map       : %zu pairs\n",
                 lego_ptr->affinities().Count());
     std::printf("  synthesized seqs   : %zu\n",

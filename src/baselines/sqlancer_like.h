@@ -27,10 +27,6 @@ class SqlancerLikeFuzzer : public fuzz::Fuzzer {
     (void)tc;
     (void)result;  // rule-based: no feedback loop
   }
-  std::unique_ptr<fuzz::Fuzzer> CloneForWorker(int worker_id) const override {
-    return std::make_unique<SqlancerLikeFuzzer>(
-        profile_, rng_seed_ + static_cast<uint64_t>(worker_id));
-  }
 
   /// Rule-based: the RNG stream is the entire mutable state.
   Status SaveState(persist::StateWriter* w) const override;

@@ -27,10 +27,6 @@ class SqlsmithLikeFuzzer : public fuzz::Fuzzer {
     (void)tc;
     (void)result;  // generation-based: no feedback loop
   }
-  std::unique_ptr<fuzz::Fuzzer> CloneForWorker(int worker_id) const override {
-    return std::make_unique<SqlsmithLikeFuzzer>(
-        profile_, rng_seed_ + static_cast<uint64_t>(worker_id));
-  }
 
   /// Generation-based: RNG stream plus the symbolic schema context (whose
   /// fresh-name counter advances during generation).

@@ -29,10 +29,6 @@ class SquirrelLikeFuzzer : public fuzz::Fuzzer {
   fuzz::TestCase Next() override;
   void OnResult(const fuzz::TestCase& tc,
                 const fuzz::ExecResult& result) override;
-  std::unique_ptr<fuzz::Fuzzer> CloneForWorker(int worker_id) const override {
-    return std::make_unique<SquirrelLikeFuzzer>(
-        profile_, rng_seed_ + static_cast<uint64_t>(worker_id));
-  }
   void ImportSeed(const fuzz::TestCase& tc) override;
   std::vector<fuzz::TestCase> ExportCorpus() const override {
     std::vector<fuzz::TestCase> out;

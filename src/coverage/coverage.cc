@@ -11,7 +11,6 @@ thread_local CoverageMap* CoverageRuntime::active_ = nullptr;
 namespace {
 
 constexpr uint32_t kGlobalTag = persist::ChunkTag("GCOV");
-constexpr uint32_t kSharedTag = persist::ChunkTag("SCOV");
 
 Status ReadBitmap(persist::StateReader* r, std::string* out) {
   *out = r->ReadString();
@@ -44,32 +43,6 @@ Status GlobalCoverage::LoadState(persist::StateReader* r) {
     virgin_[i] = static_cast<uint8_t>(bytes[i]);
     covered_edges_ += (virgin_[i] != 0);
   }
-  return Status::OK();
-}
-
-Status SharedCoverage::SaveState(persist::StateWriter* w) const {
-  std::string bytes(CoverageMap::kSize, '\0');
-  for (size_t i = 0; i < virgin_.size(); ++i) {
-    bytes[i] = static_cast<char>(virgin_[i].load(std::memory_order_relaxed));
-  }
-  w->BeginChunk(kSharedTag);
-  w->WriteString(bytes);
-  w->EndChunk();
-  return Status::OK();
-}
-
-Status SharedCoverage::LoadState(persist::StateReader* r) {
-  LEGO_RETURN_IF_ERROR(r->EnterChunk(kSharedTag));
-  std::string bytes;
-  LEGO_RETURN_IF_ERROR(ReadBitmap(r, &bytes));
-  LEGO_RETURN_IF_ERROR(r->ExitChunk());
-  size_t edges = 0;
-  for (size_t i = 0; i < virgin_.size(); ++i) {
-    uint8_t v = static_cast<uint8_t>(bytes[i]);
-    virgin_[i].store(v, std::memory_order_relaxed);
-    edges += (v != 0);
-  }
-  covered_edges_.store(edges, std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -2,7 +2,6 @@
 #define LEGO_COVERAGE_COVERAGE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 
@@ -131,63 +130,6 @@ class GlobalCoverage {
  private:
   std::array<uint8_t, CoverageMap::kSize> virgin_;
   size_t covered_edges_;
-};
-
-/// Campaign-global coverage shared by parallel workers: a GlobalCoverage
-/// whose merge is an atomic OR, so any number of harnesses can publish
-/// classified run maps concurrently. Each byte's 0 -> nonzero transition is
-/// observed by exactly one fetch_or caller, so the edge counter is exact
-/// regardless of interleaving; at any synchronization point the bitmap holds
-/// precisely the union of all maps merged so far.
-class SharedCoverage {
- public:
-  SharedCoverage() { Reset(); }
-
-  /// Not thread-safe; call only while no worker is merging.
-  void Reset() {
-    for (auto& v : virgin_) v.store(0, std::memory_order_relaxed);
-    covered_edges_.store(0, std::memory_order_relaxed);
-  }
-
-  /// Merges `run` (must already be classified); returns true if any bit was
-  /// new to the shared map. Safe to call from many threads at once. The
-  /// input map is plain bytes, so zero regions are skipped a word at a time
-  /// and atomics are only touched for bytes with coverage.
-  bool MergeDetectNew(const CoverageMap& run) {
-    bool new_cov = false;
-    const uint8_t* rd = run.data();
-    for (size_t i = 0; i < CoverageMap::kSize; i += sizeof(uint64_t)) {
-      uint64_t word;
-      std::memcpy(&word, rd + i, sizeof(word));
-      if (word == 0) continue;
-      for (size_t j = i; j < i + sizeof(word); ++j) {
-        uint8_t bits = rd[j];
-        if (bits == 0) continue;
-        uint8_t prev = virgin_[j].fetch_or(bits, std::memory_order_relaxed);
-        if ((bits & ~prev) != 0) {
-          if (prev == 0) {
-            covered_edges_.fetch_add(1, std::memory_order_relaxed);
-          }
-          new_cov = true;
-        }
-      }
-    }
-    return new_cov;
-  }
-
-  size_t CoveredEdges() const {
-    return covered_edges_.load(std::memory_order_relaxed);
-  }
-
-  /// Checkpointing. Like Reset(), these are not thread-safe: call only at a
-  /// synchronization point while no worker is merging (the parallel
-  /// campaign's round barrier guarantees this).
-  Status SaveState(persist::StateWriter* w) const;
-  Status LoadState(persist::StateReader* r);
-
- private:
-  std::array<std::atomic<uint8_t>, CoverageMap::kSize> virgin_;
-  std::atomic<size_t> covered_edges_;
 };
 
 /// Process-wide sink the LEGO_COV() probes write into. The execution harness

@@ -10,7 +10,6 @@ namespace lego::cov {
 namespace {
 
 constexpr uint32_t kGlobalTag = persist::ChunkTag("GRUL");
-constexpr uint32_t kSharedTag = persist::ChunkTag("SRUL");
 
 Status ReadRuleSet(persist::StateReader* r, std::string* out) {
   *out = r->ReadString();
@@ -49,32 +48,6 @@ Status GlobalRuleCoverage::LoadState(persist::StateReader* r) {
     virgin_[i] = static_cast<uint8_t>(bytes[i]);
     covered_rules_ += (virgin_[i] != 0);
   }
-  return Status::OK();
-}
-
-Status SharedRuleCoverage::SaveState(persist::StateWriter* w) const {
-  std::string bytes(RuleMap::size(), '\0');
-  for (size_t i = 0; i < virgin_.size(); ++i) {
-    bytes[i] = static_cast<char>(virgin_[i].load(std::memory_order_relaxed));
-  }
-  w->BeginChunk(kSharedTag);
-  w->WriteString(bytes);
-  w->EndChunk();
-  return Status::OK();
-}
-
-Status SharedRuleCoverage::LoadState(persist::StateReader* r) {
-  LEGO_RETURN_IF_ERROR(r->EnterChunk(kSharedTag));
-  std::string bytes;
-  LEGO_RETURN_IF_ERROR(ReadRuleSet(r, &bytes));
-  LEGO_RETURN_IF_ERROR(r->ExitChunk());
-  size_t rules = 0;
-  for (size_t i = 0; i < virgin_.size(); ++i) {
-    uint8_t v = static_cast<uint8_t>(bytes[i]);
-    virgin_[i].store(v, std::memory_order_relaxed);
-    rules += (v != 0);
-  }
-  covered_rules_.store(rules, std::memory_order_relaxed);
   return Status::OK();
 }
 

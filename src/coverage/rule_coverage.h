@@ -2,7 +2,6 @@
 #define LEGO_COVERAGE_RULE_COVERAGE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -100,47 +99,6 @@ class GlobalRuleCoverage {
  private:
   std::array<uint8_t, sql::kNumGrammarRules> virgin_;
   size_t covered_rules_;
-};
-
-/// Campaign-global rule coverage shared by parallel workers; merge is an
-/// atomic OR so the rule counter is exact regardless of interleaving (each
-/// 0 -> 1 transition is observed by exactly one fetch_or caller).
-class SharedRuleCoverage {
- public:
-  SharedRuleCoverage() { Reset(); }
-
-  /// Not thread-safe; call only while no worker is merging.
-  void Reset() {
-    for (auto& v : virgin_) v.store(0, std::memory_order_relaxed);
-    covered_rules_.store(0, std::memory_order_relaxed);
-  }
-
-  /// Safe to call from many threads at once.
-  bool MergeDetectNew(const RuleMap& run) {
-    bool new_cov = false;
-    const uint8_t* rd = run.data();
-    for (size_t i = 0; i < RuleMap::size(); ++i) {
-      if (rd[i] == 0) continue;
-      uint8_t prev = virgin_[i].fetch_or(1, std::memory_order_relaxed);
-      if (prev == 0) {
-        covered_rules_.fetch_add(1, std::memory_order_relaxed);
-        new_cov = true;
-      }
-    }
-    return new_cov;
-  }
-
-  size_t CoveredRules() const {
-    return covered_rules_.load(std::memory_order_relaxed);
-  }
-
-  /// Checkpointing; like Reset(), only at a synchronization point.
-  Status SaveState(persist::StateWriter* w) const;
-  Status LoadState(persist::StateReader* r);
-
- private:
-  std::array<std::atomic<uint8_t>, sql::kNumGrammarRules> virgin_;
-  std::atomic<size_t> covered_rules_;
 };
 
 }  // namespace lego::cov

@@ -24,6 +24,7 @@
 #include "fuzz/distill.h"
 #include "minidb/env.h"
 #include "triage/triage.h"
+#include "util/hash.h"
 
 namespace lego::fleet {
 namespace {
@@ -414,16 +415,31 @@ class Coordinator {
     }
   }
 
+  /// Shards whose exports have entered the pool: always the prefix
+  /// [0, n) of shard ids, because exports enter UpdatePool in shard order.
+  int AbsorbedShards() const {
+    return static_cast<int>(result_.shards_done.size() -
+                            result_.held_exports.size());
+  }
+
+  /// The lease gate: shard s imports the pool distilled from every shard of
+  /// the generations before s / distill_every, so it may be leased only once
+  /// all of those shards are absorbed.
+  bool PoolReadyFor(int shard) const {
+    const int every = config_.distill_every;
+    return every <= 0 || shard / every * every <= AbsorbedShards();
+  }
+
   void GrantLeases() {
     if (draining_) return;
     for (size_t s = 0; s < slots_.size(); ++s) {
       Slot& slot = slots_[s];
       if (slot.state != Slot::State::kIdle) continue;
-      // Lowest available shard id first: deterministic progression and the
-      // distill cadence sees shards in a stable order under one worker.
+      // Lowest available shard id first, among those whose pool exists.
       int best = -1;
       for (size_t q = 0; q < queue_.size(); ++q) {
         if (queue_[q].available_at > Clock::now()) continue;
+        if (!PoolReadyFor(queue_[q].id)) continue;
         if (best < 0 || queue_[q].id < queue_[static_cast<size_t>(best)].id) {
           best = static_cast<int>(q);
         }
@@ -574,19 +590,29 @@ class Coordinator {
 
     MergeOutcome(*outcome, WorkerOrigin(s, slot.pid, config_.backend));
     result_.shards_done.insert(shard);
+    result_.held_exports[shard] = std::move(outcome->result.corpus_export);
     Log("shard %d done by w%d: %d execs, %zu edges total, %zu crashes", shard,
         s, outcome->result.executions, result_.edges(),
         result_.crashes.size());
 
-    Status pool_st = UpdatePool(
-        config_, static_cast<int>(result_.shards_done.size()),
-        std::move(outcome->result.corpus_export), &result_.corpus,
-        &result_.corpus_pending, &result_.distill_cycles,
-        &result_.distill_seconds);
-    if (!pool_st.ok()) {
-      std::fprintf(stderr, "fleet: distill failed (pool unchanged): %s\n",
-                   pool_st.ToString().c_str());
-    } else if (pool_was_distilled_at_ != result_.distill_cycles) {
+    // Exports enter the pool in shard-id order, whatever order shards
+    // complete in: absorb the held prefix that is now contiguous.
+    while (!result_.held_exports.empty() &&
+           result_.held_exports.begin()->first == AbsorbedShards()) {
+      auto next = result_.held_exports.begin();
+      const int absorbed = next->first + 1;
+      std::vector<fuzz::TestCase> exports = std::move(next->second);
+      result_.held_exports.erase(next);
+      Status pool_st = UpdatePool(config_, absorbed, std::move(exports),
+                                  &result_.corpus, &result_.corpus_pending,
+                                  &result_.distill_cycles,
+                                  &result_.distill_seconds);
+      if (!pool_st.ok()) {
+        std::fprintf(stderr, "fleet: distill failed (pool unchanged): %s\n",
+                     pool_st.ToString().c_str());
+      }
+    }
+    if (pool_was_distilled_at_ != result_.distill_cycles) {
       pool_was_distilled_at_ = result_.distill_cycles;
       pool_bytes_ = EncodePool(result_.corpus);
       // The distill replay blocked the loop; forgive every in-flight
@@ -605,6 +631,7 @@ class Coordinator {
 
   void MergeOutcome(const ShardOutcome& outcome, const std::string& origin) {
     const fuzz::CampaignResult& r = outcome.result;
+    const int shard = outcome.shard_id;
     result_.executions += r.executions;
     result_.statements_executed += r.statements_executed;
     result_.statement_errors += r.statement_errors;
@@ -613,19 +640,30 @@ class Coordinator {
     result_.rules = std::max(result_.rules, r.rules);
     result_.coverage.MergeFrom(outcome.coverage);
     result_.storage.Add(r.storage);
+    // The capture for a finding is the lowest shard id's, so it does not
+    // depend on which shard completed first.
     for (size_t i = 0; i < r.captured_crashes.size(); ++i) {
       const uint64_t hash = r.captured_crashes[i].stack_hash;
-      if (result_.crashes.emplace(hash, r.captured_crashes[i]).second) {
-        result_.crash_cases.emplace(hash, r.captured_cases[i].Clone());
-        result_.crash_origins.emplace(hash, origin);
+      auto held = result_.crash_shards.find(hash);
+      if (held != result_.crash_shards.end() && held->second <= shard) {
+        continue;
       }
+      result_.crashes[hash] = r.captured_crashes[i];
+      result_.crash_cases.insert_or_assign(hash, r.captured_cases[i].Clone());
+      result_.crash_origins[hash] = origin;
+      result_.crash_shards[hash] = shard;
     }
     for (size_t i = 0; i < r.captured_logic_bugs.size(); ++i) {
       const uint64_t fp = r.captured_logic_bugs[i].fingerprint;
-      if (result_.logic.emplace(fp, r.captured_logic_bugs[i]).second) {
-        result_.logic_cases.emplace(fp, r.captured_logic_cases[i].Clone());
-        result_.logic_origins.emplace(fp, origin);
+      auto held = result_.logic_shards.find(fp);
+      if (held != result_.logic_shards.end() && held->second <= shard) {
+        continue;
       }
+      result_.logic[fp] = r.captured_logic_bugs[i];
+      result_.logic_cases.insert_or_assign(fp,
+                                           r.captured_logic_cases[i].Clone());
+      result_.logic_origins[fp] = origin;
+      result_.logic_shards[fp] = shard;
     }
   }
 
@@ -821,6 +859,21 @@ Status UpdatePool(const FleetConfig& config, int completed_shards,
   *distill_seconds += SecondsSince(t0);
   ++*distill_cycles;
   return Status::OK();
+}
+
+uint64_t BugDigest(const std::set<uint64_t>& crash_hashes,
+                   const std::set<uint64_t>& logic_fingerprints) {
+  uint64_t digest = 0xf1ee7ULL;
+  for (uint64_t h : crash_hashes) digest = HashMix(digest, h);
+  digest = HashMix(digest, 0x10916);
+  for (uint64_t f : logic_fingerprints) digest = HashMix(digest, f);
+  return digest;
+}
+
+std::set<std::string> FleetResult::merged_bug_ids() const {
+  std::set<std::string> out = bug_ids();
+  for (const auto& [fp, bug] : logic) out.insert(triage::LogicBugId(bug.check));
+  return out;
 }
 
 FleetResult RunFleet(const FleetOptions& options) {

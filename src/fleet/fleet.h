@@ -40,9 +40,11 @@ struct FleetConfig {
   /// Heartbeat cadence in *executions*, not wall time — so a chaos schedule
   /// on fleet.heartbeat (e.g. kill:N) is deterministic per shard.
   int progress_every = 64;
-  /// Corpus sync: after every N completed shards, merge the collected
-  /// exports and run DistillCorpus; subsequent leases import the distilled
-  /// pool. 0 disables redistribution (exports are still collected).
+  /// Corpus sync in generations of N shards: shard s belongs to generation
+  /// s / N and imports the pool distilled from every shard of the earlier
+  /// generations, merged in shard-id order. Its lease waits until that pool
+  /// exists, so the merged result depends only on (config, seed) at any
+  /// worker count. 0 disables redistribution (exports are still collected).
   int distill_every = 0;
 };
 
@@ -86,6 +88,11 @@ struct FleetOptions {
   bool verbose = false;
 };
 
+/// One digest over deduped finding sets: two runs found the same bugs iff
+/// their digests match (fleet_cli prints it as "fleet bug digest").
+uint64_t BugDigest(const std::set<uint64_t>& crash_hashes,
+                   const std::set<uint64_t>& logic_fingerprints);
+
 /// Coordinator aggregate: the merged view over every accepted shard result.
 /// The persisted subset round-trips through the journal (see journal.h);
 /// counters below the marker are per-run telemetry.
@@ -97,18 +104,26 @@ struct FleetResult {
   int crashes_total = 0;
   int logic_bugs_total = 0;
   size_t rules = 0;  // max over shards (rule maps don't merge bitwise)
-  /// Unique findings keyed the way campaigns dedup them, each stamped with
-  /// the origin of the worker whose shard found it first.
+  /// Unique findings keyed the way campaigns dedup them. Each keeps the
+  /// capture from the lowest shard id that found it (`*_shards`), stamped
+  /// with the origin of the worker that ran that shard, so the captures do
+  /// not depend on the order shards complete.
   std::map<uint64_t, minidb::CrashInfo> crashes;  // by stack hash
   std::map<uint64_t, fuzz::TestCase> crash_cases;
   std::map<uint64_t, std::string> crash_origins;
+  std::map<uint64_t, int> crash_shards;
   std::map<uint64_t, fuzz::LogicBugInfo> logic;  // by fingerprint
   std::map<uint64_t, fuzz::TestCase> logic_cases;
   std::map<uint64_t, std::string> logic_origins;
+  std::map<uint64_t, int> logic_shards;
   /// Corpus: `corpus` is the current distilled pool (what leases import);
   /// `corpus_pending` holds exports collected since the last distill cycle.
   std::vector<fuzz::TestCase> corpus;
   std::vector<fuzz::TestCase> corpus_pending;
+  /// Exports of done shards that wait for a lower shard id: exports enter
+  /// UpdatePool strictly in shard-id order, so a shard that completes early
+  /// is held here until every shard below it is done.
+  std::map<int, std::vector<fuzz::TestCase>> held_exports;
   /// Exact fleet-wide edge union, merged from per-shard harness bitmaps.
   cov::GlobalCoverage coverage;
   fuzz::BackendStorageStats storage;
@@ -150,6 +165,12 @@ struct FleetResult {
     for (const auto& [hash, crash] : crashes) out.insert(crash.bug_id);
     return out;
   }
+  /// Crash bug ids plus the triage bug id of every logic finding
+  /// ("LOGIC-TLP", "ISO-LOST-UPDATE"): every bug class the fleet found.
+  std::set<std::string> merged_bug_ids() const;
+  uint64_t bug_digest() const {
+    return BugDigest(crash_hashes(), logic_fingerprints());
+  }
   std::set<uint64_t> logic_fingerprints() const {
     std::set<uint64_t> out;
     for (const auto& [fp, info] : logic) out.insert(fp);
@@ -161,8 +182,11 @@ struct FleetResult {
 /// in tests: absorbs `fresh` exports into *pending and, when
 /// `completed_shards` crosses the distill cadence, merges pool+pending
 /// through DistillCorpus (replayed on an in-process/mem harness) back into
-/// *pool. Identical call sequence => identical pool evolution, which is
-/// what the merge-distill-redistribute equivalence test asserts.
+/// *pool. Identical call sequence => identical pool evolution. The
+/// coordinator calls it once per shard in shard-id order with
+/// completed_shards = shard + 1, the same sequence an in-order reference
+/// makes, which is what the merge-distill-redistribute equivalence test
+/// asserts at every worker count.
 Status UpdatePool(const FleetConfig& config, int completed_shards,
                   std::vector<fuzz::TestCase> fresh,
                   std::vector<fuzz::TestCase>* pool,

@@ -13,9 +13,13 @@ namespace {
 
 constexpr char kFingerprintChunk[5] = "FLFP";
 constexpr char kDataChunk[5] = "FLET";
+/// Journal layout version, first in the fingerprint. 2 added the capture
+/// shard of every finding and the held (not yet pooled) shard exports.
+constexpr uint32_t kJournalVersion = 2;
 
 void SaveFingerprint(const FleetConfig& config, persist::StateWriter* w) {
   w->BeginChunk(persist::ChunkTag(kFingerprintChunk));
+  w->WriteU32(kJournalVersion);
   w->WriteString(config.profile);
   w->WriteString(config.fuzzer);
   w->WriteU64(config.base_seed);
@@ -32,6 +36,12 @@ void SaveFingerprint(const FleetConfig& config, persist::StateWriter* w) {
 
 Status CheckFingerprint(const FleetConfig& config, persist::StateReader* r) {
   LEGO_RETURN_IF_ERROR(r->EnterChunk(persist::ChunkTag(kFingerprintChunk)));
+  const uint32_t version = r->ReadU32();
+  if (r->ok() && version != kJournalVersion) {
+    return Status::Unsupported("fleet journal: layout version " +
+                               std::to_string(version) + " (expected " +
+                               std::to_string(kJournalVersion) + ")");
+  }
   const std::string profile = r->ReadString();
   const std::string fuzzer = r->ReadString();
   const uint64_t base_seed = r->ReadU64();
@@ -63,6 +73,12 @@ Status CheckFingerprint(const FleetConfig& config, persist::StateReader* r) {
   return Status::OK();
 }
 
+/// Capture shard of a finding; 0 when the merge did not record one.
+int ShardOf(const std::map<uint64_t, int>& shards, uint64_t key) {
+  auto it = shards.find(key);
+  return it == shards.end() ? 0 : it->second;
+}
+
 void SaveCrashMap(const FleetResult& result, persist::StateWriter* w) {
   w->WriteU64(result.crashes.size());
   for (const auto& [hash, crash] : result.crashes) {
@@ -75,6 +91,7 @@ void SaveCrashMap(const FleetResult& result, persist::StateWriter* w) {
     w->WriteString(result.crash_origins.count(hash)
                        ? result.crash_origins.at(hash)
                        : std::string());
+    w->WriteU32(static_cast<uint32_t>(ShardOf(result.crash_shards, hash)));
     fuzz::SaveTestCase(result.crash_cases.at(hash), w);
   }
 }
@@ -93,10 +110,12 @@ Status LoadCrashMap(persist::StateReader* r, FleetResult* result) {
     crash.stack_hash = r->ReadU64();
     crash.message = r->ReadString();
     const std::string origin = r->ReadString();
+    const int shard = static_cast<int>(r->ReadU32());
     auto tc = fuzz::LoadTestCase(r);
     if (!tc.ok()) return tc.status();
     result->crashes.emplace(hash, std::move(crash));
     result->crash_cases.emplace(hash, std::move(*tc));
+    result->crash_shards.emplace(hash, shard);
     if (!origin.empty()) result->crash_origins.emplace(hash, origin);
   }
   return Status::OK();
@@ -115,6 +134,7 @@ void SaveLogicMap(const FleetResult& result, persist::StateWriter* w) {
     w->WriteString(result.logic_origins.count(fp)
                        ? result.logic_origins.at(fp)
                        : std::string());
+    w->WriteU32(static_cast<uint32_t>(ShardOf(result.logic_shards, fp)));
     fuzz::SaveTestCase(result.logic_cases.at(fp), w);
   }
 }
@@ -134,10 +154,12 @@ Status LoadLogicMap(persist::StateReader* r, FleetResult* result) {
     bug.interleave_seed = r->ReadU64();
     bug.sessions = static_cast<int>(r->ReadU32());
     const std::string origin = r->ReadString();
+    const int shard = static_cast<int>(r->ReadU32());
     auto tc = fuzz::LoadTestCase(r);
     if (!tc.ok()) return tc.status();
     result->logic.emplace(fp, std::move(bug));
     result->logic_cases.emplace(fp, std::move(*tc));
+    result->logic_shards.emplace(fp, shard);
     if (!origin.empty()) result->logic_origins.emplace(fp, origin);
   }
   return Status::OK();
@@ -200,6 +222,11 @@ Status SaveJournal(const std::string& fleet_dir, const FleetConfig& config,
   SaveLogicMap(result, &w);
   SaveCases(result.corpus, &w);
   SaveCases(result.corpus_pending, &w);
+  w.WriteU64(result.held_exports.size());
+  for (const auto& [shard, cases] : result.held_exports) {
+    w.WriteU32(static_cast<uint32_t>(shard));
+    SaveCases(cases, &w);
+  }
   const fuzz::BackendStorageStats& s = result.storage;
   w.WriteU64(s.pool_hits);
   w.WriteU64(s.pool_misses);
@@ -250,6 +277,14 @@ Status LoadJournal(const std::string& fleet_dir, const FleetConfig& config,
   LEGO_RETURN_IF_ERROR(LoadLogicMap(&r, result));
   LEGO_RETURN_IF_ERROR(LoadCases(&r, &result->corpus));
   LEGO_RETURN_IF_ERROR(LoadCases(&r, &result->corpus_pending));
+  const uint64_t held_count = r.ReadU64();
+  if (!r.CheckCount(held_count, 12)) {
+    return Status::Internal("fleet journal: corrupt held exports");
+  }
+  for (uint64_t i = 0; i < held_count; ++i) {
+    const int shard = static_cast<int>(r.ReadU32());
+    LEGO_RETURN_IF_ERROR(LoadCases(&r, &result->held_exports[shard]));
+  }
   fuzz::BackendStorageStats& s = result->storage;
   s.pool_hits = r.ReadU64();
   s.pool_misses = r.ReadU64();

@@ -13,9 +13,11 @@ namespace lego::fleet {
 /// shard result, so a SIGKILLed coordinator resumes from the last accepted
 /// result with no torn state. Layout:
 ///
-///   FLFP  campaign fingerprint (config identity; resume refuses mismatch)
-///   FLET  done-shard set, merged counters, unique findings with origins,
-///         corpus pool + pending exports, storage stats
+///   FLFP  layout version + campaign fingerprint (config identity; resume
+///         refuses a mismatch or another layout version)
+///   FLET  done-shard set, merged counters, unique findings with origins
+///         and capture shards, corpus pool + pending exports + held shard
+///         exports, storage stats
 ///   GCOV  merged fleet-wide coverage bitmap
 ///
 /// Shards are idempotent by id: the done-set makes replayed/duplicate

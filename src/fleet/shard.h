@@ -28,14 +28,15 @@ struct ShardOutcome {
   cov::GlobalCoverage coverage;
 };
 
-/// Deterministic per-shard campaign seed. Mixed (not base_seed + shard) so
-/// it cannot collide with the parallel-campaign convention of seeding
-/// worker w at base_seed + w.
+/// Deterministic per-shard campaign seed: HashMix(base_seed, shard + 1).
+/// Mixed rather than added: with base_seed + shard, shard 1 of seed 3 would
+/// replay shard 0 of seed 4.
 uint64_t ShardSeed(const FleetConfig& config, int shard_id);
 
-/// Builds the configured fuzzer the same way fuzz_campaign_cli does
-/// ("lego", "lego-", "squirrel", "sqlancer", "sqlsmith"). Null on an
-/// unknown name.
+/// The one fuzzer factory: builds a fuzzer by name ("lego", "lego-" for
+/// the ablation, "squirrel", "sqlancer", "sqlsmith") seeded with `seed`.
+/// Fleet shards, fuzz_campaign_cli, the benches and the tests all build
+/// fuzzers here. Null on an unknown name.
 std::unique_ptr<fuzz::Fuzzer> MakeFleetFuzzer(
     const std::string& name, const minidb::DialectProfile& profile,
     uint64_t seed);

@@ -23,41 +23,24 @@ struct CampaignOptions {
   /// have been processed (executed or rejected). This models a wall-clock
   /// budget: longer test cases consume it faster, reproducing the paper's
   /// observation that large LEN degrades fuzzing throughput (§VI).
-  /// Parallel campaigns check the global count at round barriers, so they
-  /// may overshoot by at most num_workers * sync_every executions.
   int64_t max_statements = 0;
-  /// Record a (executions, edges) point every this many executions. The
-  /// parallel runner snapshots at the first round barrier at or past each
-  /// multiple, keyed by total executions across all workers.
+  /// Record a (executions, edges) point every this many executions.
   int snapshot_every = 1000;
   /// Stop early once every injected bug has been found (off by default).
   bool stop_when_all_bugs_found = false;
 
-  /// Worker-pool width. 1 (default) runs the original single-threaded loop,
-  /// bit-identical to the historical serial runner. N > 1 runs N worker
-  /// threads, each owning a CloneForWorker(w) fuzzer (Rng seeded
-  /// base_seed + w), its own ExecutionHarness, and a private coverage map,
-  /// all publishing into one shared bitmap and exchanging new-coverage
-  /// seeds through a SharedCorpus at deterministic round barriers.
-  int num_workers = 1;
-  /// Parallel mode: executions each worker runs between synchronization
-  /// barriers (shared-bitmap snapshot, seed exchange, stop checks). Smaller
-  /// values propagate seeds faster; larger values reduce barrier overhead.
-  int sync_every = 256;
-
-  /// Directory for checkpoint state. Empty disables persistence. Serial
-  /// campaigns write one atomic campaign.state file; parallel campaigns
-  /// write per-round ckpt_r<N>/ directories flipped live by a LATEST
-  /// pointer (see fuzz/checkpoint.h for the layout).
+  /// Directory for checkpoint state. Empty disables persistence. The
+  /// campaign writes one atomic campaign.state file (see fuzz/checkpoint.h).
+  /// Multi-worker runs are fleets (fleet/fleet.h), which journal their own
+  /// fleet.state instead.
   std::string state_dir;
-  /// Checkpoint cadence in executions (total across workers). 0 writes only
-  /// the final state when state_dir is set. Parallel campaigns checkpoint
-  /// at the first round barrier at or past each multiple.
+  /// Checkpoint cadence in executions. 0 writes only the final state when
+  /// state_dir is set.
   int checkpoint_every = 0;
-  /// Resume from the newest complete checkpoint in state_dir instead of
-  /// starting fresh. The resumed run must be configured identically
-  /// (fuzzer, profile, budgets, workers); a mismatch aborts with
-  /// state_status set rather than silently fuzzing under the wrong config.
+  /// Resume from the checkpoint in state_dir instead of starting fresh.
+  /// The resumed run must be configured identically (fuzzer, profile,
+  /// budgets, checkpoint cadence); a mismatch aborts with state_status set
+  /// rather than silently fuzzing under the wrong config.
   bool resume = false;
   /// Seeds imported into the fuzzer's corpus before the first execution of
   /// a fresh campaign (cross-campaign corpus reuse; ignored on resume).
@@ -74,16 +57,14 @@ struct CampaignOptions {
   /// Cooperative external stop (graceful shutdown). When non-null and the
   /// pointee becomes true, the campaign finishes the in-flight test case,
   /// drains normally through the usual end-of-campaign path — final
-  /// checkpoint included — and returns with stopped_early set. Serial
-  /// campaigns observe the flag between executions; parallel campaigns at
-  /// round barriers. Not owned; must outlive RunCampaign.
+  /// checkpoint included — and returns with stopped_early set. The flag is
+  /// observed between executions. Not owned; must outlive RunCampaign.
   const std::atomic<bool>* stop_flag = nullptr;
   /// Progress hook, invoked from the campaign with the total executions so
-  /// far: every `progress_every` executions on the serial path, at every
-  /// round barrier (single-threaded, in the completion handler) on the
-  /// parallel path. Fleet workers hang lease heartbeats off this.
+  /// far, every `progress_every` executions. Fleet workers hang lease
+  /// heartbeats off this.
   std::function<void(int64_t executions)> on_progress;
-  /// Serial-path cadence for on_progress, in executions.
+  /// Cadence for on_progress, in executions.
   int progress_every = 64;
 };
 
@@ -110,8 +91,7 @@ struct CampaignResult {
   std::map<std::string, int> bugs_by_component;
 
   /// First test case observed for each unique crash hash, with its crash,
-  /// in discovery order (worker order for parallel runs, so the set is
-  /// deterministic per seed/workers/sync_every). Triage replays these.
+  /// in discovery order. Triage replays these.
   /// TestCase is move-only, so CampaignResult is too.
   std::vector<TestCase> captured_cases;
   std::vector<minidb::CrashInfo> captured_crashes;  // parallel to above
@@ -131,39 +111,28 @@ struct CampaignResult {
   /// failure aborts the campaign with executions == 0).
   Status state_status = Status::OK();
 
-  /// Clones of the final corpus (options.export_corpus only; worker order
-  /// for parallel runs). Empty for generation-based fuzzers.
+  /// Clones of the final corpus (options.export_corpus only). Empty for
+  /// generation-based fuzzers.
   std::vector<TestCase> corpus_export;
 
   /// Robustness telemetry (runtime-only: never serialized and excluded
-  /// from ResultDigest). Mid-run checkpoints that failed to write and were
-  /// skipped with a warning, torn checkpoints skipped over at resume, and
-  /// workers parked because their backend broke (spawn circuit open).
+  /// from ResultDigest): mid-run checkpoints that failed to write and were
+  /// skipped with a warning.
   int checkpoints_failed = 0;
-  int checkpoint_fallbacks = 0;
-  int workers_parked = 0;
   /// True when options.stop_flag cut the campaign short (runtime-only,
   /// like the counters above: never serialized, excluded from ResultDigest).
   bool stopped_early = false;
 
-  /// Storage-layer telemetry summed over every worker backend at campaign
-  /// end: buffer-pool traffic (hit rate, evictions), WAL volume, fsyncs.
+  /// Storage-layer telemetry from the campaign's backend at campaign end: buffer-pool traffic (hit rate, evictions), WAL volume, fsyncs.
   /// All zeros on --storage=mem. Runtime-only like the counters above:
   /// never serialized and excluded from ResultDigest.
   BackendStorageStats storage;
 };
 
-/// Runs `fuzzer` against `harness` for the configured budget.
-///
-/// With options.num_workers > 1, `fuzzer` acts as the prototype: each
-/// worker w runs fuzzer->CloneForWorker(w) against its own harness (same
-/// profile and setup script as `harness`), and the returned result is the
-/// merged view — executions/statement counters summed, crash/bug/affinity
-/// sets unioned, edges read from the shared bitmap, coverage curve keyed by
-/// total executions. The merged result is deterministic for a fixed
-/// (fuzzer seed, num_workers, sync_every) triple: workers only observe each
-/// other at barriers, in worker-id order. If the prototype does not
-/// support CloneForWorker (returns nullptr), the serial path runs instead.
+/// Runs `fuzzer` against `harness` for the configured budget, one test
+/// case at a time. The result is a pure function of the fuzzer's seed and
+/// the options. To spread a campaign over N worker processes, run a fleet
+/// (fleet::RunFleet): each shard is one RunCampaign.
 CampaignResult RunCampaign(Fuzzer* fuzzer, ExecutionHarness* harness,
                            const CampaignOptions& options);
 

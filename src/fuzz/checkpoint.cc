@@ -1,7 +1,5 @@
 #include "fuzz/checkpoint.h"
 
-#include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 
 #include "fuzz/state.h"
@@ -13,7 +11,9 @@ namespace {
 
 constexpr uint32_t kFingerprintTag = persist::ChunkTag("CFGF");
 constexpr uint32_t kResultTag = persist::ChunkTag("RSLT");
-constexpr uint32_t kPointerTag = persist::ChunkTag("LTST");
+/// Fingerprint layout version. 2 dropped the thread-pool fields (worker
+/// count, sync cadence) that version 1 carried.
+constexpr uint32_t kFingerprintVersion = 2;
 
 Status Mismatch(const std::string& what) {
   return Status::InvalidArgument("campaign state saved under a different " +
@@ -30,13 +30,12 @@ void WriteCampaignFingerprint(const std::string& fuzzer_name,
   // raised budget (checkpoint at k executions, resume to n > k), which is
   // also how tests reproduce an interruption deterministically.
   w->BeginChunk(kFingerprintTag);
+  w->WriteU32(kFingerprintVersion);
   w->WriteString(fuzzer_name);
   w->WriteString(profile_name);
   w->WriteI64(options.max_statements);
   w->WriteI64(options.snapshot_every);
   w->WriteBool(options.stop_when_all_bugs_found);
-  w->WriteI64(options.num_workers);
-  w->WriteI64(options.sync_every);
   w->WriteI64(options.checkpoint_every);
   w->EndChunk();
 }
@@ -46,13 +45,17 @@ Status VerifyCampaignFingerprint(const std::string& fuzzer_name,
                                  const CampaignOptions& options,
                                  persist::StateReader* r) {
   LEGO_RETURN_IF_ERROR(r->EnterChunk(kFingerprintTag));
+  const uint32_t version = r->ReadU32();
+  if (r->ok() && version != kFingerprintVersion) {
+    return Status::Unsupported("campaign state fingerprint version " +
+                               std::to_string(version) + " (expected " +
+                               std::to_string(kFingerprintVersion) + ")");
+  }
   std::string fuzzer = r->ReadString();
   std::string profile = r->ReadString();
   int64_t max_statements = r->ReadI64();
   int64_t snapshot_every = r->ReadI64();
   bool stop_all = r->ReadBool();
-  int64_t num_workers = r->ReadI64();
-  int64_t sync_every = r->ReadI64();
   int64_t checkpoint_every = r->ReadI64();
   LEGO_RETURN_IF_ERROR(r->ExitChunk());
   if (fuzzer != fuzzer_name) return Mismatch("fuzzer (" + fuzzer + ")");
@@ -62,10 +65,8 @@ Status VerifyCampaignFingerprint(const std::string& fuzzer_name,
       stop_all != options.stop_when_all_bugs_found) {
     return Mismatch("budget configuration");
   }
-  if (num_workers != options.num_workers ||
-      sync_every != options.sync_every ||
-      checkpoint_every != options.checkpoint_every) {
-    return Mismatch("worker configuration");
+  if (checkpoint_every != options.checkpoint_every) {
+    return Mismatch("checkpoint cadence");
   }
   return Status::OK();
 }
@@ -274,132 +275,6 @@ uint64_t ResultDigest(const CampaignResult& result) {
 
 std::string SerialStatePath(const std::string& state_dir) {
   return (std::filesystem::path(state_dir) / "campaign.state").string();
-}
-
-std::string CheckpointDirName(int round) {
-  return "ckpt_r" + std::to_string(round);
-}
-
-std::string WorkerStatePath(const std::string& ckpt_dir, int worker) {
-  return (std::filesystem::path(ckpt_dir) /
-          ("worker" + std::to_string(worker) + ".state"))
-      .string();
-}
-
-std::string ManifestPath(const std::string& ckpt_dir) {
-  return (std::filesystem::path(ckpt_dir) / "manifest.state").string();
-}
-
-Status WriteLatestPointer(const std::string& state_dir,
-                          const std::string& ckpt_dir_name) {
-  persist::StateWriter w;
-  w.BeginChunk(kPointerTag);
-  w.WriteString(ckpt_dir_name);
-  w.EndChunk();
-  return w.WriteFileAtomic(
-      (std::filesystem::path(state_dir) / "LATEST").string());
-}
-
-StatusOr<std::string> ReadLatestPointer(const std::string& state_dir) {
-  LEGO_ASSIGN_OR_RETURN(
-      persist::StateReader r,
-      persist::StateReader::FromFile(
-          (std::filesystem::path(state_dir) / "LATEST").string()));
-  LEGO_RETURN_IF_ERROR(r.EnterChunk(kPointerTag));
-  std::string name = r.ReadString();
-  LEGO_RETURN_IF_ERROR(r.ExitChunk());
-  if (name.empty() || name.find('/') != std::string::npos ||
-      name.find("..") != std::string::npos) {
-    return Status::InvalidArgument("LATEST names an invalid checkpoint dir");
-  }
-  return name;
-}
-
-namespace {
-
-/// A checkpoint directory is usable iff every file a resume would open
-/// (manifest + one state file per worker) passes full envelope validation.
-/// Fingerprint/content checks still happen on the real resume path; this
-/// only has to rule out torn writes and bit rot.
-Status ValidateCheckpointDir(const std::string& state_dir,
-                             const std::string& name, int num_workers) {
-  const std::string dir =
-      (std::filesystem::path(state_dir) / name).string();
-  LEGO_ASSIGN_OR_RETURN(persist::StateReader manifest,
-                        persist::StateReader::FromFile(ManifestPath(dir)));
-  (void)manifest;
-  for (int w = 0; w < num_workers; ++w) {
-    LEGO_ASSIGN_OR_RETURN(
-        persist::StateReader r,
-        persist::StateReader::FromFile(WorkerStatePath(dir, w)));
-    (void)r;
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-StatusOr<std::string> LocateUsableCheckpoint(
-    const std::string& state_dir, int num_workers,
-    std::vector<std::string>* warnings, int* rejected) {
-  if (rejected != nullptr) *rejected = 0;
-  std::vector<std::string> candidates;
-  auto add = [&](const std::string& name) {
-    if (std::find(candidates.begin(), candidates.end(), name) ==
-        candidates.end()) {
-      candidates.push_back(name);
-    }
-  };
-
-  auto latest = ReadLatestPointer(state_dir);
-  if (latest.ok()) {
-    add(*latest);
-  } else {
-    // An unreadable pointer is itself a fallback: whatever it named is no
-    // longer trusted, and recovery proceeds by directory scan.
-    if (warnings != nullptr) {
-      warnings->push_back("LATEST pointer unusable (" +
-                          latest.status().ToString() +
-                          "); scanning for checkpoints");
-    }
-    if (rejected != nullptr) ++(*rejected);
-  }
-
-  // Fallback candidates, best-first: the complete final checkpoint, then
-  // mid-run rounds newest-first.
-  bool have_final = false;
-  std::vector<int> round_dirs;
-  std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(state_dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name == "ckpt_final") {
-      have_final = true;
-    } else if (name.rfind("ckpt_r", 0) == 0) {
-      round_dirs.push_back(std::atoi(name.c_str() + 6));
-    }
-  }
-  std::sort(round_dirs.begin(), round_dirs.end(), std::greater<int>());
-  if (have_final) add("ckpt_final");
-  for (int r : round_dirs) add(CheckpointDirName(r));
-
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    Status usable = ValidateCheckpointDir(state_dir, candidates[i],
-                                          num_workers);
-    if (usable.ok()) {
-      if (i > 0 && warnings != nullptr) {
-        warnings->push_back("recovered: resuming from older checkpoint " +
-                            candidates[i]);
-      }
-      return candidates[i];
-    }
-    if (warnings != nullptr) {
-      warnings->push_back("checkpoint " + candidates[i] + " unusable (" +
-                          usable.ToString() + "); falling back");
-    }
-    if (rejected != nullptr) ++(*rejected);
-  }
-  return Status::NotFound("no usable checkpoint under " + state_dir);
 }
 
 }  // namespace lego::fuzz

@@ -2,7 +2,6 @@
 #define LEGO_FUZZ_CHECKPOINT_H_
 
 #include <string>
-#include <vector>
 
 #include "fuzz/campaign.h"
 #include "persist/io.h"
@@ -11,25 +10,21 @@ namespace lego::fuzz {
 
 /// On-disk layout of a checkpointed campaign under --state-dir:
 ///
-///   serial (1 worker):
-///     <dir>/campaign.state          one atomic file: fingerprint, the
-///                                   CampaignResult so far, fuzzer state,
-///                                   harness state
-///   parallel (N workers):
-///     <dir>/ckpt_r<R>/manifest.state   fingerprint + merged round state +
-///                                      shared coverage
-///     <dir>/ckpt_r<R>/worker<w>.state  per-worker tallies, fuzzer, harness
-///     <dir>/LATEST                     pointer file naming the last fully
-///                                      written ckpt_r<R> directory
+///     <dir>/campaign.state   one atomic file: fingerprint, the
+///                            CampaignResult so far, fuzzer state,
+///                            harness state
 ///
-/// Every file is enveloped (magic/version/checksum) and written via
-/// write-temp-then-rename. The parallel protocol writes all checkpoint
-/// files first and flips LATEST last, so a crash mid-checkpoint leaves
-/// LATEST pointing at the previous complete checkpoint.
+/// The file is enveloped (magic/version/checksum) and written via
+/// write-temp-then-rename, so a crash mid-checkpoint leaves the previous
+/// complete checkpoint in place; a torn or bit-rotted file is refused on
+/// resume, never half-loaded. Multi-worker runs are fleets, whose only
+/// checkpoint is the coordinator journal (fleet/journal.h: fleet.state).
 
 /// Configuration fingerprint written at the head of every state file and
 /// verified on resume: a campaign may only be resumed by a process
-/// configured identically (same fuzzer, profile, budgets, worker count).
+/// configured identically (same fuzzer, profile, budgets, checkpoint
+/// cadence). It carries a layout version, so a state dir written by an
+/// older layout is refused instead of misread.
 void WriteCampaignFingerprint(const std::string& fuzzer_name,
                               const std::string& profile_name,
                               const CampaignOptions& options,
@@ -52,34 +47,9 @@ Status LoadCampaignResult(persist::StateReader* r, CampaignResult* result);
 /// same curve.
 uint64_t ResultDigest(const CampaignResult& result);
 
-/// Path helpers (kept in one place so the CLI, tests, and corpus_cli agree
+/// Path helper (kept in one place so the CLI, tests, and corpus_cli agree
 /// on the layout).
 std::string SerialStatePath(const std::string& state_dir);
-std::string CheckpointDirName(int round);
-std::string WorkerStatePath(const std::string& ckpt_dir, int worker);
-std::string ManifestPath(const std::string& ckpt_dir);
-
-/// The LATEST pointer: an enveloped one-string state file naming the last
-/// complete checkpoint directory (relative to state_dir). Written last,
-/// atomically, which is what makes multi-file parallel checkpoints
-/// crash-safe.
-Status WriteLatestPointer(const std::string& state_dir,
-                          const std::string& ckpt_dir_name);
-StatusOr<std::string> ReadLatestPointer(const std::string& state_dir);
-
-/// Self-healing resume: finds the newest *usable* parallel checkpoint
-/// under state_dir. The LATEST pointer's target is tried first; if that
-/// directory is torn (missing/truncated/checksum-failing manifest or
-/// worker file — e.g. the process was killed mid-checkpoint and LATEST
-/// was corrupted too), the scan falls back to ckpt_final and then the
-/// remaining ckpt_r<N> directories newest-first, validating every file a
-/// resume would need for `num_workers` workers. Each rejected candidate
-/// appends a human-readable line to `warnings` and bumps `*rejected`.
-/// NotFound when nothing usable remains.
-StatusOr<std::string> LocateUsableCheckpoint(const std::string& state_dir,
-                                             int num_workers,
-                                             std::vector<std::string>* warnings,
-                                             int* rejected);
 
 }  // namespace lego::fuzz
 

@@ -18,7 +18,7 @@ void Corpus::DebugCheckContract() {
   // same thread (one Corpus per worker).
   if (owner_ == std::thread::id()) owner_ = std::this_thread::get_id();
   assert(owner_ == std::this_thread::get_id() &&
-         "Corpus is single-threaded; share seeds via SharedCorpus");
+         "Corpus is single-threaded");
   // Every Seed* ever handed out must still point at the seed it named.
   for (const auto& [ptr, id] : handed_out_) {
     assert(ptr->id == id && "Seed* invalidated by corpus growth");
@@ -155,34 +155,6 @@ Status Corpus::LoadState(persist::StateReader* r) {
   owner_ = std::thread::id();
 #endif
   return Status::OK();
-}
-
-SharedCorpus::SharedCorpus(int num_shards)
-    : shards_(static_cast<size_t>(num_shards > 0 ? num_shards : 1)) {}
-
-void SharedCorpus::Publish(int origin_worker, TestCase tc) {
-  uint64_t seq = next_seq_.fetch_add(1, std::memory_order_acq_rel);
-  Shard& shard = shards_[seq % shards_.size()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.entries.emplace(seq, Entry{origin_worker, std::move(tc)});
-}
-
-size_t SharedCorpus::DrainNew(int worker_id, uint64_t* cursor,
-                              std::vector<TestCase>* out) const {
-  size_t drained = 0;
-  uint64_t seq = *cursor;
-  for (;; ++seq) {
-    const Shard& shard = shards_[seq % shards_.size()];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(seq);
-    if (it == shard.entries.end()) break;  // gap or end: stop, retry later
-    if (it->second.origin != worker_id) {
-      out->push_back(it->second.tc.Clone());
-      ++drained;
-    }
-  }
-  *cursor = seq;
-  return drained;
 }
 
 }  // namespace lego::fuzz

@@ -1,11 +1,8 @@
 #ifndef LEGO_FUZZ_CORPUS_H_
 #define LEGO_FUZZ_CORPUS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -40,8 +37,8 @@ struct Seed {
 /// Threading contract: a Corpus belongs to exactly ONE worker thread; none
 /// of its methods are thread-safe, and handed-out `Seed*` must not be
 /// touched from other threads. Debug builds assert single-thread use.
-/// Cross-worker seed exchange in parallel campaigns goes through
-/// SharedCorpus instead.
+/// Seeds move between fleet workers as exported corpora, never by sharing
+/// a Corpus.
 class Corpus {
  public:
   /// Adds a seed (typically one whose execution covered new branches).
@@ -99,51 +96,6 @@ class Corpus {
   std::vector<std::pair<const Seed*, int>> handed_out_;
   std::thread::id owner_{};
 #endif
-};
-
-/// Cross-worker seed exchange for parallel campaigns. Workers publish
-/// new-coverage test cases and periodically drain everything published by
-/// other workers since their last drain. Entries are totally ordered by an
-/// atomic publish sequence and stored in mutex-sharded maps (shard =
-/// seq % num_shards), so publishers on different shards never contend.
-///
-/// DrainNew() walks the sequence from the caller's cursor and stops at the
-/// first gap — a sequence number that was claimed but whose entry is not
-/// inserted yet — so readers never observe partially published seeds; the
-/// gap is picked up by the next drain. All methods are thread-safe.
-class SharedCorpus {
- public:
-  explicit SharedCorpus(int num_shards = 8);
-
-  SharedCorpus(const SharedCorpus&) = delete;
-  SharedCorpus& operator=(const SharedCorpus&) = delete;
-
-  /// Publishes a new-coverage test case discovered by `origin_worker`.
-  void Publish(int origin_worker, TestCase tc);
-
-  /// Appends clones of every seed published at sequence >= *cursor by a
-  /// worker other than `worker_id`, in publish order, and advances *cursor
-  /// past them. Returns the number of seeds appended.
-  size_t DrainNew(int worker_id, uint64_t* cursor,
-                  std::vector<TestCase>* out) const;
-
-  /// Sequence numbers claimed so far (upper bound on published entries).
-  uint64_t published() const {
-    return next_seq_.load(std::memory_order_acquire);
-  }
-
- private:
-  struct Entry {
-    int origin;
-    TestCase tc;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<uint64_t, Entry> entries;
-  };
-
-  std::vector<Shard> shards_;
-  std::atomic<uint64_t> next_seq_{0};
 };
 
 }  // namespace lego::fuzz

@@ -44,16 +44,6 @@ class Fuzzer {
   /// Feedback for the test case most recently returned by Next().
   virtual void OnResult(const TestCase& tc, const ExecResult& result) = 0;
 
-  /// Factory seam for parallel campaigns: an independent copy of this
-  /// fuzzer (same configuration, fresh state) whose Rng is seeded
-  /// `base_seed + worker_id`, where base_seed is this fuzzer's configured
-  /// seed. Returning nullptr (the default) means the fuzzer cannot run in
-  /// worker-pool mode and RunCampaign falls back to the serial path.
-  virtual std::unique_ptr<Fuzzer> CloneForWorker(int worker_id) const {
-    (void)worker_id;
-    return nullptr;
-  }
-
   /// A new-coverage test case discovered by another worker. Feedback-driven
   /// fuzzers adopt it into their corpus exactly like a local discovery
   /// (minus scheduling attribution); generation-based fuzzers ignore it.

@@ -60,7 +60,6 @@ void ExecutionHarness::MergeRunFeedback(const TestCase& tc,
   const cov::CoverageMap& run_map = backend_->FinishRun();
   result->new_coverage = global_coverage_.MergeDetectNew(run_map);
   result->total_edges = global_coverage_.CoveredEdges();
-  if (shared_coverage_ != nullptr) shared_coverage_->MergeDetectNew(run_map);
   if (rule_coverage_enabled_) {
     // Fuzzers emit ASTs, so parsing is not otherwise on the execution path;
     // re-parsing the rendered SQL is what fires the grammar-rule probes (and
@@ -69,9 +68,6 @@ void ExecutionHarness::MergeRunFeedback(const TestCase& tc,
     cov::CollectRules(tc.ToSql(), &rule_map);
     result->new_rules = global_rules_.MergeDetectNew(rule_map);
     result->total_rules = global_rules_.CoveredRules();
-    if (shared_rule_coverage_ != nullptr) {
-      shared_rule_coverage_->MergeDetectNew(rule_map);
-    }
   }
 }
 

@@ -104,14 +104,6 @@ class ExecutionHarness {
   }
   const std::string& setup_script() const { return backend_->setup_script(); }
 
-  /// Parallel campaigns: in addition to the harness-local campaign map,
-  /// publish every classified run map into `shared` (atomic OR). The local
-  /// map still decides `new_coverage`, so a worker's feedback loop depends
-  /// only on its own executions and stays deterministic.
-  void set_shared_coverage(cov::SharedCoverage* shared) {
-    shared_coverage_ = shared;
-  }
-
   /// Secondary feedback: grammar-rule coverage. When enabled, each test
   /// case's SQL rendering is re-parsed with rule probes attached and the hit
   /// rules merged into a campaign-global rule map; `ExecResult::new_rules`
@@ -119,11 +111,6 @@ class ExecutionHarness {
   /// path is bit-identical to a build without the signal.
   void set_rule_coverage(bool enabled) { rule_coverage_enabled_ = enabled; }
   bool rule_coverage() const { return rule_coverage_enabled_; }
-
-  /// Parallel campaigns: also publish each run's rule map into `shared`.
-  void set_shared_rule_coverage(cov::SharedRuleCoverage* shared) {
-    shared_rule_coverage_ = shared;
-  }
 
   /// Optional logic oracle, consulted after each successfully executed
   /// SELECT inside the backend's oracle bracket — oracle queries never
@@ -197,9 +184,7 @@ class ExecutionHarness {
   BackendOptions backend_options_;
   std::unique_ptr<DbBackend> backend_;
   cov::GlobalCoverage global_coverage_;
-  cov::SharedCoverage* shared_coverage_ = nullptr;
   cov::GlobalRuleCoverage global_rules_;
-  cov::SharedRuleCoverage* shared_rule_coverage_ = nullptr;
   bool rule_coverage_enabled_ = false;
   LogicOracle* logic_oracle_ = nullptr;
   std::optional<uint64_t> forced_interleave_seed_;

@@ -103,13 +103,6 @@ void LegoFuzzer::EnqueueSynthesized(sql::StatementType t1,
   }
 }
 
-std::unique_ptr<fuzz::Fuzzer> LegoFuzzer::CloneForWorker(
-    int worker_id) const {
-  LegoOptions options = options_;
-  options.rng_seed = options_.rng_seed + static_cast<uint64_t>(worker_id);
-  return std::make_unique<LegoFuzzer>(profile_, options);
-}
-
 void LegoFuzzer::ImportSeed(const fuzz::TestCase& tc) {
   // A foreign new-coverage seed is adopted like a local discovery — it
   // joins the corpus, donates its AST structures, and its affinities feed

@@ -49,7 +49,6 @@ class LegoFuzzer : public fuzz::Fuzzer {
   fuzz::TestCase Next() override;
   void OnResult(const fuzz::TestCase& tc,
                 const fuzz::ExecResult& result) override;
-  std::unique_ptr<fuzz::Fuzzer> CloneForWorker(int worker_id) const override;
   void ImportSeed(const fuzz::TestCase& tc) override;
   std::vector<fuzz::TestCase> ExportCorpus() const override;
 

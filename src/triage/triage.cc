@@ -46,15 +46,6 @@ std::string LogicReplayKey(const fuzz::LogicBugInfo& logic) {
   return "logic:" + logic.check + ":" + Hex16(logic.fingerprint);
 }
 
-/// "tlp" -> "LOGIC-TLP": synthetic bug id for a logic-oracle finding.
-/// Isolation anomalies keep their own namespace: "iso-lost-update" ->
-/// "ISO-LOST-UPDATE" (no LOGIC- prefix — the anomaly class IS the bug id).
-std::string LogicBugId(const std::string& check) {
-  std::string id = check.rfind("iso-", 0) == 0 ? "" : "LOGIC-";
-  for (char c : check) id += static_cast<char>(std::toupper(c));
-  return id;
-}
-
 std::string TriggerOf(const TriagedBug& bug, const faults::BugEngine& engine) {
   if (bug.is_logic) return bug.logic.check;
   if (const faults::BugDef* def = engine.FindBug(bug.crash.bug_id)) {
@@ -354,6 +345,12 @@ TriageReport TriageCampaign(const fuzz::CampaignResult& result,
     }
   }
   return report;
+}
+
+std::string LogicBugId(const std::string& check) {
+  std::string id = check.rfind("iso-", 0) == 0 ? "" : "LOGIC-";
+  for (char c : check) id += static_cast<char>(std::toupper(c));
+  return id;
 }
 
 }  // namespace lego::triage

@@ -49,6 +49,11 @@ struct TriageOptions {
 std::string OriginString(const std::string& worker,
                          const fuzz::BackendOptions& backend);
 
+/// "tlp" -> "LOGIC-TLP": synthetic bug id for a logic-oracle finding.
+/// Isolation anomalies keep their own namespace: "iso-lost-update" ->
+/// "ISO-LOST-UPDATE" (no LOGIC- prefix — the anomaly class IS the bug id).
+std::string LogicBugId(const std::string& check);
+
 /// Name of the manifest written alongside reproducers in repro_dir. One
 /// tab-separated line per triaged bug: replay key (crash identity /
 /// oracle fingerprint, known *before* reduction), signature, trigger

@@ -42,8 +42,8 @@ class PlantedHang {
 };
 
 /// Deterministic generation-only fuzzer cycling through fixed scripts —
-/// minimal, cloneable, and oblivious to feedback, so campaign outcomes
-/// depend only on (scripts, budget, workers).
+/// minimal and oblivious to feedback, so campaign outcomes depend only on
+/// (scripts, budget).
 class ScriptFuzzer : public Fuzzer {
  public:
   explicit ScriptFuzzer(std::vector<std::string> scripts)
@@ -64,17 +64,12 @@ class ScriptFuzzer : public Fuzzer {
     (void)result;
   }
 
-  std::unique_ptr<Fuzzer> CloneForWorker(int worker_id) const override {
-    (void)worker_id;  // stateless generator: every worker cycles the same
-    return std::make_unique<ScriptFuzzer>(scripts_);
-  }
-
  private:
   std::vector<std::string> scripts_;
   size_t next_ = 0;
 };
 
-TEST(ForkedBackendTest, PlantedAbortSurvivesFourWorkerCampaign) {
+TEST(ForkedBackendTest, PlantedAbortSurvivesForkedCampaign) {
   PlantedAbort plant;  // armed before any backend spawns: children inherit
 
   const minidb::DialectProfile* profile =
@@ -95,7 +90,6 @@ TEST(ForkedBackendTest, PlantedAbortSurvivesFourWorkerCampaign) {
 
   CampaignOptions options;
   options.max_executions = 48;
-  options.num_workers = 4;
   options.snapshot_every = 0;
 
   CampaignResult result = RunCampaign(&fuzzer, &harness, options);
@@ -152,7 +146,6 @@ TEST(ForkedBackendTest, WatchdogTurnsPlantedHangIntoTriagedBug) {
 
   CampaignOptions options;
   options.max_executions = 6;
-  options.num_workers = 1;
   options.snapshot_every = 0;
 
   CampaignResult result = RunCampaign(&fuzzer, &harness, options);

@@ -1,15 +1,23 @@
+// Parallel campaigns are fleets: N worker processes, each running serial
+// RunCampaign shards. These tests tie the two together — RunCampaign stays
+// bit-identical to the reference loop, a fleet shard is exactly a serial
+// campaign under its shard seed, and a fleet's merged result does not depend
+// on how many workers ran it.
+
 #include <gtest/gtest.h>
 
-#include <thread>
-#include <vector>
+#include <map>
+#include <set>
+#include <string>
 
 #include "coverage/coverage.h"
+#include "fleet/fleet.h"
+#include "fleet/shard.h"
 #include "fuzz/campaign.h"
-#include "fuzz/corpus.h"
 #include "fuzz/harness.h"
 #include "lego/lego_fuzzer.h"
+#include "minidb/env.h"
 #include "minidb/profile.h"
-#include "util/random.h"
 
 namespace lego::fuzz {
 namespace {
@@ -20,9 +28,8 @@ core::LegoFuzzer MakeLego(uint64_t seed) {
   return core::LegoFuzzer(minidb::DialectProfile::PgLite(), options);
 }
 
-/// The pre-parallel serial campaign loop, replicated verbatim as the
-/// reference implementation: RunCampaign with num_workers == 1 must stay
-/// bit-identical to this.
+/// The historical campaign loop, replicated verbatim as the reference
+/// implementation: RunCampaign must stay bit-identical to this.
 CampaignResult ReferenceSerialCampaign(Fuzzer* fuzzer,
                                        ExecutionHarness* harness,
                                        const CampaignOptions& options) {
@@ -89,11 +96,38 @@ void ExpectIdentical(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.bugs_by_component, b.bugs_by_component);
 }
 
-TEST(CampaignParallelTest, OneWorkerIsBitIdenticalToSerialPath) {
+fleet::FleetConfig SmallFleet() {
+  fleet::FleetConfig config;
+  config.profile = "pglite";
+  config.fuzzer = "lego";
+  config.base_seed = 42;
+  config.num_shards = 6;
+  config.shard_budget = 300;
+  return config;
+}
+
+fleet::FleetResult RunSmallFleet(const fleet::FleetConfig& config,
+                                 int workers, const std::string& name) {
+  fleet::FleetOptions options;
+  options.config = config;
+  options.num_workers = workers;
+  options.fleet_dir = ::testing::TempDir() + "lego_parallel_" + name;
+  (void)minidb::Env::Posix()->RemoveDirRecursive(options.fleet_dir);
+  fleet::FleetResult result = fleet::RunFleet(options);
+  (void)minidb::Env::Posix()->RemoveDirRecursive(options.fleet_dir);
+  return result;
+}
+
+std::map<uint64_t, std::string> CrashSql(const fleet::FleetResult& r) {
+  std::map<uint64_t, std::string> out;
+  for (const auto& [hash, tc] : r.crash_cases) out[hash] = tc.ToSql();
+  return out;
+}
+
+TEST(CampaignParallelTest, RunCampaignIsBitIdenticalToReferenceLoop) {
   CampaignOptions options;
   options.max_executions = 600;
   options.snapshot_every = 150;
-  options.num_workers = 1;
 
   core::LegoFuzzer reference_fuzzer = MakeLego(7);
   ExecutionHarness reference_harness(minidb::DialectProfile::PgLite());
@@ -107,165 +141,64 @@ TEST(CampaignParallelTest, OneWorkerIsBitIdenticalToSerialPath) {
   ExpectIdentical(reference, actual);
 }
 
-TEST(CampaignParallelTest, FourWorkersFindAtLeastOneWorkersEdgesAndBugs) {
-  CampaignOptions options;
-  options.max_executions = 2000;
-  options.snapshot_every = 500;
-
-  core::LegoFuzzer serial_fuzzer = MakeLego(1);
-  ExecutionHarness serial_harness(minidb::DialectProfile::PgLite());
-  options.num_workers = 1;
-  CampaignResult one =
-      RunCampaign(&serial_fuzzer, &serial_harness, options);
-
-  core::LegoFuzzer parallel_fuzzer = MakeLego(1);
-  ExecutionHarness parallel_harness(minidb::DialectProfile::PgLite());
-  options.num_workers = 4;
-  CampaignResult four =
-      RunCampaign(&parallel_fuzzer, &parallel_harness, options);
-
-  EXPECT_EQ(four.executions, one.executions);
-  EXPECT_GE(four.edges, one.edges);
-  for (const std::string& bug : one.bug_ids) {
-    EXPECT_TRUE(four.bug_ids.count(bug))
-        << "serial campaign found " << bug << " but 4 workers did not";
+TEST(CampaignParallelTest, FleetShardsAreSerialCampaigns) {
+  // A 4-worker fleet's merged result is exactly the union of serial
+  // campaigns run under each shard's seed: same executions, edges and bugs.
+  fleet::FleetConfig config = SmallFleet();
+  config.profile = "marialite";  // its injected bugs surface within budget
+  config.num_shards = 4;
+  config.shard_budget = 500;
+  const minidb::DialectProfile& profile =
+      *minidb::DialectProfile::ByName(config.profile);
+  int executions = 0;
+  cov::GlobalCoverage edges;
+  std::set<std::string> bug_ids;
+  std::set<uint64_t> crash_hashes;
+  for (int s = 0; s < config.num_shards; ++s) {
+    auto fuzzer = fleet::MakeFleetFuzzer(config.fuzzer, profile,
+                                         fleet::ShardSeed(config, s));
+    ExecutionHarness harness(profile);
+    CampaignOptions options;
+    options.max_executions = config.shard_budget;
+    options.snapshot_every = 0;
+    CampaignResult r = RunCampaign(fuzzer.get(), &harness, options);
+    executions += r.executions;
+    edges.MergeFrom(harness.global_coverage());
+    bug_ids.insert(r.bug_ids.begin(), r.bug_ids.end());
+    crash_hashes.insert(r.crash_hashes.begin(), r.crash_hashes.end());
   }
+
+  fleet::FleetResult fleet = RunSmallFleet(config, 4, "shards");
+  ASSERT_TRUE(fleet.status.ok()) << fleet.status.ToString();
+  EXPECT_EQ(fleet.executions, executions);
+  EXPECT_EQ(fleet.edges(), edges.CoveredEdges());
+  EXPECT_EQ(fleet.bug_ids(), bug_ids);
+  EXPECT_EQ(fleet.crash_hashes(), crash_hashes);
+  EXPECT_FALSE(bug_ids.empty());
 }
 
-TEST(CampaignParallelTest, ParallelResultIsDeterministicPerSeedAndWorkers) {
-  CampaignOptions options;
-  options.max_executions = 900;
-  options.snapshot_every = 300;
-  options.num_workers = 3;
-  options.sync_every = 128;
-
-  core::LegoFuzzer fuzzer_a = MakeLego(42);
-  ExecutionHarness harness_a(minidb::DialectProfile::PgLite());
-  CampaignResult a = RunCampaign(&fuzzer_a, &harness_a, options);
-
-  core::LegoFuzzer fuzzer_b = MakeLego(42);
-  ExecutionHarness harness_b(minidb::DialectProfile::PgLite());
-  CampaignResult b = RunCampaign(&fuzzer_b, &harness_b, options);
-
-  ExpectIdentical(a, b);
-  EXPECT_EQ(a.executions, 900);
-}
-
-TEST(CampaignParallelTest, FuzzerWithoutCloneFallsBackToSerial) {
-  class NoClone : public Fuzzer {
-   public:
-    std::string name() const override { return "noclone"; }
-    void Prepare(ExecutionHarness*) override {}
-    TestCase Next() override {
-      return std::move(*TestCase::FromSql("SELECT 1;"));
-    }
-    void OnResult(const TestCase&, const ExecResult&) override {}
-  };
-  NoClone fuzzer;
-  ExecutionHarness harness(minidb::DialectProfile::PgLite());
-  CampaignOptions options;
-  options.max_executions = 50;
-  options.num_workers = 4;
-  CampaignResult result = RunCampaign(&fuzzer, &harness, options);
-  EXPECT_EQ(result.executions, 50);
-  EXPECT_EQ(result.statements_executed, 50);
-}
-
-TEST(SharedCorpusTest, DrainSkipsOwnSeedsAndPreservesOrder) {
-  SharedCorpus corpus(4);
-  corpus.Publish(0, std::move(*TestCase::FromSql("SELECT 1;")));
-  corpus.Publish(1, std::move(*TestCase::FromSql("SELECT 2;")));
-  corpus.Publish(0, std::move(*TestCase::FromSql("SELECT 3;")));
-  EXPECT_EQ(corpus.published(), 3u);
-
-  uint64_t cursor = 0;
-  std::vector<TestCase> drained;
-  EXPECT_EQ(corpus.DrainNew(0, &cursor, &drained), 1u);
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].ToSql(), "SELECT 2;\n");
-  EXPECT_EQ(cursor, 3u);
-
-  // Nothing new: the cursor is past everything published.
-  drained.clear();
-  EXPECT_EQ(corpus.DrainNew(0, &cursor, &drained), 0u);
-
-  // A different worker sees the two seeds it did not publish, in order.
-  uint64_t other_cursor = 0;
-  drained.clear();
-  EXPECT_EQ(corpus.DrainNew(1, &other_cursor, &drained), 2u);
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].ToSql(), "SELECT 1;\n");
-  EXPECT_EQ(drained[1].ToSql(), "SELECT 3;\n");
-}
-
-// The ThreadSanitizer target: 8 threads hammer the SharedCorpus (publish +
-// drain) and the shared bitmap (concurrent atomic merges) at once. Build
-// with -DLEGO_SANITIZE=thread to verify race-freedom; the assertions below
-// verify the cross-thread invariants hold under any interleaving.
-TEST(CampaignParallelTest, StressSharedCorpusAndBitmapFromEightThreads) {
-  constexpr int kThreads = 8;
-  constexpr int kSeedsPerThread = 50;
-  constexpr int kMapsPerThread = 16;
-
-  // Precompute each thread's coverage maps so a serial reference union is
-  // possible afterwards.
-  std::vector<std::vector<cov::CoverageMap>> maps(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    Rng rng(1000 + static_cast<uint64_t>(t));
-    maps[t].resize(kMapsPerThread);
-    for (int m = 0; m < kMapsPerThread; ++m) {
-      for (int h = 0; h < 200; ++h) maps[t][m].Hit(rng.Next());
-      maps[t][m].ClassifyCounts();
-    }
+TEST(CampaignParallelTest, FleetResultIsIndependentOfWorkerCount) {
+  // With corpus sync on, shards of a generation import the pool of the
+  // earlier ones: 1 and 3 workers must still merge to the same result, and
+  // two 3-worker runs must agree with each other.
+  fleet::FleetConfig config = SmallFleet();
+  config.distill_every = 2;
+  fleet::FleetResult one = RunSmallFleet(config, 1, "w1");
+  fleet::FleetResult three_a = RunSmallFleet(config, 3, "w3a");
+  fleet::FleetResult three_b = RunSmallFleet(config, 3, "w3b");
+  for (const fleet::FleetResult* r : {&one, &three_a, &three_b}) {
+    ASSERT_TRUE(r->status.ok()) << r->status.ToString();
+    EXPECT_EQ(r->shards_done.size(), static_cast<size_t>(config.num_shards));
   }
-  // Pre-parse one statement per thread; threads clone it (parsing stays off
-  // the contended path).
-  std::vector<TestCase> protos;
-  for (int t = 0; t < kThreads; ++t) {
-    protos.push_back(std::move(
-        *TestCase::FromSql("SELECT " + std::to_string(t) + ";")));
+  for (const fleet::FleetResult* r : {&three_a, &three_b}) {
+    EXPECT_EQ(r->executions, one.executions);
+    EXPECT_EQ(r->edges(), one.edges());
+    EXPECT_EQ(r->merged_bug_ids(), one.merged_bug_ids());
+    EXPECT_EQ(r->bug_digest(), one.bug_digest());
+    EXPECT_EQ(r->corpus.size(), one.corpus.size());
+    EXPECT_EQ(r->distill_cycles, one.distill_cycles);
+    EXPECT_EQ(CrashSql(*r), CrashSql(one));
   }
-
-  SharedCorpus corpus(kThreads);
-  cov::SharedCoverage shared;
-  std::vector<uint64_t> cursors(kThreads, 0);
-  std::vector<size_t> foreign_seen(kThreads, 0);
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::vector<TestCase> drained;
-      for (int i = 0; i < kSeedsPerThread; ++i) {
-        corpus.Publish(t, protos[t].Clone());
-        shared.MergeDetectNew(maps[t][i % kMapsPerThread]);
-        foreign_seen[t] += corpus.DrainNew(t, &cursors[t], &drained);
-        drained.clear();
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  EXPECT_EQ(corpus.published(),
-            static_cast<uint64_t>(kThreads * kSeedsPerThread));
-
-  // After a final drain, every thread has seen exactly the seeds published
-  // by the other seven threads — nothing lost, nothing duplicated.
-  for (int t = 0; t < kThreads; ++t) {
-    std::vector<TestCase> drained;
-    foreign_seen[t] += corpus.DrainNew(t, &cursors[t], &drained);
-    EXPECT_EQ(foreign_seen[t],
-              static_cast<size_t>((kThreads - 1) * kSeedsPerThread));
-  }
-
-  // The shared bitmap holds exactly the union a serial merge produces.
-  cov::GlobalCoverage reference;
-  for (int t = 0; t < kThreads; ++t) {
-    for (int m = 0; m < kMapsPerThread; ++m) {
-      // Every map was merged at least once; repeats don't change the union.
-      reference.MergeDetectNew(maps[t][m]);
-    }
-  }
-  EXPECT_EQ(shared.CoveredEdges(), reference.CoveredEdges());
 }
 
 }  // namespace

@@ -156,39 +156,5 @@ TEST(CampaignResumeTest, MissingStateDirFailsResumeCleanly) {
   EXPECT_EQ(result.executions, 0);
 }
 
-TEST(CampaignResumeTest, ParallelResumeIsBitIdenticalToUninterrupted) {
-  const std::string dir = StateDir("parallel");
-  CampaignOptions base;
-  base.num_workers = 4;
-  base.sync_every = 16;  // one round = 64 executions total
-  base.snapshot_every = 128;
-
-  CampaignOptions uninterrupted = base;
-  uninterrupted.max_executions = 512;
-  CampaignResult full = RunOne(uninterrupted, 7);
-  ASSERT_TRUE(full.state_status.ok()) << full.state_status.ToString();
-
-  CampaignOptions first = base;
-  first.max_executions = 256;  // round-aligned partial budget
-  first.state_dir = dir;
-  first.checkpoint_every = 64;
-  CampaignResult partial = RunOne(first, 7);
-  ASSERT_TRUE(partial.state_status.ok()) << partial.state_status.ToString();
-
-  CampaignOptions rest = base;
-  rest.max_executions = 512;
-  rest.state_dir = dir;
-  rest.checkpoint_every = 64;
-  rest.resume = true;
-  CampaignResult resumed = RunOne(rest, 7);
-  ASSERT_TRUE(resumed.state_status.ok()) << resumed.state_status.ToString();
-
-  EXPECT_EQ(resumed.executions, full.executions);
-  EXPECT_EQ(resumed.edges, full.edges);
-  EXPECT_EQ(resumed.coverage_curve, full.coverage_curve);
-  EXPECT_EQ(ResultDigest(resumed), ResultDigest(full));
-  std::filesystem::remove_all(dir);
-}
-
 }  // namespace
 }  // namespace lego::fuzz

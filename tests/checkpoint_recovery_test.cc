@@ -1,8 +1,8 @@
-// Self-healing checkpoint recovery: resume must survive torn or
-// checksum-failing checkpoint directories (falling back to the newest
-// usable one with a warning), a corrupt LATEST pointer, and chaos-injected
-// mid-run checkpoint write failures — in every case continuing to the
-// bit-identical result an uninterrupted campaign produces.
+// Checkpoint recovery: a torn, bit-rotted or old-layout campaign.state must
+// be refused cleanly on resume (never half-loaded, never silently restarted),
+// and chaos-injected mid-run checkpoint write failures must be tolerated —
+// the campaign continues to the bit-identical result an uninterrupted one
+// produces, and its final state stays resumable.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "chaos/failpoint.h"
 #include "fuzz/campaign.h"
@@ -19,6 +18,7 @@
 #include "fuzz/harness.h"
 #include "lego/lego_fuzzer.h"
 #include "minidb/profile.h"
+#include "persist/io.h"
 
 namespace lego::fuzz {
 namespace {
@@ -45,12 +45,8 @@ CampaignResult RunOne(const CampaignOptions& options, uint64_t seed) {
   return RunCampaign(fuzzer.get(), &harness, options);
 }
 
-/// The standard parallel fixture: 4 workers checkpointing every 64
-/// executions, interrupted at 256 and compared against 512 uninterrupted.
-CampaignOptions ParallelBase() {
+CampaignOptions Base() {
   CampaignOptions base;
-  base.num_workers = 4;
-  base.sync_every = 16;
   base.snapshot_every = 128;
   base.checkpoint_every = 64;
   return base;
@@ -78,97 +74,22 @@ void FlipLastByte(const std::string& path) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Plants a decoy "newer" checkpoint dir (a copy of ckpt_final), lets the
-/// caller damage it, then points LATEST at it — the on-disk shape a crash
-/// mid-checkpoint plus a stale pointer would leave.
-std::string PlantDecoyCheckpoint(const std::string& state_dir) {
-  const fsys::path src = fsys::path(state_dir) / "ckpt_final";
-  const fsys::path dst = fsys::path(state_dir) / "ckpt_r9";
-  fsys::copy(src, dst, fsys::copy_options::recursive);
-  EXPECT_TRUE(WriteLatestPointer(state_dir, "ckpt_r9").ok());
-  return dst.string();
-}
-
-/// Interrupt at 256, damage the newest checkpoint via `damage`, resume to
-/// 512, and require the bit-identical uninterrupted digest plus at least
-/// one recorded fallback.
-void RunTornCheckpointCase(const std::string& dir_name,
-                           const std::function<void(const std::string&)>&
-                               damage) {
+/// Checkpoints a campaign at 256 executions, damages its state via
+/// `damage`, then requires a resume to 512 to refuse: state_status set and
+/// nothing executed.
+void ExpectDamagedStateRefused(
+    const std::string& dir_name,
+    const std::function<void(const std::string&)>& damage) {
   const std::string dir = StateDir(dir_name);
-
-  CampaignOptions uninterrupted = ParallelBase();
-  uninterrupted.max_executions = 512;
-  CampaignResult full = RunOne(uninterrupted, 11);
-  ASSERT_TRUE(full.state_status.ok()) << full.state_status.ToString();
-
-  CampaignOptions partial = ParallelBase();
+  CampaignOptions partial = Base();
   partial.max_executions = 256;
   partial.state_dir = dir;
   CampaignResult first = RunOne(partial, 11);
   ASSERT_TRUE(first.state_status.ok()) << first.state_status.ToString();
 
-  damage(dir);
+  damage(SerialStatePath(dir));
 
-  CampaignOptions rest = ParallelBase();
-  rest.max_executions = 512;
-  rest.state_dir = dir;
-  rest.resume = true;
-  CampaignResult resumed = RunOne(rest, 11);
-  ASSERT_TRUE(resumed.state_status.ok()) << resumed.state_status.ToString();
-  EXPECT_GE(resumed.checkpoint_fallbacks, 1);
-  EXPECT_EQ(resumed.executions, full.executions);
-  EXPECT_EQ(resumed.edges, full.edges);
-  EXPECT_EQ(resumed.coverage_curve, full.coverage_curve);
-  EXPECT_EQ(ResultDigest(resumed), ResultDigest(full));
-  fsys::remove_all(dir);
-}
-
-TEST(CheckpointRecoveryTest, TruncatedManifestFallsBackToPreviousCheckpoint) {
-  RunTornCheckpointCase("torn_manifest", [](const std::string& dir) {
-    const std::string decoy = PlantDecoyCheckpoint(dir);
-    TruncateFile(ManifestPath(decoy), 40);  // torn mid-write
-  });
-}
-
-TEST(CheckpointRecoveryTest, ChecksumFlipFallsBackToPreviousCheckpoint) {
-  RunTornCheckpointCase("bad_checksum", [](const std::string& dir) {
-    const std::string decoy = PlantDecoyCheckpoint(dir);
-    FlipLastByte(ManifestPath(decoy));  // bit rot: checksum mismatch
-  });
-}
-
-TEST(CheckpointRecoveryTest, MissingWorkerFileFallsBackToPreviousCheckpoint) {
-  RunTornCheckpointCase("missing_worker", [](const std::string& dir) {
-    const std::string decoy = PlantDecoyCheckpoint(dir);
-    fsys::remove(WorkerStatePath(decoy, 2));  // one worker file lost
-  });
-}
-
-TEST(CheckpointRecoveryTest, CorruptLatestPointerScansForCheckpoints) {
-  RunTornCheckpointCase("bad_latest", [](const std::string& dir) {
-    std::ofstream f(fsys::path(dir) / "LATEST",
-                    std::ios::binary | std::ios::trunc);
-    f << "garbage, not an enveloped pointer";
-  });
-}
-
-TEST(CheckpointRecoveryTest, NothingUsableFailsCleanly) {
-  const std::string dir = StateDir("all_torn");
-  CampaignOptions partial = ParallelBase();
-  partial.max_executions = 256;
-  partial.state_dir = dir;
-  ASSERT_TRUE(RunOne(partial, 11).state_status.ok());
-
-  // Destroy every candidate: the pointer and the lone checkpoint manifest.
-  {
-    std::ofstream f(fsys::path(dir) / "LATEST",
-                    std::ios::binary | std::ios::trunc);
-    f << "garbage";
-  }
-  TruncateFile(ManifestPath((fsys::path(dir) / "ckpt_final").string()), 10);
-
-  CampaignOptions rest = ParallelBase();
+  CampaignOptions rest = Base();
   rest.max_executions = 512;
   rest.state_dir = dir;
   rest.resume = true;
@@ -176,6 +97,38 @@ TEST(CheckpointRecoveryTest, NothingUsableFailsCleanly) {
   EXPECT_FALSE(resumed.state_status.ok());
   EXPECT_EQ(resumed.executions, 0);  // refused, not silently restarted
   fsys::remove_all(dir);
+}
+
+TEST(CheckpointRecoveryTest, TruncatedStateIsRefused) {
+  ExpectDamagedStateRefused("torn", [](const std::string& path) {
+    TruncateFile(path, 40);  // torn mid-write
+  });
+}
+
+TEST(CheckpointRecoveryTest, ChecksumFlipIsRefused) {
+  ExpectDamagedStateRefused("bad_checksum", [](const std::string& path) {
+    FlipLastByte(path);  // bit rot: checksum mismatch
+  });
+}
+
+TEST(CheckpointRecoveryTest, OldFingerprintLayoutIsRefused) {
+  // A state file whose fingerprint still has the version-1 layout (which
+  // carried the thread-pool worker count and sync cadence) must be refused
+  // with a version error, not misread as the current layout.
+  ExpectDamagedStateRefused("old_layout", [](const std::string& path) {
+    persist::StateWriter w;
+    w.BeginChunk(persist::ChunkTag("CFGF"));
+    w.WriteString("lego");
+    w.WriteString("pglite");
+    w.WriteI64(0);     // max_statements
+    w.WriteI64(128);   // snapshot_every
+    w.WriteBool(false);
+    w.WriteI64(4);     // num_workers
+    w.WriteI64(256);   // sync_every
+    w.WriteI64(64);    // checkpoint_every
+    w.EndChunk();
+    ASSERT_TRUE(w.WriteFileAtomic(path).ok());
+  });
 }
 
 TEST(CheckpointRecoveryTest, SerialMidRunCheckpointFailureIsTolerated) {

@@ -70,7 +70,7 @@ std::string ReadFile(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// End-to-end: a 4-worker campaign over a planted isolation defect must
+/// End-to-end: a campaign over a planted isolation defect must
 /// capture the anomaly, and triage must reduce it to a multi-session .sql
 /// reproducer carrying the right ISO bug id.
 void RunPlantedEndToEnd(bool lost_update, const std::string& expect_id) {
@@ -87,8 +87,6 @@ void RunPlantedEndToEnd(bool lost_update, const std::string& expect_id) {
 
   CampaignOptions options;
   options.max_executions = 1200;
-  options.num_workers = 4;
-  options.sync_every = 64;
   std::vector<TestCase> seeds = RmwSeeds();
   options.import_seeds = &seeds;
 

@@ -47,11 +47,6 @@ class ScriptFuzzer : public Fuzzer {
     (void)result;
   }
 
-  std::unique_ptr<Fuzzer> CloneForWorker(int worker_id) const override {
-    (void)worker_id;
-    return std::make_unique<ScriptFuzzer>(scripts_);
-  }
-
  private:
   std::vector<std::string> scripts_;
   size_t next_ = 0;
@@ -107,7 +102,6 @@ CampaignResult RunSchedule(const std::string& spec, const std::string& dir,
   ScriptFuzzer fuzzer(WorkloadScripts());
   CampaignOptions options;
   options.max_executions = executions;
-  options.num_workers = 1;
   options.snapshot_every = 0;
   CampaignResult result = RunCampaign(&fuzzer, &harness, options);
   chaos::DisarmAll();
@@ -169,7 +163,6 @@ TEST(DurabilityOracleTest, ArmedRecoveryFaultIsInconclusiveNotFalsePositive) {
   ScriptFuzzer fuzzer(WorkloadScripts());
   CampaignOptions options;
   options.max_executions = 6;
-  options.num_workers = 1;
   options.snapshot_every = 0;
   CampaignResult result = RunCampaign(&fuzzer, &harness, options);
   chaos::DisarmAll();
@@ -202,7 +195,6 @@ TEST(DurabilityOracleTest, PlantedSkipFsyncIsCaughtAndTriaged) {
   ScriptFuzzer fuzzer(WorkloadScripts());
   CampaignOptions options;
   options.max_executions = 9;
-  options.num_workers = 1;
   options.snapshot_every = 0;
   CampaignResult result = RunCampaign(&fuzzer, &harness, options);
 

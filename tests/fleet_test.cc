@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -54,16 +55,25 @@ FleetConfig BaseConfig() {
   return config;
 }
 
+/// SQL of every case, in order: how pools and captures are compared.
+std::vector<std::string> SqlOf(const std::vector<fuzz::TestCase>& cases) {
+  std::vector<std::string> out;
+  for (const fuzz::TestCase& tc : cases) out.push_back(tc.ToSql());
+  return out;
+}
+
 /// The single-process ground truth: runs every shard in-order in this
 /// process through the same ExecuteShard + UpdatePool the coordinator uses,
 /// merging the same way. A healthy fleet of any worker count must reproduce
-/// these sets exactly (shard purity), as long as either distill is off (the
-/// imported pool stays empty regardless of completion order) or the fleet
-/// runs one worker (completion order matches shard order).
+/// it exactly — finding sets, the captured case per finding (the lowest
+/// shard's), the pool, and the bug digest — whatever order its shards
+/// complete in.
 struct Reference {
   int64_t executions = 0;
   std::set<uint64_t> crash_hashes;
   std::set<uint64_t> logic_fps;
+  std::map<uint64_t, std::string> crash_sql;  // first capture in shard order
+  std::map<uint64_t, std::string> logic_sql;
   cov::GlobalCoverage coverage;
   std::vector<fuzz::TestCase> pool;
   std::vector<fuzz::TestCase> pending;
@@ -71,6 +81,7 @@ struct Reference {
   double distill_seconds = 0.0;
 
   size_t corpus_total() const { return pool.size() + pending.size(); }
+  uint64_t bug_digest() const { return BugDigest(crash_hashes, logic_fps); }
 };
 
 Reference RunReference(const FleetConfig& config) {
@@ -81,10 +92,17 @@ Reference RunReference(const FleetConfig& config) {
     EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
     if (!outcome.ok()) return ref;
     EXPECT_TRUE(outcome->complete);
-    ref.executions += outcome->result.executions;
-    for (uint64_t h : outcome->result.crash_hashes) ref.crash_hashes.insert(h);
-    for (uint64_t f : outcome->result.logic_fingerprints) {
-      ref.logic_fps.insert(f);
+    const fuzz::CampaignResult& r = outcome->result;
+    ref.executions += r.executions;
+    for (uint64_t h : r.crash_hashes) ref.crash_hashes.insert(h);
+    for (uint64_t f : r.logic_fingerprints) ref.logic_fps.insert(f);
+    for (size_t i = 0; i < r.captured_crashes.size(); ++i) {
+      ref.crash_sql.emplace(r.captured_crashes[i].stack_hash,
+                            r.captured_cases[i].ToSql());
+    }
+    for (size_t i = 0; i < r.captured_logic_bugs.size(); ++i) {
+      ref.logic_sql.emplace(r.captured_logic_bugs[i].fingerprint,
+                            r.captured_logic_cases[i].ToSql());
     }
     ref.coverage.MergeFrom(outcome->coverage);
     ++completed;
@@ -101,9 +119,31 @@ void ExpectMatchesReference(const FleetResult& result, const Reference& ref) {
   EXPECT_EQ(result.executions, ref.executions);
   EXPECT_EQ(result.crash_hashes(), ref.crash_hashes);
   EXPECT_EQ(result.logic_fingerprints(), ref.logic_fps);
+  EXPECT_EQ(result.bug_digest(), ref.bug_digest());
   EXPECT_EQ(result.edges(), ref.coverage.CoveredEdges());
   EXPECT_EQ(result.corpus.size() + result.corpus_pending.size(),
             ref.corpus_total());
+  EXPECT_TRUE(result.held_exports.empty());
+  for (const auto& [hash, sql] : ref.crash_sql) {
+    auto it = result.crash_cases.find(hash);
+    ASSERT_NE(it, result.crash_cases.end());
+    EXPECT_EQ(it->second.ToSql(), sql) << "crash " << hash;
+  }
+  for (const auto& [fp, sql] : ref.logic_sql) {
+    auto it = result.logic_cases.find(fp);
+    ASSERT_NE(it, result.logic_cases.end());
+    EXPECT_EQ(it->second.ToSql(), sql) << "logic finding " << fp;
+  }
+}
+
+/// Everything ExpectMatchesReference checks, plus the exact pool: same
+/// distill cycles and the same cases, in the same order.
+void ExpectPoolMatchesReference(const FleetResult& result,
+                                const Reference& ref) {
+  ExpectMatchesReference(result, ref);
+  EXPECT_EQ(result.distill_cycles, ref.distill_cycles);
+  EXPECT_EQ(SqlOf(result.corpus), SqlOf(ref.pool));
+  EXPECT_EQ(SqlOf(result.corpus_pending), SqlOf(ref.pending));
 }
 
 class FleetTest : public ::testing::Test {
@@ -198,23 +238,60 @@ TEST_F(FleetTest, CleanFleetMatchesReference) {
 
 TEST_F(FleetTest, DistillRedistributeMatchesReference) {
   FleetConfig config = BaseConfig();
+  config.num_shards = 6;
   config.shard_budget = 400;
-  config.distill_every = 2;
+  config.distill_every = 2;  // generations {0,1} {2,3} {4,5}
   Reference ref = RunReference(config);
-  ASSERT_GT(ref.distill_cycles, 0);
+  ASSERT_GE(ref.distill_cycles, 2);
+  ASSERT_FALSE(ref.logic_fps.empty());
 
-  // One worker: fleet completion order == shard order, so the pool each
-  // lease imports evolves exactly like the reference's.
+  // Shards of one generation finish in any order across workers; the lease
+  // gate and the shard-ordered merge must still rebuild the reference's
+  // pool generation by generation, and its captures.
+  for (int workers : {1, 2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    FleetOptions options;
+    options.config = config;
+    options.num_workers = workers;
+    options.fleet_dir = FreshDir("distill_w" + std::to_string(workers));
+    FleetResult result = RunFleet(options);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(result.shards_done.size(),
+              static_cast<size_t>(config.num_shards));
+    ExpectPoolMatchesReference(result, ref);
+  }
+
+  // Coordinator SIGKILL at its third journal write (one accepted result on
+  // disk, possibly held for a lower shard), then a resume at another worker
+  // count: the journal carries the pool, the held exports and the capture
+  // shards, so the result is still the reference's.
+  const std::string fleet_dir = FreshDir("distill_kill");
+  pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    (void)chaos::ArmSpec("fleet.journal_write=kill:3", config.base_seed);
+    FleetOptions options;
+    options.config = config;
+    options.num_workers = 4;
+    options.fleet_dir = fleet_dir;
+    (void)RunFleet(options);
+    _exit(7);  // unreachable when the failpoint fires
+  }
+  int wait_status = 0;
+  ASSERT_EQ(::waitpid(child, &wait_status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(wait_status));
+  EXPECT_EQ(WTERMSIG(wait_status), SIGKILL);
+
   FleetOptions options;
   options.config = config;
-  options.num_workers = 1;
-  options.fleet_dir = FreshDir("distill");
+  options.num_workers = 2;
+  options.fleet_dir = fleet_dir;
+  options.resume = true;
   FleetResult result = RunFleet(options);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_TRUE(result.resumed);
   EXPECT_EQ(result.shards_done.size(), static_cast<size_t>(config.num_shards));
-  EXPECT_EQ(result.distill_cycles, ref.distill_cycles);
-  EXPECT_EQ(result.corpus.size(), ref.pool.size());
-  ExpectMatchesReference(result, ref);
+  ExpectPoolMatchesReference(result, ref);
 }
 
 // --- worker killed mid-shard: requeue without loss ------------------------
@@ -222,24 +299,28 @@ TEST_F(FleetTest, DistillRedistributeMatchesReference) {
 TEST_F(FleetTest, WorkerKillMidShardRequeuesWithoutLoss) {
   FleetConfig config = BaseConfig();
   config.num_shards = 4;
-  config.shard_budget = 800;  // ~14 heartbeats per shard at progress_every=64
+  config.shard_budget = 800;  // 13 heartbeats per shard at progress_every=64
+
   Reference ref = RunReference(config);
 
-  // Slot 0 dies on its 20th heartbeat each incarnation: it completes one
-  // shard (~14 beats), then is SIGKILLed partway into its next lease. The
-  // shard re-queues; slot 1 (healthy) keeps the fleet finishing.
+  // Every slot dies on its 20th heartbeat in every incarnation: each
+  // incarnation completes the first shard it leases (13 beats) and is
+  // SIGKILLed partway into its second. So no incarnation completes more
+  // than one shard, and 4 shards over 2 slots need at least 4 incarnations
+  // and at least one requeue, whichever slot wins which lease.
   FleetOptions options;
   options.config = config;
   options.num_workers = 2;
   options.fleet_dir = FreshDir("workerkill");
   options.respawn_backoff_ms = 10;
-  options.worker_chaos.push_back({0, "fleet.heartbeat=kill:20"});
+  options.strike_limit = 8;
+  options.worker_chaos.push_back({-1, "fleet.heartbeat=kill:20"});
   FleetResult result = RunFleet(options);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_FALSE(result.degraded);
   EXPECT_EQ(result.shards_done.size(), static_cast<size_t>(config.num_shards));
   EXPECT_GE(result.shards_requeued, 1);
-  EXPECT_GE(result.workers_spawned, 3);  // at least one respawn happened
+  EXPECT_GE(result.workers_spawned, 4);
   ExpectMatchesReference(result, ref);
 }
 
@@ -393,6 +474,22 @@ TEST_F(FleetTest, GracefulShutdownDrainsAndResumeCompletes) {
   ExpectMatchesReference(result, ref);
 }
 
+// --- merged bug ids --------------------------------------------------------
+
+TEST_F(FleetTest, MergedBugIdsNameEveryBugClass) {
+  // fleet_cli prints these on its "bug ids" line, which is what CI greps
+  // for DUR-* and ISO-* findings: crash ids verbatim, logic findings under
+  // their triage ids.
+  FleetResult result;
+  result.crashes[1].bug_id = "DUR-LOST-COMMIT";
+  result.crashes[2].bug_id = "PG-OPT-01";
+  result.logic[3].check = "iso-lost-update";
+  result.logic[4].check = "tlp";
+  EXPECT_EQ(result.merged_bug_ids(),
+            (std::set<std::string>{"DUR-LOST-COMMIT", "ISO-LOST-UPDATE",
+                                   "LOGIC-TLP", "PG-OPT-01"}));
+}
+
 // --- journal round trip ----------------------------------------------------
 
 TEST_F(FleetTest, JournalRoundTripsMergedState) {
@@ -422,6 +519,9 @@ TEST_F(FleetTest, JournalRoundTripsMergedState) {
   for (const auto& [fp, origin] : result.logic_origins) {
     EXPECT_EQ(loaded.logic_origins[fp], origin);
   }
+  EXPECT_EQ(loaded.crash_shards, result.crash_shards);
+  EXPECT_EQ(loaded.logic_shards, result.logic_shards);
+  EXPECT_EQ(loaded.bug_digest(), result.bug_digest());
 }
 
 }  // namespace

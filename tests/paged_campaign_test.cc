@@ -2,13 +2,11 @@
 // campaign on paged storage must land on the same ResultDigest as the same
 // campaign on mem storage (the pager is invisible to fuzzing outcomes), the
 // storage telemetry must report real pool/WAL traffic without entering the
-// digest, and parallel campaigns must sweep per-worker scratch directories
-// — including ones a previous abnormal exit left behind.
+// digest.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,11 +44,6 @@ class ScriptFuzzer : public Fuzzer {
     (void)result;
   }
 
-  std::unique_ptr<Fuzzer> CloneForWorker(int worker_id) const override {
-    (void)worker_id;
-    return std::make_unique<ScriptFuzzer>(scripts_);
-  }
-
  private:
   std::vector<std::string> scripts_;
   size_t next_ = 0;
@@ -68,8 +61,7 @@ std::vector<std::string> WorkloadScripts() {
   };
 }
 
-CampaignResult RunWith(const BackendOptions& backend, int executions,
-                       int workers = 1) {
+CampaignResult RunWith(const BackendOptions& backend, int executions) {
   const minidb::DialectProfile* profile =
       minidb::DialectProfile::ByName("pglite");
   EXPECT_NE(profile, nullptr);
@@ -77,7 +69,6 @@ CampaignResult RunWith(const BackendOptions& backend, int executions,
   ScriptFuzzer fuzzer(WorkloadScripts());
   CampaignOptions options;
   options.max_executions = executions;
-  options.num_workers = workers;
   options.snapshot_every = 0;
   return RunCampaign(&fuzzer, &harness, options);
 }
@@ -163,7 +154,6 @@ TEST(PagedCampaignTest, TinyPoolCampaignReportsEvictions) {
   ScriptFuzzer fuzzer({big_script});
   CampaignOptions options;
   options.max_executions = 2;
-  options.num_workers = 1;
   options.snapshot_every = 0;
   CampaignResult result = RunCampaign(&fuzzer, &harness, options);
   std::filesystem::remove_all(dir);
@@ -174,38 +164,6 @@ TEST(PagedCampaignTest, TinyPoolCampaignReportsEvictions) {
   EXPECT_GT(result.storage.pool_hit_rate(), 0.0);
   EXPECT_GT(result.storage.wal_bytes, 0u);
   EXPECT_GT(result.storage.fsyncs, 0u);
-}
-
-// Parallel paged campaigns own per-worker scratch directories under db_dir.
-// The campaign must remove its own at teardown and heal ones left behind by
-// an earlier abnormal exit — including from a wider worker pool.
-TEST(PagedCampaignTest, WorkerScratchDirsAreSwept) {
-  namespace fsys = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "paged_scratch_db";
-  fsys::remove_all(dir);
-  ASSERT_TRUE(fsys::create_directories(dir + "/w5"));
-  ASSERT_TRUE(fsys::create_directories(dir + "/w12"));
-  {
-    // A stale generation a killed campaign left behind.
-    std::ofstream junk(dir + "/w5/wal.1");
-    junk << "stale";
-  }
-  // Non-worker entries must survive the sweeps.
-  ASSERT_TRUE(fsys::create_directories(dir + "/keepme"));
-
-  BackendOptions backend;
-  backend.kind = BackendKind::kInProcess;
-  backend.storage = StorageKind::kPaged;
-  backend.db_dir = dir;
-  CampaignResult result = RunWith(backend, 8, /*workers=*/2);
-  EXPECT_EQ(result.executions, 8);
-
-  EXPECT_FALSE(fsys::exists(dir + "/w5"));
-  EXPECT_FALSE(fsys::exists(dir + "/w12"));
-  EXPECT_FALSE(fsys::exists(dir + "/w0"));
-  EXPECT_FALSE(fsys::exists(dir + "/w1"));
-  EXPECT_TRUE(fsys::exists(dir + "/keepme"));
-  fsys::remove_all(dir);
 }
 
 }  // namespace

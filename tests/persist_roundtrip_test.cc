@@ -4,13 +4,10 @@
 #include <string>
 #include <vector>
 
-#include "baselines/sqlancer_like.h"
-#include "baselines/sqlsmith_like.h"
-#include "baselines/squirrel_like.h"
+#include "fleet/shard.h"
 #include "fuzz/checkpoint.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/harness.h"
-#include "lego/lego_fuzzer.h"
 #include "minidb/profile.h"
 #include "persist/io.h"
 
@@ -104,23 +101,6 @@ TEST(PersistEnvelopeTest, UnreadChunkRemainderIsSkippedOnExit) {
 namespace lego::fuzz {
 namespace {
 
-std::unique_ptr<Fuzzer> MakeFuzzer(const std::string& name, uint64_t seed) {
-  const minidb::DialectProfile& profile = minidb::DialectProfile::PgLite();
-  if (name == "lego" || name == "lego-") {
-    core::LegoOptions options;
-    options.sequence_algorithms_enabled = (name == "lego");
-    options.rng_seed = seed;
-    return std::make_unique<core::LegoFuzzer>(profile, options);
-  }
-  if (name == "squirrel") {
-    return std::make_unique<baselines::SquirrelLikeFuzzer>(profile, seed);
-  }
-  if (name == "sqlancer") {
-    return std::make_unique<baselines::SqlancerLikeFuzzer>(profile, seed);
-  }
-  return std::make_unique<baselines::SqlsmithLikeFuzzer>(profile, seed);
-}
-
 /// Reaches a "random" mid-campaign state: whatever corpus, library, and
 /// scheduling bookkeeping `executions` runs produce from this seed.
 void FuzzFor(Fuzzer* fuzzer, ExecutionHarness* harness, int executions) {
@@ -146,12 +126,14 @@ TEST_P(FuzzerStateRoundtripTest, SecondSnapshotIsByteIdentical) {
   const std::string name = GetParam();
   const minidb::DialectProfile& profile = minidb::DialectProfile::PgLite();
   for (uint64_t seed : {1u, 23u, 1789u}) {
-    auto original = MakeFuzzer(name, seed);
+    auto original =
+        fleet::MakeFleetFuzzer(name, minidb::DialectProfile::PgLite(), seed);
     ExecutionHarness harness(profile);
     FuzzFor(original.get(), &harness, 200);
     const std::string first = SaveBytes(*original, harness);
 
-    auto restored = MakeFuzzer(name, seed);
+    auto restored =
+        fleet::MakeFleetFuzzer(name, minidb::DialectProfile::PgLite(), seed);
     ExecutionHarness harness2(profile);
     restored->Prepare(&harness2);
     persist::StateReader r = persist::StateReader::FromPayload(first);
@@ -170,14 +152,14 @@ TEST(FuzzerStateRoundtripTest, RestoredFuzzerContinuesIdentically) {
   // Beyond byte-identity of the snapshot: the restored fuzzer must produce
   // the same future as the original.
   const minidb::DialectProfile& profile = minidb::DialectProfile::PgLite();
-  auto a = MakeFuzzer("lego", 5);
+  auto a = fleet::MakeFleetFuzzer("lego", profile, 5);
   ExecutionHarness ha(profile);
   FuzzFor(a.get(), &ha, 300);
   persist::StateWriter w;
   ASSERT_TRUE(a->SaveState(&w).ok());
   ASSERT_TRUE(ha.SaveState(&w).ok());
 
-  auto b = MakeFuzzer("lego", 5);
+  auto b = fleet::MakeFleetFuzzer("lego", profile, 5);
   ExecutionHarness hb(profile);
   b->Prepare(&hb);
   persist::StateReader r = persist::StateReader::FromPayload(w.buffer());
@@ -198,7 +180,8 @@ TEST(FuzzerStateRoundtripTest, RestoredFuzzerContinuesIdentically) {
 }
 
 TEST(CampaignResultRoundtripTest, SecondSnapshotIsByteIdentical) {
-  auto fuzzer = MakeFuzzer("lego", 11);
+  auto fuzzer =
+      fleet::MakeFleetFuzzer("lego", minidb::DialectProfile::PgLite(), 11);
   ExecutionHarness harness(minidb::DialectProfile::PgLite());
   CampaignOptions options;
   options.max_executions = 800;

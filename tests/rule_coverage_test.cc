@@ -115,24 +115,6 @@ TEST(RuleCoverageTest, GlobalRuleStateRoundTripsBitExact) {
   EXPECT_EQ(w1.buffer(), w2.buffer());  // save -> load -> save, byte-equal
 }
 
-TEST(RuleCoverageTest, SharedRuleStateRoundTripsBitExact) {
-  cov::SharedRuleCoverage shared;
-  cov::RuleMap map;
-  ASSERT_TRUE(cov::CollectRules(kScript, &map));
-  EXPECT_TRUE(shared.MergeDetectNew(map));
-
-  persist::StateWriter w1;
-  ASSERT_TRUE(shared.SaveState(&w1).ok());
-  persist::StateReader r = persist::StateReader::FromPayload(w1.buffer());
-  cov::SharedRuleCoverage loaded;
-  ASSERT_TRUE(loaded.LoadState(&r).ok());
-  EXPECT_EQ(loaded.CoveredRules(), shared.CoveredRules());
-
-  persist::StateWriter w2;
-  ASSERT_TRUE(loaded.SaveState(&w2).ok());
-  EXPECT_EQ(w1.buffer(), w2.buffer());
-}
-
 TEST(RuleCoverageTest, DistinguishesSeedsEdgeCoverageCannot) {
   // Two queries that drive the engine through an identical edge set but
   // different grammar productions: ORDER BY ... DESC only flips a sort
