@@ -23,7 +23,7 @@
 //   --backend B : execution backend — inproc (embedded minidb), forked,
 //                 or concurrent (N true session threads per case under a
 //                 seeded deterministic interleaving scheduler)
-//                 (crash-isolated child process)           (default inproc)
+//                 (crash-isolated child process)          (default inproc)
 //   --max-stmt-ms N : forked only — kill a statement after N ms wall clock
 //   --sessions N : concurrent only — session threads per test case
 //                 (default 2); the per-case interleaving seed is derived
@@ -78,7 +78,8 @@
 //
 // The campaign runs in this process, one test case at a time. To spread a
 // campaign over N worker processes, run `fleet_cli run --workers N`, which
-// takes the same backend, storage, oracle, chaos, triage and reduce flags.
+// takes the same backend, storage and oracle flags plus --chaos-fp,
+// --triage and --reduce.
 
 #include <csignal>
 

@@ -123,8 +123,8 @@ TEST(CheckpointRecoveryTest, OldFingerprintLayoutIsRefused) {
     w.WriteI64(0);     // max_statements
     w.WriteI64(128);   // snapshot_every
     w.WriteBool(false);
-    w.WriteI64(4);     // num_workers
-    w.WriteI64(256);   // sync_every
+    w.WriteI64(4);     // worker count (version 1 only)
+    w.WriteI64(256);   // sync cadence (version 1 only)
     w.WriteI64(64);    // checkpoint_every
     w.EndChunk();
     ASSERT_TRUE(w.WriteFileAtomic(path).ok());
