@@ -58,7 +58,7 @@
 //   --chaos-seed S : failpoint schedule seed (default: the campaign seed);
 //                 the schedule is deterministic per (seed, hit index)
 //   --chaos-fp NAME=SPEC : arm one failpoint precisely (repeatable);
-//                 SPEC = off | always | prob:P | nth:N | kill:N
+//                 SPEC = off | always | prob:P | nth:N | kill:N | hang:N
 //   --storage S : execution storage — mem (historical in-memory database)
 //                 or paged (buffer pool + WAL under --db-dir; recovery on
 //                 reopen; mem stays bit-identical)          (default mem)

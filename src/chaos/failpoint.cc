@@ -1,5 +1,7 @@
 #include "chaos/failpoint.h"
 
+#include <unistd.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +30,7 @@ struct FailpointState {
   const char* name;
   std::atomic<int> mode{static_cast<int>(FailpointMode::kOff)};
   double probability = 0.0;  // kProbability parameter
-  uint64_t n = 0;            // kNthHit / kKillNthHit parameter (1-based)
+  uint64_t n = 0;            // kNthHit / kKillNthHit / kHangNthHit (1-based)
   uint64_t seed = 0;         // per-failpoint: HashMix(global seed, name hash)
   std::atomic<uint64_t> hits{0};
   std::atomic<uint64_t> fires{0};
@@ -121,6 +123,16 @@ bool Evaluate(std::string_view name) {
         std::raise(SIGKILL);
       }
       break;
+    case FailpointMode::kHangNthHit:
+      if (hit == fp->n) {
+        const pid_t parent = ::getppid();
+        std::fprintf(stderr, "chaos: hanging at failpoint %s (hit %llu)\n",
+                     fp->name, static_cast<unsigned long long>(hit));
+        std::fflush(stderr);
+        while (::getppid() == parent) ::usleep(20 * 1000);
+        std::raise(SIGKILL);
+      }
+      break;
   }
   if (fire) fp->fires.fetch_add(1, std::memory_order_relaxed);
   return fire;
@@ -188,9 +200,16 @@ Status ArmSpec(std::string_view spec, uint64_t seed) {
                                      std::string(spec));
     }
     Arm(fp, FailpointMode::kKillNthHit, 0.0, n, seed);
+  } else if (mode.rfind("hang:", 0) == 0) {
+    uint64_t n = 0;
+    if (!parse_u64(mode.substr(5), &n) || n == 0) {
+      return Status::InvalidArgument("bad hit ordinal in failpoint spec: " +
+                                     std::string(spec));
+    }
+    Arm(fp, FailpointMode::kHangNthHit, 0.0, n, seed);
   } else {
     return Status::InvalidArgument(
-        "failpoint mode must be off|always|prob:P|nth:N|kill:N: " +
+        "failpoint mode must be off|always|prob:P|nth:N|kill:N|hang:N: " +
         std::string(spec));
   }
   RefreshArmedFlag();
@@ -249,6 +268,8 @@ std::string_view ModeName(FailpointMode mode) {
       return "nth";
     case FailpointMode::kKillNthHit:
       return "kill";
+    case FailpointMode::kHangNthHit:
+      return "hang";
   }
   return "?";
 }

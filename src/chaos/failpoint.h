@@ -40,6 +40,7 @@ enum class FailpointMode {
   kProbability,  // fires per-hit with probability p, seeded draw
   kNthHit,       // fires exactly on the Nth hit (1-based), once
   kKillNthHit,   // raises SIGKILL on the Nth hit — torn-write simulation
+  kHangNthHit,   // blocks forever on the Nth hit — a wedged process
 };
 
 struct FailpointInfo {
@@ -75,7 +76,10 @@ std::vector<std::string_view> RegisteredFailpoints();
 void ArmAll(uint64_t seed, double probability);
 
 /// Arms one failpoint from a "name=mode" spec, where mode is one of
-/// off | always | prob:P | nth:N | kill:N (N is a 1-based hit ordinal).
+/// off | always | prob:P | nth:N | kill:N | hang:N (N is a 1-based hit
+/// ordinal). hang:N blocks the caller on the Nth hit until the process is
+/// killed; a caller whose parent process exits while it hangs kills itself,
+/// so a hung worker never outlives the coordinator that would reap it.
 /// Unknown names or malformed modes are InvalidArgument.
 Status ArmSpec(std::string_view spec, uint64_t seed);
 

@@ -2,6 +2,7 @@
 #define LEGO_COVERAGE_COVERAGE_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 
@@ -20,41 +21,77 @@ namespace lego::cov {
 /// saturating counter. After a run, ClassifyCounts() folds raw counts into
 /// AFL's hit-count buckets so "same edge, new hit-count magnitude" also
 /// registers as new coverage.
+///
+/// A run touches a few hundred of the map's 8192 words, so the map keeps a
+/// dirty-word summary: one bit per 8-byte word of the map, set by Hit.
+/// Invariant: a byte is non-zero only if its word's summary bit is set.
+/// Reset, ClassifyCounts, CountNonZero, CopyDirtyFrom and
+/// GlobalCoverage::MergeDetectNew visit only the dirty words, so feedback
+/// costs what the run touched, not the size of the map.
 class CoverageMap {
  public:
   static constexpr size_t kSize = 1 << 16;
-
-  CoverageMap() { Reset(); }
+  static constexpr size_t kWords = kSize / sizeof(uint64_t);
 
   /// Clears all counters and the edge-chain state.
   void Reset() {
-    map_.fill(0);
+    ForEachDirtyWord([this](size_t w) {
+      std::memset(map_.data() + w * sizeof(uint64_t), 0, sizeof(uint64_t));
+    });
+    dirty_.fill(0);
     prev_loc_ = 0;
   }
 
   /// Records a hit of probe `loc` (called via LEGO_COV()).
   void Hit(uint64_t loc) {
     size_t edge = static_cast<size_t>((prev_loc_ ^ loc) & (kSize - 1));
+    const size_t word = edge / sizeof(uint64_t);
+    dirty_[word / 64] |= uint64_t{1} << (word % 64);
     if (map_[edge] != 0xff) ++map_[edge];
     prev_loc_ = loc >> 1;
   }
 
   /// Folds raw hit counts into AFL bucket bitmasks (1,2,3,4-7,8-15,16-31,
   /// 32-127,128+ -> single bits).
-  void ClassifyCounts() {
-    for (auto& c : map_) c = Bucket(c);
+  void ClassifyCounts();
+
+  /// Makes this map equal to `src`, touching only the dirty words of the
+  /// two maps. ForkedBackend::FinishRun copies the child's shared map this
+  /// way instead of copying all 64 KiB.
+  void CopyDirtyFrom(const CoverageMap& src) {
+    Reset();
+    src.ForEachDirtyWord([&](size_t w) {
+      std::memcpy(map_.data() + w * sizeof(uint64_t),
+                  src.map_.data() + w * sizeof(uint64_t), sizeof(uint64_t));
+    });
+    dirty_ = src.dirty_;
+    prev_loc_ = src.prev_loc_;
   }
 
   /// Number of edges with any hits.
   size_t CountNonZero() const {
     size_t n = 0;
-    for (uint8_t c : map_) n += (c != 0);
+    ForEachDirtyWord([&](size_t w) {
+      const uint8_t* p = map_.data() + w * sizeof(uint64_t);
+      for (size_t j = 0; j < sizeof(uint64_t); ++j) n += (p[j] != 0);
+    });
     return n;
+  }
+
+  /// Calls `fn(w)` for every word index `w` whose summary bit is set, in
+  /// increasing order. Words not visited are all zero.
+  template <typename Fn>
+  void ForEachDirtyWord(Fn&& fn) const {
+    for (size_t i = 0; i < dirty_.size(); ++i) {
+      for (uint64_t bits = dirty_[i]; bits != 0; bits &= bits - 1) {
+        fn(i * 64 + static_cast<size_t>(std::countr_zero(bits)));
+      }
+    }
   }
 
   const uint8_t* data() const { return map_.data(); }
 
-  static uint8_t Bucket(uint8_t count) {
+  static constexpr uint8_t Bucket(uint8_t count) {
     if (count == 0) return 0;
     if (count == 1) return 1;
     if (count == 2) return 2;
@@ -67,13 +104,33 @@ class CoverageMap {
   }
 
  private:
-  // Cache-line aligned, like GlobalCoverage::virgin_: Reset, ClassifyCounts
-  // and MergeDetectNew sweep both 64 KiB maps every execution, and at some
-  // heap offsets they ran measurably slower than at others, so throughput
+  // Cache-line aligned, like GlobalCoverage::virgin_: at some heap offsets
+  // the word loops ran measurably slower than at others, so throughput
   // moved with unrelated allocations elsewhere in the process.
-  alignas(64) std::array<uint8_t, kSize> map_;
-  uint64_t prev_loc_;
+  alignas(64) std::array<uint8_t, kSize> map_{};
+  std::array<uint64_t, kWords / 64> dirty_{};
+  uint64_t prev_loc_ = 0;
 };
+
+namespace detail {
+/// CoverageMap::Bucket of every count, so classifying a byte is one load.
+inline constexpr std::array<uint8_t, 256> kBucketTable = [] {
+  std::array<uint8_t, 256> table{};
+  for (size_t c = 0; c < table.size(); ++c) {
+    table[c] = CoverageMap::Bucket(static_cast<uint8_t>(c));
+  }
+  return table;
+}();
+}  // namespace detail
+
+inline void CoverageMap::ClassifyCounts() {
+  ForEachDirtyWord([this](size_t w) {
+    uint8_t* p = map_.data() + w * sizeof(uint64_t);
+    for (size_t j = 0; j < sizeof(uint64_t); ++j) {
+      p[j] = detail::kBucketTable[p[j]];
+    }
+  });
+}
 
 /// Accumulated ("virgin") coverage across a whole campaign. Merging a
 /// classified run map reports whether the run contributed any new edge or
@@ -88,26 +145,25 @@ class GlobalCoverage {
   }
 
   /// Merges `run` (must already be classified); returns true if any new
-  /// coverage bit appeared. Run maps are sparse, so zero regions are
-  /// skipped a word at a time.
+  /// coverage bit appeared. Only the run's dirty words are visited, and a
+  /// word with no bit missing from the virgin map is skipped whole.
   bool MergeDetectNew(const CoverageMap& run) {
     bool new_cov = false;
-    const uint8_t* rd = run.data();
-    for (size_t i = 0; i < CoverageMap::kSize; i += sizeof(uint64_t)) {
-      uint64_t word;
-      std::memcpy(&word, rd + i, sizeof(word));
-      if (word == 0) continue;
-      for (size_t j = i; j < i + sizeof(word); ++j) {
-        uint8_t bits = rd[j];
-        if (bits == 0) continue;
-        uint8_t& v = virgin_[j];
-        if ((bits & ~v) != 0) {
-          if (v == 0) ++covered_edges_;
-          v |= bits;
-          new_cov = true;
-        }
+    run.ForEachDirtyWord([&](size_t w) {
+      const uint8_t* rd = run.data() + w * sizeof(uint64_t);
+      uint8_t* v = virgin_.data() + w * sizeof(uint64_t);
+      uint64_t bits;
+      uint64_t seen;
+      std::memcpy(&bits, rd, sizeof(bits));
+      std::memcpy(&seen, v, sizeof(seen));
+      if ((bits & ~seen) == 0) return;
+      for (size_t j = 0; j < sizeof(uint64_t); ++j) {
+        covered_edges_ += (v[j] == 0 && rd[j] != 0);
       }
-    }
+      seen |= bits;
+      std::memcpy(v, &seen, sizeof(seen));
+      new_cov = true;
+    });
     return new_cov;
   }
 

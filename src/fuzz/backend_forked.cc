@@ -239,6 +239,10 @@ bool ForkedBackend::TrySpawn() {
     ::close(cmd_pipe[1]);
     return false;
   }
+  // A child SIGKILLed inside CoverageMap::Hit can leave a counted byte
+  // whose summary bit is unset, which the child's sparse Reset would never
+  // clear. Every incarnation therefore starts from an all-zero map.
+  new (shm_) cov::CoverageMap();
   pid_t pid = ::fork();
   if (pid < 0) {
     ::close(cmd_pipe[0]);
@@ -633,8 +637,9 @@ StmtOutcome ForkedBackend::Execute(const sql::Statement& stmt,
 
 const cov::CoverageMap& ForkedBackend::FinishRun() {
   // The child is quiescent between requests (and after death the map holds
-  // everything it reported before dying), so a plain copy is race-free.
-  std::memcpy(&run_map_, shm_, sizeof(run_map_));
+  // everything it reported before dying), so a plain copy is race-free. Only
+  // the summary and the words it marks dirty are copied.
+  run_map_.CopyDirtyFrom(*shm_);
   run_map_.ClassifyCounts();
   PollStorageStats();
   return run_map_;

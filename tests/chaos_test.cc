@@ -2,9 +2,15 @@
 // import, resource-governed forked children (REAL-OOM / REAL-CPU triage
 // buckets), and the spawn circuit breaker with campaign-level parking.
 
+#include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -153,8 +159,110 @@ TEST(FailpointTest, ArmSpecRejectsMalformedSpecs) {
   EXPECT_FALSE(chaos::ArmSpec("persist.write=prob:", 1).ok());
   EXPECT_FALSE(chaos::ArmSpec("persist.write=nth:0", 1).ok());
   EXPECT_FALSE(chaos::ArmSpec("persist.write=kill:x", 1).ok());
+  EXPECT_FALSE(chaos::ArmSpec("persist.write=hang:0", 1).ok());
+  EXPECT_FALSE(chaos::ArmSpec("persist.write=hang:", 1).ok());
+  EXPECT_FALSE(chaos::ArmSpec("persist.write=hang:2x", 1).ok());
   // A rejected spec must leave nothing armed.
   EXPECT_FALSE(chaos::detail::g_armed.load());
+}
+
+TEST(FailpointTest, ModeNamesMatchSpecKeywords) {
+  ScopedChaos scope;
+  const std::pair<const char*, chaos::FailpointMode> modes[] = {
+      {"always", chaos::FailpointMode::kAlways},
+      {"prob:0.5", chaos::FailpointMode::kProbability},
+      {"nth:4", chaos::FailpointMode::kNthHit},
+      {"kill:4", chaos::FailpointMode::kKillNthHit},
+      {"hang:4", chaos::FailpointMode::kHangNthHit},
+      {"off", chaos::FailpointMode::kOff},
+  };
+  for (const auto& [spec, mode] : modes) {
+    ASSERT_TRUE(chaos::ArmSpec(std::string("fleet.heartbeat=") + spec, 1).ok())
+        << spec;
+    EXPECT_EQ(chaos::ModeOf("fleet.heartbeat"), mode) << spec;
+    const std::string_view keyword = std::string_view(spec).substr(
+        0, std::string_view(spec).find(':'));
+    EXPECT_EQ(chaos::ModeName(mode), keyword);
+  }
+}
+
+/// Polls `pid` until it exits or `timeout` passes; true with its wait
+/// status in `*ws` when it exited.
+bool WaitWithTimeout(pid_t pid, std::chrono::milliseconds timeout, int* ws) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (::waitpid(pid, ws, WNOHANG) == pid) return true;
+    ::usleep(5 * 1000);
+  }
+  return false;
+}
+
+TEST(FailpointTest, HangBlocksOnNthHitUntilKilled) {
+  ScopedChaos scope;
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    if (!chaos::ArmSpec("fleet.heartbeat=hang:2", 1).ok()) ::_exit(2);
+    if (LEGO_FAILPOINT("fleet.heartbeat")) ::_exit(3);  // hit 1: passes
+    (void)LEGO_FAILPOINT("fleet.heartbeat");            // hit 2: blocks
+    ::_exit(0);
+  }
+  int ws = 0;
+  // Still blocked well after the first hit returned.
+  EXPECT_FALSE(WaitWithTimeout(pid, std::chrono::milliseconds(300), &ws));
+  ::kill(pid, SIGKILL);
+  ASSERT_TRUE(WaitWithTimeout(pid, std::chrono::seconds(10), &ws));
+  EXPECT_TRUE(WIFSIGNALED(ws) && WTERMSIG(ws) == SIGKILL) << ws;
+}
+
+TEST(FailpointTest, HungProcessDiesWithItsParent) {
+  // The hung grandchild's parent exits without killing it once the hang
+  // has begun (its stderr line is the cue). The outer child is made a
+  // subreaper so the orphan is re-parented to it and its end observed.
+  const pid_t reaper = ::fork();
+  ASSERT_GE(reaper, 0);
+  if (reaper == 0) {
+    if (::prctl(PR_SET_CHILD_SUBREAPER, 1) != 0) ::_exit(2);
+    int pid_pipe[2];
+    if (::pipe(pid_pipe) != 0) ::_exit(2);
+    const pid_t parent = ::fork();
+    if (parent < 0) ::_exit(2);
+    if (parent == 0) {
+      int err_pipe[2];
+      if (::pipe(err_pipe) != 0) ::_exit(2);
+      const pid_t hung = ::fork();
+      if (hung < 0) ::_exit(2);
+      if (hung == 0) {
+        ::dup2(err_pipe[1], STDERR_FILENO);
+        if (!chaos::ArmSpec("fleet.heartbeat=hang:1", 1).ok()) ::_exit(2);
+        (void)LEGO_FAILPOINT("fleet.heartbeat");
+        ::_exit(0);
+      }
+      ::close(err_pipe[1]);
+      std::string err;
+      char buf[256];
+      while (err.find("hanging at failpoint") == std::string::npos) {
+        const ssize_t n = ::read(err_pipe[0], buf, sizeof(buf));
+        if (n <= 0) ::_exit(2);
+        err.append(buf, static_cast<size_t>(n));
+      }
+      (void)!::write(pid_pipe[1], &hung, sizeof(hung));
+      ::_exit(0);  // orphan the hung process
+    }
+    pid_t hung = -1;
+    if (::read(pid_pipe[0], &hung, sizeof(hung)) != sizeof(hung)) ::_exit(2);
+    int ws = 0;
+    if (::waitpid(parent, &ws, 0) != parent) ::_exit(2);
+    if (!WaitWithTimeout(hung, std::chrono::seconds(10), &ws)) {
+      ::kill(hung, SIGKILL);
+      ::_exit(3);  // the orphan kept hanging
+    }
+    ::_exit(WIFSIGNALED(ws) && WTERMSIG(ws) == SIGKILL ? 0 : 4);
+  }
+  int ws = 0;
+  ASSERT_EQ(::waitpid(reaper, &ws, 0), reaper);
+  ASSERT_TRUE(WIFEXITED(ws));
+  EXPECT_EQ(WEXITSTATUS(ws), 0);
 }
 
 TEST(FailpointTest, RegistryListsAllCompiledSites) {

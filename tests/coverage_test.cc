@@ -2,8 +2,78 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstring>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "persist/io.h"
+
 namespace lego::cov {
 namespace {
+
+/// Byte-wise model of a run map: what CoverageMap holds, computed with no
+/// summary, for checking the sparse paths against.
+struct RefMap {
+  std::vector<uint8_t> counts = std::vector<uint8_t>(CoverageMap::kSize, 0);
+  uint64_t prev = 0;
+
+  /// Hits `map` and the model with a probe that lands on `edge`.
+  void HitEdge(CoverageMap* map, size_t edge) {
+    const uint64_t loc = (prev ^ edge) & (CoverageMap::kSize - 1);
+    map->Hit(loc);
+    if (counts[edge] != 0xff) ++counts[edge];
+    prev = loc >> 1;
+  }
+
+  std::vector<uint8_t> Classified() const {
+    std::vector<uint8_t> out(counts.size());
+    for (size_t i = 0; i < counts.size(); ++i) {
+      out[i] = CoverageMap::Bucket(counts[i]);
+    }
+    return out;
+  }
+
+  size_t NonZero() const {
+    return CoverageMap::kSize -
+           static_cast<size_t>(std::count(counts.begin(), counts.end(), 0));
+  }
+};
+
+std::vector<uint8_t> BytesOf(const CoverageMap& map) {
+  return std::vector<uint8_t>(map.data(), map.data() + CoverageMap::kSize);
+}
+
+size_t DirtyWords(const CoverageMap& map) {
+  size_t n = 0;
+  map.ForEachDirtyWord([&](size_t) { ++n; });
+  return n;
+}
+
+/// A few hundred edges, some hit many times, clustered the way probe
+/// hashes fall: sparse words, several edges per word now and then.
+void FillSparse(uint64_t seed, CoverageMap* map, RefMap* ref) {
+  std::mt19937_64 rng(seed);
+  for (int i = 0; i < 300; ++i) {
+    const size_t edge = rng() % CoverageMap::kSize;
+    const int times = (rng() % 4 == 0) ? 1 + static_cast<int>(rng() % 300) : 1;
+    for (int t = 0; t < times; ++t) ref->HitEdge(map, edge);
+    if (rng() % 3 == 0) ref->HitEdge(map, (edge ^ 1) % CoverageMap::kSize);
+  }
+}
+
+/// The virgin bitmap as SaveState writes it: the chunk ends with the
+/// length-prefixed 64 KiB bitmap.
+std::vector<uint8_t> VirginOf(const GlobalCoverage& global) {
+  persist::StateWriter w;
+  EXPECT_TRUE(global.SaveState(&w).ok());
+  const std::string& buf = w.buffer();
+  EXPECT_GE(buf.size(), CoverageMap::kSize);
+  return std::vector<uint8_t>(buf.end() - CoverageMap::kSize, buf.end());
+}
 
 TEST(CoverageMapTest, RecordsEdges) {
   CoverageMap map;
@@ -142,6 +212,133 @@ TEST(CoverageRuntimeTest, KeyedProbesDistinguishValues) {
   GlobalCoverage global;
   global.MergeDetectNew(a);
   EXPECT_TRUE(global.MergeDetectNew(b));
+}
+
+TEST(CoverageSummaryTest, SparseMapsClassifyLikeByteWiseBucket) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    CoverageMap map;
+    RefMap ref;
+    FillSparse(seed, &map, &ref);
+    ASSERT_EQ(BytesOf(map), ref.counts) << "seed " << seed;
+    EXPECT_EQ(map.CountNonZero(), ref.NonZero());
+    map.ClassifyCounts();
+    EXPECT_EQ(BytesOf(map), ref.Classified()) << "seed " << seed;
+    EXPECT_EQ(map.CountNonZero(), ref.NonZero());
+  }
+}
+
+TEST(CoverageSummaryTest, DenseMapWithEveryWordDirty) {
+  CoverageMap map;
+  RefMap ref;
+  for (size_t edge = 0; edge < CoverageMap::kSize; ++edge) {
+    const size_t times = 1 + (edge * 37) % 40;
+    for (size_t t = 0; t < times; ++t) ref.HitEdge(&map, edge);
+  }
+  EXPECT_EQ(DirtyWords(map), CoverageMap::kWords);
+  EXPECT_EQ(map.CountNonZero(), CoverageMap::kSize);
+  ASSERT_EQ(BytesOf(map), ref.counts);
+  map.ClassifyCounts();
+  EXPECT_EQ(BytesOf(map), ref.Classified());
+  map.Reset();
+  EXPECT_EQ(BytesOf(map), std::vector<uint8_t>(CoverageMap::kSize, 0));
+  EXPECT_EQ(DirtyWords(map), 0u);
+}
+
+TEST(CoverageSummaryTest, EveryCountValueBucketsLikeBucket) {
+  // Edge 97 * c carries count c, one edge per word; edge 1 is hit past the
+  // 8-bit range and must saturate at 0xff, not wrap.
+  CoverageMap map;
+  RefMap ref;
+  for (size_t c = 1; c < 256; ++c) {
+    for (size_t t = 0; t < c; ++t) ref.HitEdge(&map, 97 * c);
+  }
+  for (int t = 0; t < 1000; ++t) ref.HitEdge(&map, 1);
+  ASSERT_EQ(BytesOf(map), ref.counts);
+  EXPECT_EQ(map.data()[1], 0xff);
+  for (size_t c = 1; c < 256; ++c) ASSERT_EQ(map.data()[97 * c], c);
+  map.ClassifyCounts();
+  EXPECT_EQ(BytesOf(map), ref.Classified());
+  EXPECT_EQ(map.data()[1], 128);
+  for (size_t c = 1; c < 256; ++c) {
+    EXPECT_EQ(map.data()[97 * c],
+              CoverageMap::Bucket(static_cast<uint8_t>(c)))
+        << "count " << c;
+  }
+  EXPECT_EQ(map.data()[0], 0);  // untouched bytes of a dirty word stay 0
+}
+
+TEST(CoverageSummaryTest, CopyDirtyFromMatchesAFullCopy) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    CoverageMap shared;
+    RefMap ref;
+    FillSparse(seed, &shared, &ref);
+    // The destination still holds an earlier run's words, as the forked
+    // backend's parent-side copy does between runs.
+    CoverageMap copy;
+    RefMap stale;
+    FillSparse(seed + 1000, &copy, &stale);
+    copy.ClassifyCounts();
+
+    copy.CopyDirtyFrom(shared);
+    CoverageMap full = shared;  // what a memcpy of the object gives
+    ASSERT_EQ(BytesOf(copy), BytesOf(full)) << "seed " << seed;
+    EXPECT_EQ(DirtyWords(copy), DirtyWords(shared));
+    copy.ClassifyCounts();
+    full.ClassifyCounts();
+    EXPECT_EQ(BytesOf(copy), BytesOf(full));
+    EXPECT_EQ(BytesOf(copy), ref.Classified());
+  }
+}
+
+TEST(CoverageSummaryTest, ResetAfterClassifyLeavesNothingBehind) {
+  CoverageMap map;
+  RefMap ref;
+  FillSparse(7, &map, &ref);
+  map.ClassifyCounts();
+  ASSERT_GT(DirtyWords(map), 0u);
+  map.Reset();
+  EXPECT_EQ(BytesOf(map), std::vector<uint8_t>(CoverageMap::kSize, 0));
+  EXPECT_EQ(DirtyWords(map), 0u);
+  EXPECT_EQ(map.CountNonZero(), 0u);
+  // The next run starts from a clean slate: same edges as a fresh map.
+  RefMap again;
+  FillSparse(8, &map, &again);
+  EXPECT_EQ(BytesOf(map), again.counts);
+}
+
+TEST(CoverageSummaryTest, MergeDetectNewMatchesFullSweep) {
+  GlobalCoverage global;
+  std::vector<uint8_t> virgin(CoverageMap::kSize, 0);
+  size_t covered = 0;
+  int nothing_new = 0;
+  int bucket_only = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    CoverageMap run;
+    RefMap ref;
+    // Runs 1-8 find new edges, runs 9-24 repeat them exactly, and runs
+    // 25-40 repeat them with doubled counts: new buckets on known edges.
+    const uint64_t base = (seed - 1) % 8 + 1;
+    FillSparse(base, &run, &ref);
+    if (seed > 24) FillSparse(base, &run, &ref);
+    run.ClassifyCounts();
+
+    const size_t covered_before = covered;
+    bool expect_new = false;
+    for (size_t i = 0; i < virgin.size(); ++i) {
+      const uint8_t bits = run.data()[i];
+      if ((bits & ~virgin[i]) == 0) continue;
+      if (virgin[i] == 0) ++covered;
+      virgin[i] |= bits;
+      expect_new = true;
+    }
+    EXPECT_EQ(global.MergeDetectNew(run), expect_new) << "seed " << seed;
+    EXPECT_EQ(global.CoveredEdges(), covered) << "seed " << seed;
+    ASSERT_EQ(VirginOf(global), virgin) << "seed " << seed;
+    nothing_new += !expect_new;
+    bucket_only += expect_new && covered == covered_before;
+  }
+  EXPECT_GT(nothing_new, 0);
+  EXPECT_GT(bucket_only, 0);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -83,6 +84,17 @@ struct Reference {
   size_t corpus_total() const { return pool.size() + pending.size(); }
   uint64_t bug_digest() const { return BugDigest(crash_hashes, logic_fps); }
 };
+
+/// `shards_done` from the fleet's status.json, or -1 before the first write.
+int64_t StatusShardsDone(const std::string& fleet_dir) {
+  auto json =
+      minidb::Env::Posix()->ReadFile(fleet_dir + "/" + kStatusFile);
+  if (!json.ok()) return -1;
+  const std::string key = "\"shards_done\":";
+  const size_t at = json->find(key);
+  if (at == std::string::npos) return -1;
+  return std::strtoll(json->c_str() + at + key.size(), nullptr, 10);
+}
 
 Reference RunReference(const FleetConfig& config) {
   Reference ref;
@@ -415,19 +427,22 @@ TEST_F(FleetTest, QuarantineAfterThreePoisonedResults) {
 TEST_F(FleetTest, HeartbeatLossExpiresLeaseAndRequeues) {
   FleetConfig config = BaseConfig();
   config.num_shards = 2;
-  config.shard_budget = 4000;  // long enough to outlive the lease deadline
+  config.shard_budget = 4000;
   Reference ref = RunReference(config);
 
-  // Slot 0 fuzzes but never heartbeats (failpoint swallows them, including
-  // the lease-accept beat), so its lease expires and the shard re-queues to
-  // the healthy slot. strike_limit=1 quarantines the mute on first expiry.
+  // Slot 0 hangs at its lease-accept heartbeat until the coordinator kills
+  // it, so its lease can only end by expiry, however fast the build runs;
+  // the shard then re-queues to the healthy slot. strike_limit=1
+  // quarantines the mute slot on that first expiry. The deadline is about
+  // six times the healthy slot's longest heartbeat gap (64 executions, or
+  // shard start-up) in an ASan+UBSan -O0 build, 0.85 s on a 4-core Xeon.
   FleetOptions options;
   options.config = config;
   options.num_workers = 2;
   options.fleet_dir = FreshDir("mute");
-  options.lease_deadline_ms = 300;
+  options.lease_deadline_ms = 5000;
   options.strike_limit = 1;
-  options.worker_chaos.push_back({0, "fleet.heartbeat=always"});
+  options.worker_chaos.push_back({0, "fleet.heartbeat=hang:1"});
   FleetResult result = RunFleet(options);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_FALSE(result.degraded);
@@ -445,17 +460,24 @@ TEST_F(FleetTest, GracefulShutdownDrainsAndResumeCompletes) {
   Reference ref = RunReference(config);
   const std::string fleet_dir = FreshDir("drain");
 
-  std::atomic<bool> stop{false};
-  std::thread stopper([&stop] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    stop.store(true);
-  });
   FleetOptions options;
   options.config = config;
   options.num_workers = 2;
   options.fleet_dir = fleet_dir;
+  options.status_every_ms = 5;  // status.json follows merges closely
+  // Stop once status.json shows a merged shard: the drain then lands
+  // mid-campaign on any build speed, with at least one shard to keep.
+  std::atomic<bool> stop{false};
+  std::atomic<bool> fleet_returned{false};
+  std::thread stopper([&] {
+    while (!fleet_returned.load() && StatusShardsDone(fleet_dir) < 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    stop.store(true);
+  });
   options.stop_flag = &stop;
   FleetResult drained = RunFleet(options);
+  fleet_returned.store(true);
   stopper.join();
   ASSERT_TRUE(drained.status.ok()) << drained.status.ToString();
   EXPECT_TRUE(drained.stopped_early);
