@@ -21,11 +21,11 @@
 //   --rule-coverage : grammar-rule coverage as a secondary feedback signal
 //                 (parser production hit-set; rare-rule corpus weighting)
 //   --backend B : execution backend — inproc (embedded minidb), forked,
-//                 or concurrent (N true session threads per case under a
+//                 or concurrent (N session fibers per case under a
 //                 seeded deterministic interleaving scheduler)
 //                 (crash-isolated child process)          (default inproc)
 //   --max-stmt-ms N : forked only — kill a statement after N ms wall clock
-//   --sessions N : concurrent only — session threads per test case
+//   --sessions N : concurrent only — sessions per test case
 //                 (default 2); the per-case interleaving seed is derived
 //                 from the campaign seed and execution index
 //   --planted-lost-update / --planted-dirty-read : test-only; plant an

@@ -1,14 +1,17 @@
 #include "concurrency/scheduler.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/hash.h"
 
 namespace lego::concurrency {
 
-EpochScheduler::EpochScheduler(int n_sessions, uint64_t seed)
+EpochScheduler::EpochScheduler(int n_sessions, uint64_t seed,
+                               std::function<void(int)> park)
     : n_(n_sessions),
       rng_(seed),
+      park_(std::move(park)),
       states_(static_cast<size_t>(n_sessions), State::kOutside),
       forced_(static_cast<size_t>(n_sessions), false) {}
 
@@ -25,7 +28,6 @@ void EpochScheduler::Dispatch() {
     int sid = drain_.front();
     drain_.pop_front();
     Grant(sid);
-    cv_.notify_all();
     return;
   }
   // Close the epoch once every session is parked: arrived, lock-waiting, or
@@ -52,7 +54,6 @@ void EpochScheduler::Dispatch() {
     int sid = drain_.front();
     drain_.pop_front();
     Grant(sid);
-    cv_.notify_all();
     return;
   }
   if (lockwait > 0) {
@@ -65,7 +66,6 @@ void EpochScheduler::Dispatch() {
         forced_[static_cast<size_t>(sid)] = true;
         ++forced_aborts_;
         Grant(sid);
-        cv_.notify_all();
         return;
       }
     }
@@ -73,28 +73,30 @@ void EpochScheduler::Dispatch() {
   // Everyone done: nothing left to schedule.
 }
 
+void EpochScheduler::ParkUntilGranted(int sid) {
+  // A session granted the token straight back (the next pick is itself)
+  // keeps running without a round trip through the driver.
+  while (!aborted_ && states_[static_cast<size_t>(sid)] != State::kRunning) {
+    park_(sid);
+  }
+}
+
 EpochScheduler::Wake EpochScheduler::Arrive(int sid) {
-  std::unique_lock<std::mutex> hold(lock_);
   if (aborted_) return Wake::kShutdown;
   if (running_ == sid) running_ = -1;
   states_[static_cast<size_t>(sid)] = State::kArrived;
   Dispatch();
-  cv_.wait(hold, [&] {
-    return aborted_ || states_[static_cast<size_t>(sid)] == State::kRunning;
-  });
+  ParkUntilGranted(sid);
   if (aborted_) return Wake::kShutdown;
   return Wake::kGo;
 }
 
 EpochScheduler::Wake EpochScheduler::BlockOnLock(int sid) {
-  std::unique_lock<std::mutex> hold(lock_);
   if (aborted_) return Wake::kShutdown;
   if (running_ == sid) running_ = -1;
   states_[static_cast<size_t>(sid)] = State::kLockWait;
   Dispatch();
-  cv_.wait(hold, [&] {
-    return aborted_ || states_[static_cast<size_t>(sid)] == State::kRunning;
-  });
+  ParkUntilGranted(sid);
   if (aborted_) return Wake::kShutdown;
   if (forced_[static_cast<size_t>(sid)]) {
     forced_[static_cast<size_t>(sid)] = false;
@@ -104,32 +106,20 @@ EpochScheduler::Wake EpochScheduler::BlockOnLock(int sid) {
 }
 
 void EpochScheduler::WakeLocked(int sid) {
-  std::unique_lock<std::mutex> hold(lock_);
   if (states_[static_cast<size_t>(sid)] == State::kLockWait) {
     states_[static_cast<size_t>(sid)] = State::kArrived;
   }
 }
 
 void EpochScheduler::Finish(int sid) {
-  std::unique_lock<std::mutex> hold(lock_);
   if (running_ == sid) running_ = -1;
   states_[static_cast<size_t>(sid)] = State::kDone;
   Dispatch();
 }
 
-void EpochScheduler::AbortAll() {
-  std::unique_lock<std::mutex> hold(lock_);
-  aborted_ = true;
-  cv_.notify_all();
-}
-
-bool EpochScheduler::aborted() const {
-  std::unique_lock<std::mutex> hold(lock_);
-  return aborted_;
-}
+void EpochScheduler::AbortAll() { aborted_ = true; }
 
 uint64_t EpochScheduler::TraceDigest() const {
-  std::unique_lock<std::mutex> hold(lock_);
   uint64_t h = Fnv1a64("interleaving");
   for (int sid : picks_) h = HashMix(h, static_cast<uint64_t>(sid) + 1);
   return h;

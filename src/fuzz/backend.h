@@ -26,10 +26,10 @@ enum class BackendKind {
   /// shared-memory coverage export, and automatic respawn — the paper's
   /// "crash kills the server, not the fuzzer" process model.
   kForked,
-  /// minidb in-process with N true concurrent session threads per test
-  /// case, token-serialized by a seeded epoch scheduler (every interleaving
-  /// replays bit-identically from its seed) with row-level S/X locking and
-  /// an isolation-anomaly history log.
+  /// minidb in-process with N concurrent sessions per test case, run as
+  /// fibers and token-serialized by a seeded epoch scheduler (every
+  /// interleaving replays bit-identically from its seed) with row-level S/X
+  /// locking and an isolation-anomaly history log.
   kConcurrent,
 };
 
@@ -87,7 +87,7 @@ struct BackendOptions {
   /// campaign then parks the worker and redistributes its remaining budget
   /// at the next round barrier instead of spinning or aborting.
   int spawn_failure_limit = 8;
-  /// Concurrent only: number of session threads per test case (>= 2 for
+  /// Concurrent only: number of sessions per test case (>= 2 for
   /// actual concurrency; 1 degrades to serial in-process execution).
   int sessions = 2;
   /// Concurrent only: campaign-level interleaving seed. The per-case

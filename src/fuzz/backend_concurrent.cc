@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "coverage/coverage.h"
 #include "minidb/catalog.h"
 #include "minidb/env.h"
 
@@ -51,18 +50,14 @@ ConcurrentBackend::CaseResult ConcurrentBackend::RunCase(
     }
   }
 
-  // Phase 2 — concurrent sessions over the frozen catalog. All session
-  // threads route probe hits into this thread's run map; the scheduler's
-  // run token serializes them, so the map only ever has one writer.
+  // Phase 2 — concurrent sessions over the frozen catalog. The sessions
+  // are fibers on this thread, so their probe hits land in this thread's
+  // run map.
   concurrency::ConcurrentEngine::Options opts;
   opts.sessions = static_cast<int>(mcase.sessions.size());
   opts.seed = seed;
   opts.planted_lost_update = options_.planted_lost_update;
   opts.planted_dirty_read = options_.planted_dirty_read;
-  cov::CoverageMap* run_map = cov::CoverageRuntime::active_map();
-  opts.on_thread_start = [run_map](int) {
-    cov::CoverageRuntime::SetActiveMap(run_map);
-  };
 
   std::vector<std::vector<const sql::Statement*>> scripts;
   scripts.reserve(mcase.sessions.size());
@@ -77,16 +72,16 @@ ConcurrentBackend::CaseResult ConcurrentBackend::RunCase(
 
   minidb::Database& db = database();
   db.catalog().set_ddl_frozen(true);
-  engine_ = std::make_unique<concurrency::ConcurrentEngine>(&db,
-                                                            std::move(opts));
+  engine_ = std::make_unique<concurrency::ConcurrentEngine>(
+      &db, std::move(opts), &stacks_);
   result.stats = engine_->Run(scripts);
   db.catalog().set_ddl_frozen(false);
 
-  // Paged mode: the session threads wrote the shared pager-backed heaps
-  // outside the storage engine's per-statement WAL capture (thread-local,
-  // disarmed on those threads). Re-establish durability by checkpointing
-  // the final state — snapshot plus WAL rotation — once the interleaving is
-  // fully resolved.
+  // Paged mode: the sessions wrote the shared pager-backed heaps outside
+  // the storage engine's per-statement WAL capture (the engine clears it
+  // for the run). Re-establish durability by checkpointing the final
+  // state — snapshot plus WAL rotation — once the interleaving is fully
+  // resolved.
   minidb::StorageEngine* storage = storage_engine();
   if (storage != nullptr && !result.stats.crashed) {
     (void)storage->Checkpoint(&db);

@@ -12,22 +12,22 @@ namespace lego::fuzz {
 
 /// In-process backend that executes N-session cases concurrently: the setup
 /// script of a MultiSessionCase runs serially (DDL allowed), then the
-/// catalog is frozen and one thread per session drives the shared engine
-/// under the seeded epoch scheduler with strict-2PL row locking. Everything
-/// a serial harness needs (Reset / Execute / oracle bracket / coverage
-/// scope) is inherited from InProcessBackend, so single-session execution
-/// through this backend is the ordinary serial path.
+/// catalog is frozen and one fiber per session, all on the calling thread,
+/// drives the shared engine under the seeded epoch scheduler with strict-2PL
+/// row locking. Everything a serial harness needs (Reset / Execute / oracle
+/// bracket / coverage scope) is inherited from InProcessBackend, so
+/// single-session execution through this backend is the ordinary serial
+/// path.
 ///
-/// Storage note (PR 9): with StorageKind::kPaged the session threads share
-/// the same pager-backed heaps as the serial phases — page latches inside
-/// the ConcurrentEngine serialize their page-cache traffic beneath row 2PL.
-/// The storage engine's per-statement WAL capture is thread-local and stays
-/// disarmed on session threads, and its transaction hooks are shadowed by
-/// the engine's TxnHook, so the concurrent phase is made durable by a
-/// checkpoint (snapshot + WAL rotation) when the case finishes instead of
-/// per-statement logging. The backend owns its per-worker on-disk directory
-/// lifecycle when `db_dir` is configured: created up front, wiped on every
-/// Reset, removed on destruction.
+/// Storage note: with StorageKind::kPaged the sessions share the same
+/// pager-backed heaps as the serial phases; the scheduler token gives the
+/// page cache one user at a time. The storage engine's per-statement WAL
+/// capture is cleared while the sessions run, and its transaction hooks are
+/// shadowed by the engine's TxnHook, so the concurrent phase is made
+/// durable by a checkpoint (snapshot + WAL rotation) when the case finishes
+/// instead of per-statement logging. The backend owns its per-worker
+/// on-disk directory lifecycle when `db_dir` is configured: created up
+/// front, wiped on every Reset, removed on destruction.
 class ConcurrentBackend : public InProcessBackend {
  public:
   ConcurrentBackend(const minidb::DialectProfile& profile,
@@ -46,14 +46,16 @@ class ConcurrentBackend : public InProcessBackend {
 
   /// Runs one split case under interleaving seed `seed`. Caller must have
   /// called Reset() first (fresh engine state + backend setup script); the
-  /// case's own setup statements then run serially before the session
-  /// threads start. The history stays valid until the next RunCase/Reset.
+  /// case's own setup statements then run serially before the sessions
+  /// start. The history stays valid until the next RunCase/Reset.
   CaseResult RunCase(const MultiSessionCase& mcase, uint64_t seed);
 
   const concurrency::History& history() const;
 
  private:
   BackendOptions options_;
+  /// Session fiber stacks, mapped once and reused by every case.
+  concurrency::FiberStacks stacks_;
   /// Engine of the most recent RunCase (holds the history the isolation
   /// oracle reads).
   std::unique_ptr<concurrency::ConcurrentEngine> engine_;

@@ -123,7 +123,7 @@ class ExecutionHarness {
   /// the campaign-global map; `new_coverage` reflects it. Concurrent
   /// backends route through the multi-session path: the case is split by
   /// the per-case interleaving seed and run as N scheduler-serialized
-  /// session threads.
+  /// session fibers.
   ExecResult Run(const TestCase& tc);
 
   /// Triage replay: pin the interleaving seed for subsequent Run() calls on

@@ -66,7 +66,7 @@ class Database;
 /// Transaction-control interception seam. When installed, BEGIN / COMMIT /
 /// ROLLBACK / SAVEPOINT delegate here instead of the built-in snapshot
 /// transactions — the concurrency engine substitutes its undo-log + lock
-/// based transactions while sharing one Database across session threads.
+/// based transactions while sharing one Database across its sessions.
 /// Never installed on the serial path.
 class TxnHook {
  public:

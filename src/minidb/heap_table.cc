@@ -276,7 +276,7 @@ const Row* HeapTable::Get(RowId id) const {
   if (id.slot >= page.rows.size() || !page.live[id.slot]) return nullptr;
   if (RowObserver* o = RowHooks::Get()) {
     o->OnRead(this, id);
-    // Re-check: the observer may have parked this thread and (under a
+    // Re-check: the observer may have parked this session and (under a
     // planted isolation defect) the row may have died meanwhile.
     if (!page.live[id.slot]) return nullptr;
   }

@@ -16,16 +16,16 @@ class PageStore;
 
 /// Row-operation observer: the concurrency layer's seam into the storage
 /// engine. Hooks fire *before* the heap mutates (so an observer can park the
-/// calling thread, take row locks, and record undo/history state with the
+/// calling session, take row locks, and record undo/history state with the
 /// pre-image still intact) and before each row read. Installed per thread
-/// via RowHooks — serial sessions never install one, so the single-session
+/// via RowHooks — serial execution never installs one, so the single-session
 /// engine pays one thread-local load per row operation and nothing else.
 class RowObserver {
  public:
   virtual ~RowObserver() = default;
   /// About to insert a row into `table`. The observer may predict the slot
   /// with HeapTable::PeekInsert(); the prediction stays valid until control
-  /// returns (the heap cannot change in between on this thread).
+  /// returns (no other session runs in between).
   virtual void OnInsert(HeapTable* table) = 0;
   /// About to update/delete the slot (which may be dead; the mutation then
   /// fails after the hook returns, exactly as it would have before).
@@ -35,9 +35,10 @@ class RowObserver {
   virtual void OnRead(const HeapTable* table, RowId id) = 0;
 };
 
-/// Thread-local observer installation. Each concurrent session thread
-/// installs the engine's observer for its own lifetime; everything else in
-/// the process (serial backends, setup scripts, tests) sees nullptr.
+/// Thread-local observer installation. The concurrency engine installs its
+/// observer on the thread that runs the session fibers for the duration of
+/// a run; everything else (serial backends, setup scripts, tests) sees
+/// nullptr.
 struct RowHooks {
   static RowObserver* Get();
   static void Set(RowObserver* observer);
@@ -89,9 +90,10 @@ struct StorageHooks {
   static void Set(StorageObserver* observer);
 };
 
-/// Clears the calling thread's storage observer for a scope (undo
-/// application in the concurrency engine must not log its compensating
-/// heap operations as new redo records).
+/// Clears the calling thread's storage observer for a scope. The
+/// concurrency engine holds one for a whole run: its sessions' writes, undo
+/// included, are made durable by one checkpoint afterwards, never as
+/// per-statement redo records.
 class StorageHookClearScope {
  public:
   StorageHookClearScope() : saved_(StorageHooks::Get()) {
@@ -231,10 +233,6 @@ class HeapTable {
   /// Adds every physical page id reachable from this heap's chains to
   /// `live` (the storage engine's checkpoint mark phase).
   void CollectChainPages(std::set<uint32_t>* live) const;
-
-  /// The logical page a RowId maps to — the latch key the concurrency
-  /// engine guards row operations with in paged mode.
-  static uint32_t LatchPageOf(RowId id) { return id.page; }
 
  private:
   struct Page {

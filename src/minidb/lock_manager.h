@@ -32,7 +32,7 @@ enum class LockMode : uint8_t { kShared, kExclusive };
 
 /// Row-level strict two-phase lock table with S/X modes, FIFO-ish wait
 /// queues, and wait-for-graph deadlock detection. Purely passive: it never
-/// blocks a thread itself. A caller whose request returns kWouldBlock parks
+/// blocks a session itself. A caller whose request returns kWouldBlock parks
 /// in the scheduler and is woken when a later ReleaseAll names its
 /// transaction in the granted list. The deterministic victim rule is
 /// "the requester dies": a request that would close a wait-for cycle is

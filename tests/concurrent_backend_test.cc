@@ -184,6 +184,65 @@ TEST(ConcurrentBackendTest, UpgradeDeadlockResolvesViaVictimAbort) {
   EXPECT_GT(deadlocks, 0) << "no seed produced an actual deadlock";
 }
 
+TEST(ConcurrentBackendTest, CrashUnwindsParkedSessionsAndReplays) {
+  // Session 0 runs marialite's INSERT -> UPDATE -> DELETE trigger
+  // (MA-DML-01) on its own table, so it always reaches the crash, while
+  // sessions 1 and 2 sit parked inside open transactions that contend for
+  // row a = 1. The crash aborts the run: every parked session must wake,
+  // unwind, and leave the backend reusable for an identical replay.
+  BackendOptions options = ConcurrentOptions();
+  options.sessions = 3;
+  ConcurrentBackend backend(minidb::DialectProfile::MariaLite(), options);
+  MultiSessionCase mc;
+  mc.setup = Parse(
+      "CREATE TABLE t (a INT, b INT);"
+      "INSERT INTO t VALUES (1, 10);"
+      "INSERT INTO t VALUES (2, 20);"
+      "CREATE TABLE u (x INT);");
+  mc.sessions.push_back(Parse(
+      "INSERT INTO u VALUES (1); UPDATE u SET x = 2; DELETE FROM u;"));
+  mc.sessions.push_back(Parse(
+      "BEGIN; UPDATE t SET b = b + 1 WHERE a = 1; SELECT b FROM t;"
+      " UPDATE t SET b = b + 1 WHERE a = 2; COMMIT;"));
+  mc.sessions.push_back(Parse(
+      "BEGIN; UPDATE t SET b = b * 2 WHERE a = 1; SELECT a FROM t; COMMIT;"));
+  const int total_statements = 3 + 5 + 4;
+
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    backend.Reset();
+    auto first = backend.RunCase(mc, seed);
+    ASSERT_TRUE(first.stats.crashed) << "seed " << seed;
+    ASSERT_TRUE(first.stats.crash.has_value());
+    EXPECT_EQ(first.stats.crash->bug_id, "MA-DML-01");
+    EXPECT_EQ(first.stats.crash->component, "DML");
+    EXPECT_LT(first.stats.executed + first.stats.errors, total_statements);
+
+    // Sessions 1 and 2 began their transactions before session 0's third
+    // statement, and the crash left them neither committed nor aborted.
+    std::set<uint64_t> open;
+    for (const concurrency::Event& e : backend.history().events()) {
+      if (e.session == 0) continue;
+      if (e.type == concurrency::Event::Type::kBegin) open.insert(e.txn);
+      if (e.type == concurrency::Event::Type::kCommit ||
+          e.type == concurrency::Event::Type::kAbort) {
+        open.erase(e.txn);
+      }
+    }
+    EXPECT_FALSE(open.empty()) << "seed " << seed << "\n"
+                               << backend.history().Render();
+
+    backend.Reset();
+    auto again = backend.RunCase(mc, seed);
+    ASSERT_TRUE(again.stats.crashed);
+    ASSERT_TRUE(again.stats.crash.has_value());
+    EXPECT_EQ(again.stats.crash->bug_id, first.stats.crash->bug_id);
+    EXPECT_EQ(again.stats.trace_digest, first.stats.trace_digest);
+    EXPECT_EQ(again.stats.history_digest, first.stats.history_digest);
+    EXPECT_EQ(again.stats.executed, first.stats.executed);
+    EXPECT_EQ(again.stats.errors, first.stats.errors);
+  }
+}
+
 TEST(ConcurrentBackendTest, HarnessDerivedSeedsAreCheckpointStable) {
   // The harness derives each case's seed from (campaign seed, execution
   // index); a forced seed overrides it. Replaying the same case with the
