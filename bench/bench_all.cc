@@ -401,7 +401,7 @@ int main(int argc, char** argv) {
     oracle_rows.emplace_back(spec, row);
   }
 
-  // Concurrent backend: throughput at 1/2/4 session threads plus the
+  // Concurrent backend: throughput at 1/2/4 sessions plus the
   // scheduler/locking overhead against the serial in-process baseline.
   // sessions=1 routes through the plain serial path, so its delta isolates
   // backend-construction cost; 2/4 add epoch scheduling, row locks, and the
