@@ -7,9 +7,6 @@
 //
 //   ./bench/bench_all [--quick] [--out FILE]
 //
-//   --quick  : CI budgets (500 execs per campaign instead of 5000)
-//   --out F  : output path (default BENCH_<YYYY-MM-DD>.json in the CWD)
-//
 // The storage section times a paged-storage campaign against the in-memory
 // baseline (WAL bytes/fsyncs from the Env counters), reports the buffer
 // pool's hit rate under a bulk-load workload, and measures cold recovery
@@ -41,6 +38,7 @@
 #include "sql/grammar_coverage.h"
 #include "sql/parser.h"
 #include "triage/oracle_suite.h"
+#include "util/flags.h"
 
 namespace lego::bench {
 namespace {
@@ -345,18 +343,16 @@ int main(int argc, char** argv) {
 
   bool quick = false;
   std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else {
-      std::fprintf(stderr, "usage: bench_all [--quick] [--out FILE]\n");
-      return 1;
-    }
+  const lego::flags::CommandLine cli = {
+      "bench_all [--quick] [--out FILE]",
+      {{"quick", &quick, "",
+        "CI budgets (500 execs per campaign instead of 5000)"},
+       {"out", &out_path, "FILE",
+        "output path (default BENCH_<YYYY-MM-DD>.json in the CWD)"}}};
+  const std::vector<std::string> pos = cli.ParseOrExit(argc, argv);
+  if (!pos.empty()) {
+    cli.Fail(lego::Status::InvalidArgument("unexpected positional '" +
+                                           pos[0] + "'"));
   }
 
   char date[16];

@@ -4,21 +4,13 @@
 //
 //   ./examples/corpus_cli info FILE...
 //   ./examples/corpus_cli merge OUT FILE...
-//   ./examples/corpus_cli distill IN OUT [profile] [--backend=inproc|forked]
-//                                        [--max-stmt-ms N]
+//   ./examples/corpus_cli distill IN OUT [profile] [flags]
 //
-//   info    : print case/statement counts per file
-//   merge   : concatenate corpora (dedup is distill's job)
-//   distill : greedy cmin — replay IN through a fresh backend of `profile`
-//             (default pglite, must match the donor campaign) and write the
-//             smallest greedy subset covering the same edges to OUT
-//
-// Distillation exits non-zero if the kept subset somehow covers fewer
-// edges than the input (a determinism violation worth failing loudly on).
+// The synopsis in main() describes each command; distill exits non-zero if
+// the kept subset covers fewer edges than the input (a determinism
+// violation worth failing loudly on).
 
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +18,7 @@
 #include "fuzz/distill.h"
 #include "fuzz/harness.h"
 #include "minidb/profile.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -41,48 +34,20 @@ int main(int argc, char** argv) {
   using namespace lego;  // NOLINT(build/namespaces)
 
   fuzz::BackendOptions backend;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--backend" || arg.rfind("--backend=", 0) == 0) {
-      std::string value;
-      if (arg == "--backend") {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "--backend needs a value\n");
-          return 1;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(10);
-      }
-      std::optional<fuzz::BackendKind> kind = fuzz::ParseBackendKind(value);
-      if (!kind.has_value()) {
-        std::fprintf(stderr, "unknown backend '%s' (inproc | forked)\n",
-                     value.c_str());
-        return 1;
-      }
-      backend.kind = *kind;
-    } else if (arg == "--max-stmt-ms") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--max-stmt-ms needs a value\n");
-        return 1;
-      }
-      backend.max_stmt_ms = std::atoi(argv[++i]);
-    } else if (arg.rfind("--max-stmt-ms=", 0) == 0) {
-      backend.max_stmt_ms = std::atoi(arg.c_str() + 14);
-    } else {
-      pos.push_back(std::move(arg));
-    }
-  }
-
-  if (pos.empty()) {
-    std::fprintf(stderr,
-                 "usage: corpus_cli info FILE...\n"
-                 "       corpus_cli merge OUT FILE...\n"
-                 "       corpus_cli distill IN OUT [profile] "
-                 "[--backend=inproc|forked] [--max-stmt-ms N]\n");
-    return 1;
-  }
+  const flags::CommandLine cli = {
+      "corpus_cli info FILE...\n"
+      "       corpus_cli merge OUT FILE...\n"
+      "       corpus_cli distill IN OUT [profile] [flags]\n"
+      "  info    : print case/statement counts per file\n"
+      "  merge   : concatenate corpora (dedup is distill's job)\n"
+      "  distill : greedy cmin: replay IN through a fresh backend of "
+      "profile\n"
+      "            (default pglite, must match the donor campaign) and write "
+      "the\n"
+      "            smallest greedy subset covering the same edges to OUT",
+      fuzz::BackendFlags(&backend)};
+  const std::vector<std::string> pos = cli.ParseOrExit(argc, argv);
+  if (pos.empty()) cli.Fail(Status::InvalidArgument("missing command"));
   const std::string& command = pos[0];
 
   if (command == "info") {

@@ -5,49 +5,8 @@
 //   ./examples/fleet_cli run [profile] [fuzzer] [flags]
 //   ./examples/fleet_cli status --fleet-dir DIR
 //
-//   profile : pglite | mylite | marialite | comdlite       (default pglite)
-//   fuzzer  : lego | lego- | squirrel | sqlancer | sqlsmith (default lego)
-//
-// run flags:
-//   --fleet-dir DIR : journal (fleet.state), status.json, repro/ (required)
-//   --workers N     : worker processes                       (default 2)
-//   --shards N      : leased work units                      (default 8)
-//   --shard-budget N: executions per shard                   (default 2000)
-//   --seed S        : campaign base seed (shard s fuzzes under a seed
-//                     derived from it)                        (default 1)
-//   --resume        : continue from the fleet.state journal in --fleet-dir;
-//                     completed shards are not re-run
-//   --distill-every N : corpus sync in generations of N shards: shard s
-//                     imports the pool distilled from the exports of every
-//                     shard before generation s / N, merged in shard order,
-//                     and waits for it (0 = off)              (default 0)
-//   --oracle LIST   : logic oracles armed inside every worker, same spec
-//                     grammar as fuzz_campaign_cli --oracle
-//   --rule-coverage : grammar-rule feedback inside workers
-//   --planted-eval-bug : test-only; plant the NOT-NULL evaluator defect in
-//                     every worker so chaos sweeps have a known bug to find
-//   --backend B / --storage S / --db-dir DIR / --sessions N / --max-stmt-ms N
-//                   : worker execution backend (worker w uses DIR/fw<w>)
-//   --lease-deadline-ms N : heartbeat deadline before a lease expires and
-//                     the shard is re-queued                  (default 15000)
-//   --strike-limit N : strikes before a worker slot is quarantined
-//                     (worker death, expired lease, or poisoned result all
-//                     count one strike)                       (default 3)
-//   --respawn-backoff-ms N : base respawn delay, doubled per strike
-//                                                            (default 50)
-//   --progress-every N : worker heartbeat cadence in executions (default 64)
-//   --chaos-fp NAME=SPEC : arm one failpoint (repeatable). Coordinator
-//                     sites (fleet.journal_write, fleet.lease_grant) arm in
-//                     the coordinator process; everything else arms inside
-//                     every worker incarnation.
-//   --worker-chaos-fp SLOT:NAME=SPEC : arm a failpoint in one worker slot
-//                     only (repeatable) — lets chaos target slot 0 while
-//                     the rest of the fleet stays healthy
-//   --triage        : after the campaign, collect every unique finding into
-//                     --fleet-dir/repro (deduped .sql tree + manifest.tsv
-//                     stamped with per-worker origins)
-//   --reduce        : ddmin-minimize during --triage
-//   --verbose       : coordinator event log on stderr
+// The flag table in main() is the reference for every flag; a malformed or
+// unknown flag prints it as the usage text.
 //
 // The merged result depends only on the flags and --seed, not on --workers
 // or on the order shards finish: the summary lines, including "bug ids"
@@ -63,8 +22,6 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -73,6 +30,8 @@
 #include "fleet/status_json.h"
 #include "minidb/env.h"
 #include "minidb/eval.h"
+#include "util/flags.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -126,134 +85,78 @@ int main(int argc, char** argv) {
   bool planted_eval_bug = false;
   fleet::FleetOptions options;
   fleet::FleetConfig& config = options.config;
+  std::vector<std::string> oracles;
   std::vector<std::string> chaos_fps;
-  std::vector<std::string> pos;
 
-  auto need_value = [&](int* i, const char* flag) -> const char* {
-    if (*i + 1 >= argc) {
-      std::fprintf(stderr, "%s needs a value\n", flag);
-      std::exit(1);
-    }
-    return argv[++*i];
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--fleet-dir") {
-      options.fleet_dir = need_value(&i, "--fleet-dir");
-    } else if (arg.rfind("--fleet-dir=", 0) == 0) {
-      options.fleet_dir = arg.substr(12);
-    } else if (arg == "--workers") {
-      options.num_workers = std::atoi(need_value(&i, "--workers"));
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      options.num_workers = std::atoi(arg.c_str() + 10);
-    } else if (arg == "--shards") {
-      config.num_shards = std::atoi(need_value(&i, "--shards"));
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      config.num_shards = std::atoi(arg.c_str() + 9);
-    } else if (arg == "--shard-budget") {
-      config.shard_budget = std::atoi(need_value(&i, "--shard-budget"));
-    } else if (arg.rfind("--shard-budget=", 0) == 0) {
-      config.shard_budget = std::atoi(arg.c_str() + 15);
-    } else if (arg == "--seed") {
-      config.base_seed = std::strtoull(need_value(&i, "--seed"), nullptr, 10);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      config.base_seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--distill-every") {
-      config.distill_every = std::atoi(need_value(&i, "--distill-every"));
-    } else if (arg.rfind("--distill-every=", 0) == 0) {
-      config.distill_every = std::atoi(arg.c_str() + 16);
-    } else if (arg == "--oracle") {
-      config.oracle_spec = need_value(&i, "--oracle");
-    } else if (arg.rfind("--oracle=", 0) == 0) {
-      config.oracle_spec = arg.substr(9);
-    } else if (arg == "--rule-coverage") {
-      config.rule_coverage = true;
-    } else if (arg == "--planted-eval-bug") {
-      planted_eval_bug = true;
-    } else if (arg == "--backend" || arg.rfind("--backend=", 0) == 0) {
-      std::string value = (arg == "--backend") ? need_value(&i, "--backend")
-                                               : arg.substr(10);
-      auto kind = fuzz::ParseBackendKind(value);
-      if (!kind.has_value()) {
-        std::fprintf(stderr,
-                     "unknown backend '%s' (inproc | forked | concurrent)\n",
-                     value.c_str());
-        return 1;
-      }
-      config.backend.kind = *kind;
-    } else if (arg == "--storage" || arg.rfind("--storage=", 0) == 0) {
-      std::string value = (arg == "--storage") ? need_value(&i, "--storage")
-                                               : arg.substr(10);
-      auto kind = fuzz::ParseStorageKind(value);
-      if (!kind.has_value()) {
-        std::fprintf(stderr, "unknown storage '%s' (mem | paged)\n",
-                     value.c_str());
-        return 1;
-      }
-      config.backend.storage = *kind;
-    } else if (arg == "--db-dir") {
-      config.backend.db_dir = need_value(&i, "--db-dir");
-    } else if (arg.rfind("--db-dir=", 0) == 0) {
-      config.backend.db_dir = arg.substr(9);
-    } else if (arg == "--sessions") {
-      config.backend.sessions = std::atoi(need_value(&i, "--sessions"));
-    } else if (arg.rfind("--sessions=", 0) == 0) {
-      config.backend.sessions = std::atoi(arg.c_str() + 11);
-    } else if (arg == "--max-stmt-ms") {
-      config.backend.max_stmt_ms = std::atoi(need_value(&i, "--max-stmt-ms"));
-    } else if (arg.rfind("--max-stmt-ms=", 0) == 0) {
-      config.backend.max_stmt_ms = std::atoi(arg.c_str() + 14);
-    } else if (arg == "--lease-deadline-ms") {
-      options.lease_deadline_ms =
-          std::atoi(need_value(&i, "--lease-deadline-ms"));
-    } else if (arg.rfind("--lease-deadline-ms=", 0) == 0) {
-      options.lease_deadline_ms = std::atoi(arg.c_str() + 20);
-    } else if (arg == "--strike-limit") {
-      options.strike_limit = std::atoi(need_value(&i, "--strike-limit"));
-    } else if (arg.rfind("--strike-limit=", 0) == 0) {
-      options.strike_limit = std::atoi(arg.c_str() + 15);
-    } else if (arg == "--respawn-backoff-ms") {
-      options.respawn_backoff_ms =
-          std::atoi(need_value(&i, "--respawn-backoff-ms"));
-    } else if (arg.rfind("--respawn-backoff-ms=", 0) == 0) {
-      options.respawn_backoff_ms = std::atoi(arg.c_str() + 21);
-    } else if (arg == "--progress-every") {
-      config.progress_every = std::atoi(need_value(&i, "--progress-every"));
-    } else if (arg.rfind("--progress-every=", 0) == 0) {
-      config.progress_every = std::atoi(arg.c_str() + 17);
-    } else if (arg == "--chaos-fp") {
-      chaos_fps.emplace_back(need_value(&i, "--chaos-fp"));
-    } else if (arg.rfind("--chaos-fp=", 0) == 0) {
-      chaos_fps.emplace_back(arg.substr(11));
-    } else if (arg == "--worker-chaos-fp" ||
-               arg.rfind("--worker-chaos-fp=", 0) == 0) {
-      std::string value = (arg == "--worker-chaos-fp")
-                              ? need_value(&i, "--worker-chaos-fp")
-                              : arg.substr(18);
-      size_t colon = value.find(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--worker-chaos-fp needs SLOT:NAME=SPEC\n");
-        return 1;
-      }
-      options.worker_chaos.emplace_back(std::atoi(value.substr(0, colon).c_str()),
-                                        value.substr(colon + 1));
-    } else if (arg == "--triage") {
-      options.triage = true;
-    } else if (arg == "--reduce") {
-      options.reduce = true;
-      options.triage = true;
-    } else if (arg == "--verbose") {
-      options.verbose = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-      return 1;
-    } else {
-      pos.push_back(arg);
-    }
-  }
+  std::vector<flags::Flag> table = fuzz::CampaignBackendFlags(&config.backend);
+  table.insert(
+      table.end(),
+      {
+          {"fleet-dir", &options.fleet_dir, "DIR",
+           "journal (fleet.state), status.json and repro/ (required)"},
+          {"workers", &options.num_workers, "N",
+           "worker processes (default 2)"},
+          {"shards", &config.num_shards, "N", "leased work units (default 8)"},
+          {"shard-budget", &config.shard_budget, "N",
+           "executions per shard (default 2000)"},
+          {"seed", &config.base_seed, "S",
+           "campaign base seed; each shard derives its own (default 1)"},
+          {"resume", &options.resume, "",
+           "continue from the journal in --fleet-dir; done shards are not "
+           "re-run"},
+          {"distill-every", &config.distill_every, "N",
+           "corpus sync in generations of N shards (default 0 = off)"},
+          {"oracle", &oracles, "LIST",
+           "logic oracles armed in every worker, as fuzz_campaign_cli --oracle "
+           "(repeatable)"},
+          {"rule-coverage", &config.rule_coverage, "",
+           "grammar-rule feedback inside workers"},
+          {"planted-eval-bug", &planted_eval_bug, "",
+           "test-only: plant the NOT-NULL evaluator defect in every worker"},
+          {"lease-deadline-ms", &options.lease_deadline_ms, "N",
+           "heartbeat deadline before a lease expires and its shard is "
+           "re-queued (default 15000)"},
+          {"strike-limit", &options.strike_limit, "N",
+           "strikes (death, expired lease, poisoned result) before a slot is "
+           "quarantined (default 3)"},
+          {"respawn-backoff-ms", &options.respawn_backoff_ms, "N",
+           "base respawn delay, doubled per strike (default 50)"},
+          {"progress-every", &config.progress_every, "N",
+           "worker heartbeat cadence in executions (default 64)"},
+          {"chaos-fp", &chaos_fps, "NAME=SPEC",
+           "arm one failpoint: fleet.journal_write and fleet.lease_grant in "
+           "the coordinator, others in every worker (repeatable)"},
+          {"worker-chaos-fp",
+           [&](std::string_view value) {
+             const size_t colon = value.find(':');
+             if (colon == std::string_view::npos) {
+               return Status::InvalidArgument("needs SLOT:NAME=SPEC");
+             }
+             int slot = 0;
+             LEGO_RETURN_IF_ERROR(
+                 flags::ParseInt(value.substr(0, colon), &slot));
+             options.worker_chaos.emplace_back(
+                 slot, std::string(value.substr(colon + 1)));
+             return Status::OK();
+           },
+           "SLOT:NAME=SPEC",
+           "arm a failpoint in one worker slot (repeatable)"},
+          {"triage", &options.triage, "",
+           "collect every unique finding into --fleet-dir/repro"},
+          {"reduce", &options.reduce, "",
+           "ddmin-minimize findings (implies --triage)"},
+          {"verbose", &options.verbose, "", "coordinator event log on stderr"},
+      });
+  const flags::CommandLine cli = {
+      "fleet_cli run [profile] [fuzzer] [flags]\n"
+      "       fleet_cli status --fleet-dir DIR\n"
+      "  profile : pglite | mylite | marialite | comdlite (default pglite)\n"
+      "  fuzzer  : lego | lego- | squirrel | sqlancer | sqlsmith (default "
+      "lego)",
+      std::move(table)};
+  const std::vector<std::string> pos = cli.ParseOrExit(argc, argv);
+  config.oracle_spec = Join(oracles, ",");
+  if (options.reduce) options.triage = true;
 
   size_t p = 0;
   if (p < pos.size() && (pos[p] == "run" || pos[p] == "status")) {
@@ -265,8 +168,8 @@ int main(int argc, char** argv) {
   if (p < pos.size()) config.profile = pos[p++];
   if (p < pos.size()) config.fuzzer = pos[p++];
   if (p < pos.size()) {
-    std::fprintf(stderr, "unexpected positional '%s'\n", pos[p].c_str());
-    return 1;
+    cli.Fail(Status::InvalidArgument("unexpected positional '" + pos[p] +
+                                     "'"));
   }
 
   // Route chaos: coordinator-side sites arm here; worker-side sites ship to

@@ -2,92 +2,19 @@
 // paper's evaluation runs, as a standalone tool.
 //
 //   ./examples/fuzz_campaign_cli [profile] [fuzzer] [executions] [seed]
-//                                [--reduce] [--repro-dir DIR]
-//                                [--oracle LIST] [--rule-coverage]
-//                                [--backend=inproc|forked|concurrent]
-//                                [--max-stmt-ms N] [--sessions N]
+//                                [flags]
 //
-//   profile : pglite | mylite | marialite | comdlite       (default pglite)
-//   fuzzer  : lego | lego- | squirrel | sqlancer | sqlsmith (default lego)
-//   executions : campaign budget                            (default 10000)
-//   seed    : RNG seed                                      (default 1)
-//   --oracle LIST : arm logic-bug oracles, comma-separated from
-//                 tlp | norec | clause | iso | dur, checked in the given
-//                 order with first-finding-wins. "dur" is the durability
-//                 oracle: it needs --backend=forked --storage=paged and
-//                 adjudicates every child death against a shadow replay
-//                 (DUR-LOST-COMMIT / DUR-PHANTOM / DUR-RECOVERY-FAIL)
-//   --tlp       : shorthand for --oracle=tlp (combines: appends to LIST)
-//   --rule-coverage : grammar-rule coverage as a secondary feedback signal
-//                 (parser production hit-set; rare-rule corpus weighting)
-//   --backend B : execution backend — inproc (embedded minidb), forked,
-//                 or concurrent (N session fibers per case under a
-//                 seeded deterministic interleaving scheduler)
-//                 (crash-isolated child process)          (default inproc)
-//   --max-stmt-ms N : forked only — kill a statement after N ms wall clock
-//   --sessions N : concurrent only — sessions per test case
-//                 (default 2); the per-case interleaving seed is derived
-//                 from the campaign seed and execution index
-//   --planted-lost-update / --planted-dirty-read : test-only; plant an
-//                 isolation defect in the concurrent lock discipline that
-//                 the iso oracle should catch (demo of --oracle=iso)
-//                 and record it as a hang                   (default off)
-//   --reduce    : ddmin-minimize each unique crash after the campaign
-//   --repro-dir DIR : write one deterministic .sql repro per unique bug
-//                     plus a manifest.tsv (replay key, signature, trigger,
-//                     campaign seed, state version); bugs already listed
-//                     in the manifest are not re-reduced  (implies --reduce)
-//   --state-dir DIR : persist campaign state under DIR (one atomic
-//                 campaign.state)
-//   --checkpoint-every N : write a checkpoint every N executions (0 = only
-//                 the final state)                            (default 0)
-//   --resume    : continue from the checkpoint in --state-dir; the resumed
-//                 run must use identical flags
-//   --import-corpus FILE : seed the fuzzer with a corpus file exported by
-//                 corpus_cli before the first execution (fresh runs only)
-//   --export-corpus FILE : write the final corpus to FILE for reuse via
-//                 --import-corpus or corpus_cli distill
-//   --planted-crash / --planted-hang / --planted-oom : test-only; arm a
-//                 real abort() / infinite loop / unbounded allocation
-//                 inside minidb (demo of crash isolation + rlimit caps)
-//   --planted-eval-bug : test-only; plant the NOT-NULL evaluator defect
-//                 (NOT of NULL evaluates TRUE) — a wrong-result bug only
-//                 the logic oracles can see (demo of --oracle)
-//   --chaos     : arm every registered failpoint with --chaos-prob
-//   --chaos-prob P : per-hit fire probability under --chaos (default 0.02)
-//   --chaos-seed S : failpoint schedule seed (default: the campaign seed);
-//                 the schedule is deterministic per (seed, hit index)
-//   --chaos-fp NAME=SPEC : arm one failpoint precisely (repeatable);
-//                 SPEC = off | always | prob:P | nth:N | kill:N | hang:N
-//   --storage S : execution storage — mem (historical in-memory database)
-//                 or paged (buffer pool + WAL under --db-dir; recovery on
-//                 reopen; mem stays bit-identical)          (default mem)
-//   --db-dir DIR : paged only — on-disk database directory. Treated as a
-//                 scratch dir: wiped on engine reset and removed when the
-//                 tool exits
-//   --pool-frames N : paged only — buffer-pool frame budget  (default 64)
-//   --planted-skip-fsync : test-only; the paged engine skips the commit
-//                 fsync, so a kill:N storage schedule loses acknowledged
-//                 commits (demo of --oracle=dur)
-//   --max-child-mem-mb N : forked only — RLIMIT_AS cap per child; an
-//                 allocation over it dies as a REAL-OOM crash  (default off)
-//   --max-child-cpu-s N : forked only — RLIMIT_CPU cap per child; a spin
-//                 over it dies as a REAL-CPU crash              (default off)
-//   --max-child-fsize-mb N : forked only — RLIMIT_FSIZE cap per child
-//                 (REAL-FSIZE)                                  (default off)
-//
-// The campaign runs in this process, one test case at a time. To spread a
-// campaign over N worker processes, run `fleet_cli run --workers N`, which
-// takes the same backend, storage and oracle flags plus --chaos-fp,
-// --triage and --reduce.
+// The flag table in main() is the reference for every flag; a malformed or
+// unknown flag prints it as the usage text. The campaign runs in this
+// process, one test case at a time. To spread a campaign over N worker
+// processes, run `fleet_cli run --workers N`, which takes the same backend,
+// storage and oracle flags plus --chaos-fp, --triage and --reduce.
 
 #include <csignal>
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,6 +30,8 @@
 #include "minidb/eval.h"
 #include "triage/oracle_suite.h"
 #include "triage/triage.h"
+#include "util/flags.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -130,10 +59,9 @@ int main(int argc, char** argv) {
 
   InstallStopHandlers();
 
-  // Split args into flags (anywhere) and positionals.
   bool reduce = false;
   bool tlp = false;
-  std::string oracle_spec;
+  std::vector<std::string> oracles;
   bool rule_coverage = false;
   bool planted_eval_bug = false;
   std::string repro_dir;
@@ -151,217 +79,99 @@ int main(int argc, char** argv) {
   uint64_t chaos_seed = 0;
   bool chaos_seed_set = false;
   std::vector<std::string> chaos_fps;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--backend" || arg.rfind("--backend=", 0) == 0) {
-      std::string value;
-      if (arg == "--backend") {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "--backend needs a value\n");
-          return 1;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(10);
-      }
-      std::optional<fuzz::BackendKind> kind = fuzz::ParseBackendKind(value);
-      if (!kind.has_value()) {
-        std::fprintf(stderr,
-                     "unknown backend '%s' (inproc | forked | concurrent)\n",
-                     value.c_str());
-        return 1;
-      }
-      backend.kind = *kind;
-    } else if (arg == "--max-stmt-ms") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--max-stmt-ms needs a value\n");
-        return 1;
-      }
-      backend.max_stmt_ms = std::atoi(argv[++i]);
-    } else if (arg.rfind("--max-stmt-ms=", 0) == 0) {
-      backend.max_stmt_ms = std::atoi(arg.c_str() + 14);
-    } else if (arg == "--sessions") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--sessions needs a value\n");
-        return 1;
-      }
-      backend.sessions = std::atoi(argv[++i]);
-    } else if (arg.rfind("--sessions=", 0) == 0) {
-      backend.sessions = std::atoi(arg.c_str() + 11);
-    } else if (arg == "--planted-lost-update") {
-      backend.planted_lost_update = true;
-    } else if (arg == "--planted-dirty-read") {
-      backend.planted_dirty_read = true;
-    } else if (arg == "--planted-crash") {
-      planted_crash = true;
-    } else if (arg == "--planted-hang") {
-      planted_hang = true;
-    } else if (arg == "--planted-oom") {
-      planted_oom = true;
-    } else if (arg == "--chaos") {
-      chaos = true;
-    } else if (arg == "--chaos-prob") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--chaos-prob needs a value\n");
-        return 1;
-      }
-      chaos_prob = std::atof(argv[++i]);
-    } else if (arg.rfind("--chaos-prob=", 0) == 0) {
-      chaos_prob = std::atof(arg.c_str() + 13);
-    } else if (arg == "--chaos-seed") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--chaos-seed needs a value\n");
-        return 1;
-      }
-      chaos_seed = std::strtoull(argv[++i], nullptr, 10);
-      chaos_seed_set = true;
-    } else if (arg.rfind("--chaos-seed=", 0) == 0) {
-      chaos_seed = std::strtoull(arg.c_str() + 13, nullptr, 10);
-      chaos_seed_set = true;
-    } else if (arg == "--chaos-fp") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--chaos-fp needs NAME=SPEC\n");
-        return 1;
-      }
-      chaos_fps.emplace_back(argv[++i]);
-    } else if (arg.rfind("--chaos-fp=", 0) == 0) {
-      chaos_fps.emplace_back(arg.substr(11));
-    } else if (arg == "--storage" || arg.rfind("--storage=", 0) == 0) {
-      std::string value;
-      if (arg == "--storage") {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "--storage needs a value\n");
-          return 1;
-        }
-        value = argv[++i];
-      } else {
-        value = arg.substr(10);
-      }
-      std::optional<fuzz::StorageKind> kind = fuzz::ParseStorageKind(value);
-      if (!kind.has_value()) {
-        std::fprintf(stderr, "unknown storage '%s' (mem | paged)\n",
-                     value.c_str());
-        return 1;
-      }
-      backend.storage = *kind;
-    } else if (arg == "--db-dir") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--db-dir needs a value\n");
-        return 1;
-      }
-      backend.db_dir = argv[++i];
-    } else if (arg.rfind("--db-dir=", 0) == 0) {
-      backend.db_dir = arg.substr(9);
-    } else if (arg == "--pool-frames") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--pool-frames needs a value\n");
-        return 1;
-      }
-      backend.pool_frames = static_cast<size_t>(std::atoi(argv[++i]));
-    } else if (arg.rfind("--pool-frames=", 0) == 0) {
-      backend.pool_frames = static_cast<size_t>(std::atoi(arg.c_str() + 14));
-    } else if (arg == "--planted-skip-fsync") {
-      backend.planted_skip_fsync = true;
-    } else if (arg == "--max-child-mem-mb") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--max-child-mem-mb needs a value\n");
-        return 1;
-      }
-      backend.max_child_mem_mb = std::atoi(argv[++i]);
-    } else if (arg.rfind("--max-child-mem-mb=", 0) == 0) {
-      backend.max_child_mem_mb = std::atoi(arg.c_str() + 19);
-    } else if (arg == "--max-child-cpu-s") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--max-child-cpu-s needs a value\n");
-        return 1;
-      }
-      backend.max_child_cpu_s = std::atoi(argv[++i]);
-    } else if (arg.rfind("--max-child-cpu-s=", 0) == 0) {
-      backend.max_child_cpu_s = std::atoi(arg.c_str() + 18);
-    } else if (arg == "--max-child-fsize-mb") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--max-child-fsize-mb needs a value\n");
-        return 1;
-      }
-      backend.max_child_fsize_mb = std::atoi(argv[++i]);
-    } else if (arg.rfind("--max-child-fsize-mb=", 0) == 0) {
-      backend.max_child_fsize_mb = std::atoi(arg.c_str() + 21);
-    } else if (arg == "--reduce") {
-      reduce = true;
-    } else if (arg == "--tlp") {
-      tlp = true;
-    } else if (arg == "--oracle") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--oracle needs a value\n");
-        return 1;
-      }
-      if (!oracle_spec.empty()) oracle_spec += ',';
-      oracle_spec += argv[++i];
-    } else if (arg.rfind("--oracle=", 0) == 0) {
-      if (!oracle_spec.empty()) oracle_spec += ',';
-      oracle_spec += arg.substr(9);
-    } else if (arg == "--rule-coverage") {
-      rule_coverage = true;
-    } else if (arg == "--planted-eval-bug") {
-      planted_eval_bug = true;
-    } else if (arg == "--repro-dir") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--repro-dir needs a value\n");
-        return 1;
-      }
-      repro_dir = argv[++i];
-      reduce = true;
-    } else if (arg.rfind("--repro-dir=", 0) == 0) {
-      repro_dir = arg.substr(12);
-      reduce = true;
-    } else if (arg == "--state-dir") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--state-dir needs a value\n");
-        return 1;
-      }
-      state_dir = argv[++i];
-    } else if (arg.rfind("--state-dir=", 0) == 0) {
-      state_dir = arg.substr(12);
-    } else if (arg == "--checkpoint-every") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--checkpoint-every needs a value\n");
-        return 1;
-      }
-      checkpoint_every = std::atoi(argv[++i]);
-    } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      checkpoint_every = std::atoi(arg.c_str() + 19);
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--import-corpus") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--import-corpus needs a value\n");
-        return 1;
-      }
-      import_corpus = argv[++i];
-    } else if (arg.rfind("--import-corpus=", 0) == 0) {
-      import_corpus = arg.substr(16);
-    } else if (arg == "--export-corpus") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--export-corpus needs a value\n");
-        return 1;
-      }
-      export_corpus = argv[++i];
-    } else if (arg.rfind("--export-corpus=", 0) == 0) {
-      export_corpus = arg.substr(16);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-      return 1;
-    } else {
-      pos.push_back(std::move(arg));
-    }
-  }
+
+  std::vector<flags::Flag> table = fuzz::CampaignBackendFlags(&backend);
+  table.insert(
+      table.end(),
+      {
+          {"pool-frames", &backend.pool_frames, "N",
+           "paged only: buffer-pool frame budget (default 64)"},
+          {"max-child-mem-mb", &backend.max_child_mem_mb, "N",
+           "forked only: RLIMIT_AS cap per child, overrun = REAL-OOM "
+           "(default 0 = off)"},
+          {"max-child-cpu-s", &backend.max_child_cpu_s, "N",
+           "forked only: RLIMIT_CPU cap per child, overrun = REAL-CPU "
+           "(default 0 = off)"},
+          {"max-child-fsize-mb", &backend.max_child_fsize_mb, "N",
+           "forked only: RLIMIT_FSIZE cap per child, overrun = REAL-FSIZE "
+           "(default 0 = off)"},
+          {"oracle", &oracles, "LIST",
+           "logic oracles from tlp,norec,clause,iso,dur; dur needs forked + "
+           "paged (repeatable)"},
+          {"tlp", &tlp, "", "shorthand for --oracle=tlp"},
+          {"rule-coverage", &rule_coverage, "",
+           "grammar-rule coverage as a secondary feedback signal"},
+          {"reduce", &reduce, "",
+           "ddmin-minimize each unique bug after the campaign"},
+          {"repro-dir",
+           [&](std::string_view value) {
+             repro_dir = std::string(value);
+             reduce = true;
+             return Status::OK();
+           },
+           "DIR",
+           "write one .sql repro per unique bug plus manifest.tsv (implies "
+           "--reduce)"},
+          {"state-dir", &state_dir, "DIR",
+           "persist campaign state as DIR/campaign.state"},
+          {"checkpoint-every", &checkpoint_every, "N",
+           "checkpoint every N executions (default 0 = final state only)"},
+          {"resume", &resume, "",
+           "continue from --state-dir; needs the flags of the saved run"},
+          {"import-corpus", &import_corpus, "FILE",
+           "seed the fuzzer with a corpus file (fresh runs only)"},
+          {"export-corpus", &export_corpus, "FILE",
+           "write the final corpus to FILE"},
+          {"chaos", &chaos, "", "arm every failpoint at --chaos-prob"},
+          {"chaos-prob", &chaos_prob, "P",
+           "per-hit fire probability under --chaos (default 0.02)"},
+          {"chaos-seed",
+           [&](std::string_view value) {
+             chaos_seed_set = true;
+             return flags::ParseUint64(value, &chaos_seed);
+           },
+           "S", "failpoint schedule seed (default: the campaign seed)"},
+          {"chaos-fp", &chaos_fps, "NAME=SPEC",
+           "arm one failpoint, SPEC = off|always|prob:P|nth:N|kill:N|hang:N "
+           "(repeatable)"},
+          {"planted-crash", &planted_crash, "",
+           "test-only: a real abort() inside minidb"},
+          {"planted-hang", &planted_hang, "",
+           "test-only: an infinite loop inside minidb"},
+          {"planted-oom", &planted_oom, "",
+           "test-only: an unbounded allocation inside minidb"},
+          {"planted-eval-bug", &planted_eval_bug, "",
+           "test-only: NOT of NULL evaluates TRUE (a logic bug)"},
+          {"planted-lost-update", &backend.planted_lost_update, "",
+           "test-only: concurrent writes skip X locks"},
+          {"planted-dirty-read", &backend.planted_dirty_read, "",
+           "test-only: concurrent reads skip S locks"},
+          {"planted-skip-fsync", &backend.planted_skip_fsync, "",
+           "test-only: the paged engine skips the commit fsync"},
+      });
+  const flags::CommandLine cli = {
+      "fuzz_campaign_cli [profile] [fuzzer] [executions] [seed] [flags]\n"
+      "  profile    : pglite | mylite | marialite | comdlite (default "
+      "pglite)\n"
+      "  fuzzer     : lego | lego- | squirrel | sqlancer | sqlsmith "
+      "(default lego)\n"
+      "  executions : campaign budget (default 10000)\n"
+      "  seed       : RNG seed (default 1)",
+      std::move(table)};
+  const std::vector<std::string> pos = cli.ParseOrExit(argc, argv);
 
   std::string profile_name = pos.size() > 0 ? pos[0] : "pglite";
   std::string fuzzer_name = pos.size() > 1 ? pos[1] : "lego";
-  int executions = pos.size() > 2 ? std::atoi(pos[2].c_str()) : 10000;
-  uint64_t seed =
-      pos.size() > 3 ? std::strtoull(pos[3].c_str(), nullptr, 10) : 1;
+  int executions = 10000;
+  uint64_t seed = 1;
+  auto check = [&cli](const std::string& what, const Status& st) {
+    if (!st.ok()) cli.Fail(Status::InvalidArgument(what + ": " + st.message()));
+  };
+  if (pos.size() > 2) check("executions", flags::ParseInt(pos[2], &executions));
+  if (pos.size() > 3) check("seed", flags::ParseUint64(pos[3], &seed));
+  if (pos.size() > 4) {
+    cli.Fail(Status::InvalidArgument("unexpected positional '" + pos[4] + "'"));
+  }
   // Interleavings are part of the campaign's deterministic identity: the
   // concurrent backend derives each case's scheduler seed from this.
   backend.concurrency_seed = seed;
@@ -406,10 +216,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (tlp) {
-    if (!oracle_spec.empty()) oracle_spec += ',';
-    oracle_spec += "tlp";
-  }
+  if (tlp) oracles.push_back("tlp");
+  const std::string oracle_spec = Join(oracles, ",");
   std::unique_ptr<triage::OracleSuite> oracle_suite;
   if (!oracle_spec.empty()) {
     std::string oracle_error;
@@ -420,20 +228,14 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (backend.storage == fuzz::StorageKind::kPaged &&
-      backend.db_dir.empty()) {
-    std::fprintf(stderr, "--storage=paged requires --db-dir\n");
+  const bool durability =
+      oracle_suite != nullptr && oracle_suite->durability_requested();
+  Status runnable = fuzz::CheckBackendOptions(backend, durability);
+  if (!runnable.ok()) {
+    std::fprintf(stderr, "%s\n", runnable.message().c_str());
     return 1;
   }
-  if (oracle_suite != nullptr && oracle_suite->durability_requested()) {
-    if (backend.storage != fuzz::StorageKind::kPaged ||
-        backend.kind != fuzz::BackendKind::kForked) {
-      std::fprintf(stderr,
-                   "--oracle=dur requires --backend=forked --storage=paged\n");
-      return 1;
-    }
-    backend.durability_check = true;
-  }
+  backend.durability_check = durability;
   // The durability oracle stamps its repro messages with the fault schedule
   // that produced them, so a DUR-* finding is replayable from its artifact.
   for (const std::string& spec : chaos_fps) {

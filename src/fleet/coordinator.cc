@@ -23,6 +23,7 @@
 #include "fleet/worker.h"
 #include "fuzz/distill.h"
 #include "minidb/env.h"
+#include "triage/oracle_suite.h"
 #include "triage/triage.h"
 #include "util/hash.h"
 
@@ -182,7 +183,6 @@ class Coordinator {
     if (options_.fleet_dir.empty()) {
       return Status::InvalidArgument("fleet: fleet_dir is required");
     }
-    LEGO_RETURN_IF_ERROR(EnsureDir(options_.fleet_dir));
     const minidb::DialectProfile* profile =
         minidb::DialectProfile::ByName(config_.profile);
     if (profile == nullptr) {
@@ -198,6 +198,20 @@ class Coordinator {
       return Status::InvalidArgument(
           "fleet: shards, budget, and workers must be positive");
     }
+    // Reject what every worker would fail on before one is forked: an
+    // unparseable oracle spec would otherwise burn every slot's strikes.
+    bool durability = false;
+    if (!config_.oracle_spec.empty()) {
+      std::string error;
+      auto suite = triage::OracleSuite::FromSpec(config_.oracle_spec, &error);
+      if (suite == nullptr) {
+        return Status::InvalidArgument("fleet: bad oracle spec: " + error);
+      }
+      durability = suite->durability_requested();
+    }
+    LEGO_RETURN_IF_ERROR(
+        fuzz::CheckBackendOptions(config_.backend, durability));
+    LEGO_RETURN_IF_ERROR(EnsureDir(options_.fleet_dir));
 
     if (options_.resume) {
       Status load = LoadJournal(options_.fleet_dir, config_, &result_);

@@ -83,11 +83,7 @@ void SaveCrashMap(const FleetResult& result, persist::StateWriter* w) {
   w->WriteU64(result.crashes.size());
   for (const auto& [hash, crash] : result.crashes) {
     w->WriteU64(hash);
-    w->WriteString(crash.bug_id);
-    w->WriteString(crash.component);
-    w->WriteString(crash.kind);
-    w->WriteU64(crash.stack_hash);
-    w->WriteString(crash.message);
+    fuzz::SaveCrashInfo(crash, w);
     w->WriteString(result.crash_origins.count(hash)
                        ? result.crash_origins.at(hash)
                        : std::string());
@@ -103,12 +99,7 @@ Status LoadCrashMap(persist::StateReader* r, FleetResult* result) {
   }
   for (uint64_t i = 0; i < count; ++i) {
     const uint64_t hash = r->ReadU64();
-    minidb::CrashInfo crash;
-    crash.bug_id = r->ReadString();
-    crash.component = r->ReadString();
-    crash.kind = r->ReadString();
-    crash.stack_hash = r->ReadU64();
-    crash.message = r->ReadString();
+    minidb::CrashInfo crash = fuzz::LoadCrashInfo(r);
     const std::string origin = r->ReadString();
     const int shard = static_cast<int>(r->ReadU32());
     auto tc = fuzz::LoadTestCase(r);
@@ -125,12 +116,7 @@ void SaveLogicMap(const FleetResult& result, persist::StateWriter* w) {
   w->WriteU64(result.logic.size());
   for (const auto& [fp, bug] : result.logic) {
     w->WriteU64(fp);
-    w->WriteString(bug.check);
-    w->WriteString(bug.query);
-    w->WriteString(bug.detail);
-    w->WriteU64(bug.fingerprint);
-    w->WriteU64(bug.interleave_seed);
-    w->WriteU32(static_cast<uint32_t>(bug.sessions));
+    fuzz::SaveLogicBug(bug, w);
     w->WriteString(result.logic_origins.count(fp)
                        ? result.logic_origins.at(fp)
                        : std::string());
@@ -146,13 +132,7 @@ Status LoadLogicMap(persist::StateReader* r, FleetResult* result) {
   }
   for (uint64_t i = 0; i < count; ++i) {
     const uint64_t fp = r->ReadU64();
-    fuzz::LogicBugInfo bug;
-    bug.check = r->ReadString();
-    bug.query = r->ReadString();
-    bug.detail = r->ReadString();
-    bug.fingerprint = r->ReadU64();
-    bug.interleave_seed = r->ReadU64();
-    bug.sessions = static_cast<int>(r->ReadU32());
+    fuzz::LogicBugInfo bug = fuzz::LoadLogicBug(r);
     const std::string origin = r->ReadString();
     const int shard = static_cast<int>(r->ReadU32());
     auto tc = fuzz::LoadTestCase(r);
@@ -161,27 +141,6 @@ Status LoadLogicMap(persist::StateReader* r, FleetResult* result) {
     result->logic_cases.emplace(fp, std::move(*tc));
     result->logic_shards.emplace(fp, shard);
     if (!origin.empty()) result->logic_origins.emplace(fp, origin);
-  }
-  return Status::OK();
-}
-
-void SaveCases(const std::vector<fuzz::TestCase>& cases,
-               persist::StateWriter* w) {
-  w->WriteU64(cases.size());
-  for (const auto& tc : cases) fuzz::SaveTestCase(tc, w);
-}
-
-Status LoadCases(persist::StateReader* r, std::vector<fuzz::TestCase>* out) {
-  const uint64_t count = r->ReadU64();
-  if (!r->CheckCount(count, 1)) {
-    return Status::Internal("fleet journal: corrupt case count");
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    auto tc = fuzz::LoadTestCase(r);
-    if (!tc.ok()) return tc.status();
-    out->push_back(std::move(*tc));
   }
   return Status::OK();
 }
@@ -220,24 +179,14 @@ Status SaveJournal(const std::string& fleet_dir, const FleetConfig& config,
   w.WriteDouble(result.distill_seconds);
   SaveCrashMap(result, &w);
   SaveLogicMap(result, &w);
-  SaveCases(result.corpus, &w);
-  SaveCases(result.corpus_pending, &w);
+  fuzz::SaveTestCases(result.corpus, &w);
+  fuzz::SaveTestCases(result.corpus_pending, &w);
   w.WriteU64(result.held_exports.size());
   for (const auto& [shard, cases] : result.held_exports) {
     w.WriteU32(static_cast<uint32_t>(shard));
-    SaveCases(cases, &w);
+    fuzz::SaveTestCases(cases, &w);
   }
-  const fuzz::BackendStorageStats& s = result.storage;
-  w.WriteU64(s.pool_hits);
-  w.WriteU64(s.pool_misses);
-  w.WriteU64(s.pool_evictions);
-  w.WriteU64(s.pool_writebacks);
-  w.WriteU64(s.wal_records);
-  w.WriteU64(s.wal_bytes);
-  w.WriteU64(s.fsyncs);
-  w.WriteU64(s.steal_flushes);
-  w.WriteU64(s.commits);
-  w.WriteU64(s.checkpoints);
+  fuzz::SaveStorageStats(result.storage, &w);
   w.EndChunk();
   LEGO_RETURN_IF_ERROR(result.coverage.SaveState(&w));
   return w.WriteFileAtomic(JournalPath(fleet_dir));
@@ -275,27 +224,18 @@ Status LoadJournal(const std::string& fleet_dir, const FleetConfig& config,
   result->distill_seconds = r.ReadDouble();
   LEGO_RETURN_IF_ERROR(LoadCrashMap(&r, result));
   LEGO_RETURN_IF_ERROR(LoadLogicMap(&r, result));
-  LEGO_RETURN_IF_ERROR(LoadCases(&r, &result->corpus));
-  LEGO_RETURN_IF_ERROR(LoadCases(&r, &result->corpus_pending));
+  LEGO_RETURN_IF_ERROR(fuzz::LoadTestCases(&r, &result->corpus));
+  LEGO_RETURN_IF_ERROR(fuzz::LoadTestCases(&r, &result->corpus_pending));
   const uint64_t held_count = r.ReadU64();
   if (!r.CheckCount(held_count, 12)) {
     return Status::Internal("fleet journal: corrupt held exports");
   }
   for (uint64_t i = 0; i < held_count; ++i) {
     const int shard = static_cast<int>(r.ReadU32());
-    LEGO_RETURN_IF_ERROR(LoadCases(&r, &result->held_exports[shard]));
+    LEGO_RETURN_IF_ERROR(
+        fuzz::LoadTestCases(&r, &result->held_exports[shard]));
   }
-  fuzz::BackendStorageStats& s = result->storage;
-  s.pool_hits = r.ReadU64();
-  s.pool_misses = r.ReadU64();
-  s.pool_evictions = r.ReadU64();
-  s.pool_writebacks = r.ReadU64();
-  s.wal_records = r.ReadU64();
-  s.wal_bytes = r.ReadU64();
-  s.fsyncs = r.ReadU64();
-  s.steal_flushes = r.ReadU64();
-  s.commits = r.ReadU64();
-  s.checkpoints = r.ReadU64();
+  result->storage = fuzz::LoadStorageStats(&r);
   LEGO_RETURN_IF_ERROR(r.ExitChunk());
   LEGO_RETURN_IF_ERROR(result->coverage.LoadState(&r));
   if (!r.ok()) return r.status();

@@ -20,65 +20,6 @@ namespace {
 constexpr char kShardChunk[5] = "SHRD";
 constexpr char kPoolChunk[5] = "POOL";
 
-void SaveCrashInfo(const minidb::CrashInfo& crash, persist::StateWriter* w) {
-  w->WriteString(crash.bug_id);
-  w->WriteString(crash.component);
-  w->WriteString(crash.kind);
-  w->WriteU64(crash.stack_hash);
-  w->WriteString(crash.message);
-}
-
-minidb::CrashInfo LoadCrashInfo(persist::StateReader* r) {
-  minidb::CrashInfo crash;
-  crash.bug_id = r->ReadString();
-  crash.component = r->ReadString();
-  crash.kind = r->ReadString();
-  crash.stack_hash = r->ReadU64();
-  crash.message = r->ReadString();
-  return crash;
-}
-
-void SaveLogicBug(const fuzz::LogicBugInfo& bug, persist::StateWriter* w) {
-  w->WriteString(bug.check);
-  w->WriteString(bug.query);
-  w->WriteString(bug.detail);
-  w->WriteU64(bug.fingerprint);
-  w->WriteU64(bug.interleave_seed);
-  w->WriteU32(static_cast<uint32_t>(bug.sessions));
-}
-
-fuzz::LogicBugInfo LoadLogicBug(persist::StateReader* r) {
-  fuzz::LogicBugInfo bug;
-  bug.check = r->ReadString();
-  bug.query = r->ReadString();
-  bug.detail = r->ReadString();
-  bug.fingerprint = r->ReadU64();
-  bug.interleave_seed = r->ReadU64();
-  bug.sessions = static_cast<int>(r->ReadU32());
-  return bug;
-}
-
-void SaveCases(const std::vector<fuzz::TestCase>& cases,
-               persist::StateWriter* w) {
-  w->WriteU64(cases.size());
-  for (const auto& tc : cases) fuzz::SaveTestCase(tc, w);
-}
-
-Status LoadCases(persist::StateReader* r, std::vector<fuzz::TestCase>* out) {
-  const uint64_t count = r->ReadU64();
-  if (!r->CheckCount(count, 1)) {
-    return Status::Internal("fleet shard: corrupt case count");
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    auto tc = fuzz::LoadTestCase(r);
-    if (!tc.ok()) return tc.status();
-    out->push_back(std::move(*tc));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 uint64_t ShardSeed(const FleetConfig& config, int shard_id) {
@@ -177,27 +118,16 @@ std::string EncodeShardOutcome(const ShardOutcome& outcome) {
 
   w.WriteU64(r.captured_cases.size());
   for (size_t i = 0; i < r.captured_cases.size(); ++i) {
-    SaveCrashInfo(r.captured_crashes[i], &w);
+    fuzz::SaveCrashInfo(r.captured_crashes[i], &w);
     fuzz::SaveTestCase(r.captured_cases[i], &w);
   }
   w.WriteU64(r.captured_logic_cases.size());
   for (size_t i = 0; i < r.captured_logic_cases.size(); ++i) {
-    SaveLogicBug(r.captured_logic_bugs[i], &w);
+    fuzz::SaveLogicBug(r.captured_logic_bugs[i], &w);
     fuzz::SaveTestCase(r.captured_logic_cases[i], &w);
   }
-  SaveCases(r.corpus_export, &w);
-
-  const fuzz::BackendStorageStats& s = r.storage;
-  w.WriteU64(s.pool_hits);
-  w.WriteU64(s.pool_misses);
-  w.WriteU64(s.pool_evictions);
-  w.WriteU64(s.pool_writebacks);
-  w.WriteU64(s.wal_records);
-  w.WriteU64(s.wal_bytes);
-  w.WriteU64(s.fsyncs);
-  w.WriteU64(s.steal_flushes);
-  w.WriteU64(s.commits);
-  w.WriteU64(s.checkpoints);
+  fuzz::SaveTestCases(r.corpus_export, &w);
+  fuzz::SaveStorageStats(r.storage, &w);
   w.EndChunk();
   (void)outcome.coverage.SaveState(&w);
   return w.EnvelopedBytes();
@@ -226,7 +156,7 @@ StatusOr<ShardOutcome> DecodeShardOutcome(const std::string& bytes) {
     return Status::Internal("fleet shard: corrupt crash count");
   }
   for (uint64_t i = 0; i < crash_count; ++i) {
-    minidb::CrashInfo crash = LoadCrashInfo(&r);
+    minidb::CrashInfo crash = fuzz::LoadCrashInfo(&r);
     auto tc = fuzz::LoadTestCase(&r);
     if (!tc.ok()) return tc.status();
     res.crash_hashes.insert(crash.stack_hash);
@@ -239,26 +169,15 @@ StatusOr<ShardOutcome> DecodeShardOutcome(const std::string& bytes) {
     return Status::Internal("fleet shard: corrupt logic count");
   }
   for (uint64_t i = 0; i < logic_count; ++i) {
-    fuzz::LogicBugInfo bug = LoadLogicBug(&r);
+    fuzz::LogicBugInfo bug = fuzz::LoadLogicBug(&r);
     auto tc = fuzz::LoadTestCase(&r);
     if (!tc.ok()) return tc.status();
     res.logic_fingerprints.insert(bug.fingerprint);
     res.captured_logic_bugs.push_back(std::move(bug));
     res.captured_logic_cases.push_back(std::move(*tc));
   }
-  LEGO_RETURN_IF_ERROR(LoadCases(&r, &res.corpus_export));
-
-  fuzz::BackendStorageStats& s = res.storage;
-  s.pool_hits = r.ReadU64();
-  s.pool_misses = r.ReadU64();
-  s.pool_evictions = r.ReadU64();
-  s.pool_writebacks = r.ReadU64();
-  s.wal_records = r.ReadU64();
-  s.wal_bytes = r.ReadU64();
-  s.fsyncs = r.ReadU64();
-  s.steal_flushes = r.ReadU64();
-  s.commits = r.ReadU64();
-  s.checkpoints = r.ReadU64();
+  LEGO_RETURN_IF_ERROR(fuzz::LoadTestCases(&r, &res.corpus_export));
+  res.storage = fuzz::LoadStorageStats(&r);
   LEGO_RETURN_IF_ERROR(r.ExitChunk());
   LEGO_RETURN_IF_ERROR(outcome.coverage.LoadState(&r));
   if (!r.ok()) return r.status();
@@ -269,7 +188,7 @@ StatusOr<ShardOutcome> DecodeShardOutcome(const std::string& bytes) {
 std::string EncodePool(const std::vector<fuzz::TestCase>& pool) {
   persist::StateWriter w;
   w.BeginChunk(persist::ChunkTag(kPoolChunk));
-  SaveCases(pool, &w);
+  fuzz::SaveTestCases(pool, &w);
   w.EndChunk();
   return w.EnvelopedBytes();
 }
@@ -280,7 +199,7 @@ StatusOr<std::vector<fuzz::TestCase>> DecodePool(const std::string& bytes) {
   persist::StateReader& r = *reader;
   LEGO_RETURN_IF_ERROR(r.EnterChunk(persist::ChunkTag(kPoolChunk)));
   std::vector<fuzz::TestCase> pool;
-  LEGO_RETURN_IF_ERROR(LoadCases(&r, &pool));
+  LEGO_RETURN_IF_ERROR(fuzz::LoadTestCases(&r, &pool));
   LEGO_RETURN_IF_ERROR(r.ExitChunk());
   if (!r.ok()) return r.status();
   return pool;

@@ -36,6 +36,63 @@ std::string_view StorageKindName(StorageKind kind) {
   return "?";
 }
 
+std::vector<flags::Flag> BackendFlags(BackendOptions* options) {
+  return {
+      {"backend",
+       [options](std::string_view value) {
+         std::optional<BackendKind> kind = ParseBackendKind(value);
+         if (!kind.has_value()) {
+           return Status::InvalidArgument("unknown backend '" +
+                                          std::string(value) +
+                                          "' (inproc | forked | concurrent)");
+         }
+         options->kind = *kind;
+         return Status::OK();
+       },
+       "inproc|forked|concurrent", "execution backend (default inproc)"},
+      {"max-stmt-ms", &options->max_stmt_ms, "N",
+       "forked only: statement watchdog in ms (default 0 = off)"},
+  };
+}
+
+std::vector<flags::Flag> CampaignBackendFlags(BackendOptions* options) {
+  std::vector<flags::Flag> table = BackendFlags(options);
+  table.insert(
+      table.end(),
+      {
+          {"storage",
+           [options](std::string_view value) {
+             std::optional<StorageKind> kind = ParseStorageKind(value);
+             if (!kind.has_value()) {
+               return Status::InvalidArgument("unknown storage '" +
+                                              std::string(value) +
+                                              "' (mem | paged)");
+             }
+             options->storage = *kind;
+             return Status::OK();
+           },
+           "mem|paged", "storage engine; paged needs --db-dir (default mem)"},
+          {"db-dir", &options->db_dir, "DIR",
+           "paged only: scratch database directory, removed at exit"},
+          {"sessions", &options->sessions, "N",
+           "concurrent only: sessions per test case (default 2)"},
+      });
+  return table;
+}
+
+Status CheckBackendOptions(const BackendOptions& options,
+                           bool durability_oracle) {
+  if (options.storage == StorageKind::kPaged && options.db_dir.empty()) {
+    return Status::InvalidArgument("--storage=paged requires --db-dir");
+  }
+  if (durability_oracle && (options.storage != StorageKind::kPaged ||
+                            options.kind != BackendKind::kForked)) {
+    return Status::InvalidArgument(
+        "--oracle=dur requires --backend=forked --storage=paged");
+  }
+  return Status::OK();
+}
+
 std::unique_ptr<DbBackend> MakeBackend(const minidb::DialectProfile& profile,
                                        const BackendOptions& options) {
   switch (options.kind) {

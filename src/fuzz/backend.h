@@ -12,6 +12,8 @@
 #include "minidb/database.h"
 #include "minidb/profile.h"
 #include "sql/ast.h"
+#include "util/flags.h"
+#include "util/status.h"
 
 namespace lego::fuzz {
 
@@ -83,9 +85,8 @@ struct BackendOptions {
   int max_child_fsize_mb = 0;
   /// Forked only: circuit breaker on the fork server. Each failed spawn is
   /// retried with exponential backoff; after this many consecutive
-  /// failures the backend gives up and reports broken() — a parallel
-  /// campaign then parks the worker and redistributes its remaining budget
-  /// at the next round barrier instead of spinning or aborting.
+  /// failures the backend gives up and reports broken(), and the campaign
+  /// ends cleanly instead of spinning or aborting.
   int spawn_failure_limit = 8;
   /// Concurrent only: number of sessions per test case (>= 2 for
   /// actual concurrency; 1 degrades to serial in-process execution).
@@ -106,6 +107,20 @@ struct BackendOptions {
 /// Returns nullopt for anything else.
 std::optional<BackendKind> ParseBackendKind(std::string_view name);
 std::string_view BackendKindName(BackendKind kind);
+
+/// The backend flags the command-line tools share, each defined once and
+/// writing into `options`. BackendFlags is --backend and --max-stmt-ms,
+/// which every tool that executes cases takes; CampaignBackendFlags adds
+/// --storage, --db-dir and --sessions for the campaign tools.
+std::vector<flags::Flag> BackendFlags(BackendOptions* options);
+std::vector<flags::Flag> CampaignBackendFlags(BackendOptions* options);
+
+/// Checks that `options` describes a runnable configuration before any
+/// backend or worker is built: paged storage needs a db_dir, and the
+/// durability oracle (`durability_oracle`) needs forked, paged execution.
+/// Returns InvalidArgument naming the flags otherwise.
+Status CheckBackendOptions(const BackendOptions& options,
+                           bool durability_oracle);
 
 /// Storage-layer counters a backend reports for campaign observability
 /// (all zeros on the mem path). Runtime telemetry only: never serialized

@@ -34,10 +34,6 @@ namespace lego::fuzz {
 /// child's directory out-of-process: a chaos-injected death whose recovered
 /// state matches the shadow is suppressed (the schedule worked, no bug); a
 /// mismatch becomes a DUR-* finding that rides the normal triage pipeline.
-///
-/// Spawn the initial child before starting worker threads (constructing the
-/// backend does this) — respawns later may fork from a threaded process,
-/// which glibc's atfork handlers make safe for the child's single thread.
 class ForkedBackend : public DbBackend {
  public:
   ForkedBackend(const minidb::DialectProfile& profile,

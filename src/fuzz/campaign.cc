@@ -50,12 +50,14 @@ Status LoadSerialState(const CampaignOptions& options, CampaignResult* result,
   return r.status();
 }
 
-/// The campaign loop. Serial campaigns are bit-identical to the historical
-/// runner (the golden tests pin this); a resumed campaign re-enters the loop at i == restored executions with
-/// every piece of fuzzer/harness state restored, so the remaining
-/// iterations replay exactly what an uninterrupted run would have done.
-CampaignResult RunSerialCampaign(Fuzzer* fuzzer, ExecutionHarness* harness,
-                                 const CampaignOptions& options) {
+}  // namespace
+
+// The golden tests pin this loop's results. A resumed campaign re-enters
+// the loop at i == restored executions with every piece of fuzzer/harness
+// state restored, so the remaining iterations replay exactly what an
+// uninterrupted run would have done.
+CampaignResult RunCampaign(Fuzzer* fuzzer, ExecutionHarness* harness,
+                           const CampaignOptions& options) {
   CampaignResult result;
   result.fuzzer = fuzzer->name();
   result.profile = harness->profile().name;
@@ -200,13 +202,6 @@ CampaignResult RunSerialCampaign(Fuzzer* fuzzer, ExecutionHarness* harness,
     }
   }
   return result;
-}
-
-}  // namespace
-
-CampaignResult RunCampaign(Fuzzer* fuzzer, ExecutionHarness* harness,
-                           const CampaignOptions& options) {
-  return RunSerialCampaign(fuzzer, harness, options);
 }
 
 }  // namespace lego::fuzz

@@ -11,9 +11,11 @@ namespace {
 
 constexpr uint32_t kFingerprintTag = persist::ChunkTag("CFGF");
 constexpr uint32_t kResultTag = persist::ChunkTag("RSLT");
-/// Fingerprint layout version. 2 dropped the thread-pool fields (worker
-/// count, sync cadence) that version 1 carried.
-constexpr uint32_t kFingerprintVersion = 2;
+/// State layout version, first in the fingerprint. 2 dropped the
+/// thread-pool fields (worker count, sync cadence) that version 1 carried;
+/// 3 writes a captured logic bug's session count as U32, the layout the
+/// fleet shares.
+constexpr uint32_t kFingerprintVersion = 3;
 
 Status Mismatch(const std::string& what) {
   return Status::InvalidArgument("campaign state saved under a different " +
@@ -114,12 +116,7 @@ Status SaveCampaignResult(const CampaignResult& result,
   w->WriteU64(result.captured_cases.size());
   for (size_t i = 0; i < result.captured_cases.size(); ++i) {
     SaveTestCase(result.captured_cases[i], w);
-    const minidb::CrashInfo& crash = result.captured_crashes[i];
-    w->WriteString(crash.bug_id);
-    w->WriteString(crash.component);
-    w->WriteString(crash.kind);
-    w->WriteU64(crash.stack_hash);
-    w->WriteString(crash.message);
+    SaveCrashInfo(result.captured_crashes[i], w);
   }
 
   w->WriteI64(result.logic_bugs_total);
@@ -132,13 +129,7 @@ Status SaveCampaignResult(const CampaignResult& result,
   w->WriteU64(result.captured_logic_cases.size());
   for (size_t i = 0; i < result.captured_logic_cases.size(); ++i) {
     SaveTestCase(result.captured_logic_cases[i], w);
-    const LogicBugInfo& bug = result.captured_logic_bugs[i];
-    w->WriteString(bug.check);
-    w->WriteString(bug.query);
-    w->WriteString(bug.detail);
-    w->WriteU64(bug.fingerprint);
-    w->WriteU64(bug.interleave_seed);
-    w->WriteI64(bug.sessions);
+    SaveLogicBug(result.captured_logic_bugs[i], w);
   }
 
   w->EndChunk();
@@ -198,13 +189,7 @@ Status LoadCampaignResult(persist::StateReader* r, CampaignResult* result) {
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     LEGO_ASSIGN_OR_RETURN(TestCase tc, LoadTestCase(r));
     loaded.captured_cases.push_back(std::move(tc));
-    minidb::CrashInfo crash;
-    crash.bug_id = r->ReadString();
-    crash.component = r->ReadString();
-    crash.kind = r->ReadString();
-    crash.stack_hash = r->ReadU64();
-    crash.message = r->ReadString();
-    loaded.captured_crashes.push_back(std::move(crash));
+    loaded.captured_crashes.push_back(LoadCrashInfo(r));
   }
 
   loaded.logic_bugs_total = static_cast<int>(r->ReadI64());
@@ -219,14 +204,7 @@ Status LoadCampaignResult(persist::StateReader* r, CampaignResult* result) {
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     LEGO_ASSIGN_OR_RETURN(TestCase tc, LoadTestCase(r));
     loaded.captured_logic_cases.push_back(std::move(tc));
-    LogicBugInfo bug;
-    bug.check = r->ReadString();
-    bug.query = r->ReadString();
-    bug.detail = r->ReadString();
-    bug.fingerprint = r->ReadU64();
-    bug.interleave_seed = r->ReadU64();
-    bug.sessions = static_cast<int>(r->ReadI64());
-    loaded.captured_logic_bugs.push_back(std::move(bug));
+    loaded.captured_logic_bugs.push_back(LoadLogicBug(r));
   }
 
   LEGO_RETURN_IF_ERROR(r->ExitChunk());

@@ -32,10 +32,9 @@ struct LogicBugInfo {
 };
 
 /// Metamorphic test oracle consulted after each successfully executed
-/// statement. Implementations must be stateless across calls (parallel
-/// campaigns share one oracle between worker harnesses) and must leave the
-/// database logically unchanged — the harness wraps the check in the
-/// backend's Snapshot/RestoreForOracle bracket (coverage paused, fault hook
+/// statement. Implementations must be stateless across calls and must
+/// leave the database logically unchanged — the harness wraps the check in
+/// the backend's Snapshot/RestoreForOracle bracket (coverage paused, fault hook
 /// disarmed, trace rolled back), but schema/data side effects are the
 /// oracle's responsibility to avoid. Oracles talk to the engine exclusively
 /// through DbBackend, so they work unchanged against in-process and forked

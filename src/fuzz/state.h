@@ -2,7 +2,10 @@
 #define LEGO_FUZZ_STATE_H_
 
 #include <deque>
+#include <vector>
 
+#include "fuzz/backend.h"
+#include "fuzz/harness.h"
 #include "fuzz/testcase.h"
 #include "persist/io.h"
 #include "util/random.h"
@@ -27,6 +30,26 @@ StatusOr<TestCase> LoadTestCase(persist::StateReader* r);
 /// A pending-work queue of test cases, FIFO order preserved.
 void SaveTestCaseQueue(const std::deque<TestCase>& q, persist::StateWriter* w);
 Status LoadTestCaseQueue(persist::StateReader* r, std::deque<TestCase>* q);
+
+/// A list of test cases (corpus exports, distilled pools): count, then each
+/// case. Same bytes as a queue of the same cases.
+void SaveTestCases(const std::vector<TestCase>& cases,
+                   persist::StateWriter* w);
+Status LoadTestCases(persist::StateReader* r, std::vector<TestCase>* cases);
+
+/// Campaign findings, field by field with no chunk, so the checkpoint, the
+/// shard result and the fleet journal share one layout: CrashInfo as
+/// bug_id, component, kind, stack_hash, message; LogicBugInfo as check,
+/// query, detail, fingerprint, interleave_seed, sessions (U32). Read errors
+/// surface through the reader's status.
+void SaveCrashInfo(const minidb::CrashInfo& crash, persist::StateWriter* w);
+minidb::CrashInfo LoadCrashInfo(persist::StateReader* r);
+void SaveLogicBug(const LogicBugInfo& bug, persist::StateWriter* w);
+LogicBugInfo LoadLogicBug(persist::StateReader* r);
+
+/// The ten BackendStorageStats counters, in declaration order.
+void SaveStorageStats(const BackendStorageStats& s, persist::StateWriter* w);
+BackendStorageStats LoadStorageStats(persist::StateReader* r);
 
 }  // namespace lego::fuzz
 

@@ -108,7 +108,7 @@ void LegoFuzzer::ImportSeed(const fuzz::TestCase& tc) {
   // joins the corpus, donates its AST structures, and its affinities feed
   // progressive synthesis — minus the scheduling attribution (there is no
   // local parent seed to credit). Synthesis itself is deferred to Next()
-  // so import bursts at round barriers stay cheap.
+  // so importing a whole corpus or pool stays cheap.
   corpus_.Add(tc.Clone());
   library_.AddTestCase(tc);
   if (!options_.sequence_algorithms_enabled) return;

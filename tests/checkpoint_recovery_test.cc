@@ -112,10 +112,11 @@ TEST(CheckpointRecoveryTest, ChecksumFlipIsRefused) {
 }
 
 TEST(CheckpointRecoveryTest, OldFingerprintLayoutIsRefused) {
-  // A state file whose fingerprint still has the version-1 layout (which
-  // carried the thread-pool worker count and sync cadence) must be refused
-  // with a version error, not misread as the current layout.
-  ExpectDamagedStateRefused("old_layout", [](const std::string& path) {
+  // State files from older layouts must be refused with a version error,
+  // not misread as the current layout: version 1 (which carried the
+  // thread-pool worker count and sync cadence) and version 2 (captured
+  // logic bugs wrote their session count as I64).
+  ExpectDamagedStateRefused("old_layout_v1", [](const std::string& path) {
     persist::StateWriter w;
     w.BeginChunk(persist::ChunkTag("CFGF"));
     w.WriteString("lego");
@@ -125,6 +126,19 @@ TEST(CheckpointRecoveryTest, OldFingerprintLayoutIsRefused) {
     w.WriteBool(false);
     w.WriteI64(4);     // worker count (version 1 only)
     w.WriteI64(256);   // sync cadence (version 1 only)
+    w.WriteI64(64);    // checkpoint_every
+    w.EndChunk();
+    ASSERT_TRUE(w.WriteFileAtomic(path).ok());
+  });
+  ExpectDamagedStateRefused("old_layout_v2", [](const std::string& path) {
+    persist::StateWriter w;
+    w.BeginChunk(persist::ChunkTag("CFGF"));
+    w.WriteU32(2);     // layout version
+    w.WriteString("lego");
+    w.WriteString("pglite");
+    w.WriteI64(0);     // max_statements
+    w.WriteI64(128);   // snapshot_every
+    w.WriteBool(false);
     w.WriteI64(64);    // checkpoint_every
     w.EndChunk();
     ASSERT_TRUE(w.WriteFileAtomic(path).ok());

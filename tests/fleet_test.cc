@@ -422,6 +422,42 @@ TEST_F(FleetTest, QuarantineAfterThreePoisonedResults) {
   EXPECT_TRUE(result.logic.empty());
 }
 
+// --- invalid configs are refused before any worker forks -----------------
+
+/// Runs a fleet over `config` and requires RunFleet to refuse it up front:
+/// InvalidArgument, and no worker spawned.
+void ExpectRefusedBeforeSpawn(const FleetConfig& config,
+                              const std::string& name) {
+  FleetOptions options;
+  options.config = config;
+  options.num_workers = 2;
+  options.fleet_dir = FreshDir(name);
+  FleetResult result = RunFleet(options);
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
+      << result.status.ToString();
+  EXPECT_EQ(result.workers_spawned, 0);
+  EXPECT_TRUE(result.shards_done.empty());
+  (void)minidb::Env::Posix()->RemoveDirRecursive(options.fleet_dir);
+}
+
+TEST_F(FleetTest, PagedStorageWithoutDbDirIsRefused) {
+  FleetConfig config = BaseConfig();
+  config.backend.storage = fuzz::StorageKind::kPaged;
+  ExpectRefusedBeforeSpawn(config, "paged_no_dir");
+}
+
+TEST_F(FleetTest, DurabilityOracleWithoutForkedPagedIsRefused) {
+  FleetConfig config = BaseConfig();
+  config.oracle_spec = "dur";
+  ExpectRefusedBeforeSpawn(config, "dur_inproc");
+}
+
+TEST_F(FleetTest, UnknownOracleIsRefused) {
+  FleetConfig config = BaseConfig();
+  config.oracle_spec = "bogus";
+  ExpectRefusedBeforeSpawn(config, "bogus_oracle");
+}
+
 // --- heartbeat loss: lease expiry requeues the shard ----------------------
 
 TEST_F(FleetTest, HeartbeatLossExpiresLeaseAndRequeues) {

@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 
+#include "util/flags.h"
 #include "util/hash.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -172,6 +173,126 @@ TEST(StringUtilTest, Trim) {
   EXPECT_EQ(Trim("x"), "x");
   EXPECT_EQ(Trim("   "), "");
   EXPECT_EQ(Trim(""), "");
+}
+
+// --- flags ------------------------------------------------------------------
+
+/// A table with one destination of each kind, parsed from a literal argv.
+struct FlagFixture {
+  bool on = false;
+  int count = 0;
+  uint64_t seed = 0;
+  double prob = 0;
+  std::string dir;
+  std::vector<std::string> list;
+  std::string mode;
+  std::vector<std::string> positionals;
+
+  flags::CommandLine Cli() {
+    return {"tool [flags]",
+            {{"on", &on, "", "a switch"},
+             {"count", &count, "N", "an int"},
+             {"seed", &seed, "S", "a uint64"},
+             {"prob", &prob, "P", "a double"},
+             {"dir", &dir, "DIR", "a string"},
+             {"list", &list, "X", "repeatable"},
+             {"mode",
+              [this](std::string_view v) {
+                if (v != "a" && v != "b") {
+                  return Status::InvalidArgument("unknown mode");
+                }
+                mode = std::string(v);
+                return Status::OK();
+              },
+              "a|b", "an enum"}}};
+  }
+
+  Status Parse(std::vector<const char*> args) {
+    args.insert(args.begin(), "tool");
+    return Cli().Parse(static_cast<int>(args.size()), args.data(),
+                       &positionals);
+  }
+};
+
+TEST(FlagsTest, SpaceAndEqualsFormsAreEquivalent) {
+  FlagFixture spaced, joined;
+  ASSERT_TRUE(spaced.Parse({"--count", "7", "--seed", "9", "--prob", "0.5",
+                            "--dir", "d", "--mode", "b", "--on"})
+                  .ok());
+  ASSERT_TRUE(joined.Parse({"--count=7", "--seed=9", "--prob=0.5", "--dir=d",
+                            "--mode=b", "--on"})
+                  .ok());
+  for (const FlagFixture* f : {&spaced, &joined}) {
+    EXPECT_TRUE(f->on);
+    EXPECT_EQ(f->count, 7);
+    EXPECT_EQ(f->seed, 9u);
+    EXPECT_EQ(f->prob, 0.5);
+    EXPECT_EQ(f->dir, "d");
+    EXPECT_EQ(f->mode, "b");
+  }
+  // A value may itself contain '=' or start with '-'.
+  FlagFixture odd;
+  ASSERT_TRUE(odd.Parse({"--dir=a=b", "--count", "-3"}).ok());
+  EXPECT_EQ(odd.dir, "a=b");
+  EXPECT_EQ(odd.count, -3);
+}
+
+TEST(FlagsTest, StructuralErrorsAreRejected) {
+  for (std::vector<const char*> args :
+       std::vector<std::vector<const char*>>{{"--count"},      // no value
+                                             {"--bogus"},      // unknown
+                                             {"--bogus=1"},    // unknown
+                                             {"-x"},           // unknown
+                                             {"--"},           // unknown
+                                             {"--on=1"},       // switch
+                                             {"--mode", "c"}}  // setter
+  ) {
+    FlagFixture f;
+    Status st = f.Parse(args);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << args[0];
+  }
+}
+
+TEST(FlagsTest, MalformedNumbersAreRejected) {
+  for (const char* bad : {"abc", "7x", "", " 7", "2147483648"}) {
+    FlagFixture f;
+    EXPECT_FALSE(f.Parse({"--count", bad}).ok()) << bad;
+    EXPECT_EQ(f.count, 0) << bad;
+  }
+  for (const char* bad :
+       {"abc", "7x", "", "-1", "18446744073709551616"}) {
+    FlagFixture f;
+    EXPECT_FALSE(f.Parse({"--seed", bad}).ok()) << bad;
+    EXPECT_EQ(f.seed, 0u) << bad;
+  }
+  for (const char* bad : {"abc", "2x", "", "nan", "inf", "1e999"}) {
+    FlagFixture f;
+    EXPECT_FALSE(f.Parse({"--prob", bad}).ok()) << bad;
+  }
+  uint64_t max = 0;
+  EXPECT_TRUE(flags::ParseUint64("18446744073709551615", &max).ok());
+  EXPECT_EQ(max, UINT64_MAX);
+  int min = 0;
+  EXPECT_TRUE(flags::ParseInt("-2147483648", &min).ok());
+  EXPECT_EQ(min, INT32_MIN);
+}
+
+TEST(FlagsTest, ListsAppendAndPositionalsKeepOrder) {
+  FlagFixture f;
+  ASSERT_TRUE(
+      f.Parse({"p0", "--list", "x", "p1", "--list=y", "", "--list", "x", "p2"})
+          .ok());
+  EXPECT_EQ(f.list, (std::vector<std::string>{"x", "y", "x"}));
+  EXPECT_EQ(f.positionals, (std::vector<std::string>{"p0", "p1", "", "p2"}));
+}
+
+TEST(FlagsTest, UsageListsEveryFlag) {
+  FlagFixture f;
+  const std::string usage = f.Cli().Usage();
+  EXPECT_EQ(usage.rfind("usage: tool [flags]\n", 0), 0u);
+  for (const char* line : {"--on ", "--count N ", "--mode a|b ", "--list X "}) {
+    EXPECT_NE(usage.find(line), std::string::npos) << line;
+  }
 }
 
 }  // namespace
