@@ -8,9 +8,10 @@
 //   ./bench/bench_all [--quick] [--out FILE]
 //
 // The storage section times a paged-storage campaign against the in-memory
-// baseline (WAL bytes/fsyncs from the Env counters), reports the buffer
-// pool's hit rate under a bulk-load workload, and measures cold recovery
-// (snapshot load + WAL replay) of a multi-thousand-page database.
+// baseline, with the campaign's own WAL and buffer-pool counters (from its
+// BackendStorageStats), and measures cold recovery (snapshot load + WAL
+// replay) of a multi-thousand-page database, with that load's pool hit
+// rate.
 //
 // The fleet section shards one campaign across 1/2/4 worker processes via
 // the fleet coordinator: aggregate execs/sec per worker count, the
@@ -59,6 +60,7 @@ struct CampaignRow {
   size_t rules = 0;
   int crashes = 0;
   int logic_flags = 0;
+  fuzz::BackendStorageStats storage;  // zeros on --storage=mem
 };
 
 /// One serial campaign with optional oracle spec / rule feedback, timed.
@@ -92,6 +94,7 @@ CampaignRow TimedCampaign(const std::string& fuzzer_name,
   row.rules = result.rules;
   row.crashes = result.crashes_total;
   row.logic_flags = result.logic_bugs_total;
+  row.storage = result.storage;
   return row;
 }
 
@@ -421,27 +424,27 @@ int main(int argc, char** argv) {
   }
 
   // Paged storage vs the in-memory baseline: same campaign, WAL+pool
-  // underneath, with WAL traffic read off the process-wide Env counters.
+  // underneath, with the campaign's own storage counters. (The Env-wide
+  // counters would also count page writes and the per-case manifest.)
   lego::fuzz::BackendOptions paged_opts;
   paged_opts.storage = lego::fuzz::StorageKind::kPaged;
   paged_opts.db_dir = "bench_paged_db";
-  const lego::minidb::EnvStats env_before = lego::minidb::Env::Posix()->stats();
   CampaignRow paged_row =
       TimedCampaign("lego", "pglite", execs, "", false, paged_opts);
-  const lego::minidb::EnvStats env_after = lego::minidb::Env::Posix()->stats();
   (void)lego::minidb::Env::Posix()->RemoveDirRecursive(paged_opts.db_dir);
-  const uint64_t wal_bytes = env_after.bytes_written - env_before.bytes_written;
-  const uint64_t wal_fsyncs = env_after.syncs - env_before.syncs;
+  const lego::fuzz::BackendStorageStats& paged = paged_row.storage;
   double paged_overhead =
       baseline.seconds > 0
           ? (paged_row.seconds - baseline.seconds) / baseline.seconds * 100.0
           : 0;
   std::printf(
       "  storage paged        %7.0f execs/s  (%+.1f%% vs mem, %llu WAL "
-      "bytes, %llu fsyncs)\n",
+      "records, %llu WAL bytes, %llu fsyncs, pool hit rate %.1f%%)\n",
       ExecsPerSec(paged_row), paged_overhead,
-      static_cast<unsigned long long>(wal_bytes),
-      static_cast<unsigned long long>(wal_fsyncs));
+      static_cast<unsigned long long>(paged.wal_records),
+      static_cast<unsigned long long>(paged.wal_bytes),
+      static_cast<unsigned long long>(paged.fsyncs),
+      paged.pool_hit_rate() * 100.0);
 
   // Cold recovery of a bulk-loaded paged database (snapshot + WAL tail).
   RecoveryBench recovery = TimedRecovery(quick ? 2000 : 40000);
@@ -612,6 +615,7 @@ int main(int argc, char** argv) {
                "    \"mem_execs_per_sec\": %.1f,\n"
                "    \"paged_execs_per_sec\": %.1f,\n"
                "    \"paged_overhead_pct\": %.1f,\n"
+               "    \"wal_records\": %llu,\n"
                "    \"wal_bytes\": %llu,\n"
                "    \"wal_fsyncs\": %llu,\n"
                "    \"pool_hit_rate_pct\": %.1f,\n"
@@ -619,17 +623,23 @@ int main(int argc, char** argv) {
                "    \"pool_misses\": %llu,\n"
                "    \"recovery\": {\"rows\": %d, \"snapshot_pages\": %llu, "
                "\"wal_records\": %llu, \"load_seconds\": %.3f, "
-               "\"seconds\": %.3f}\n"
+               "\"seconds\": %.3f, \"pool_hit_rate_pct\": %.1f, "
+               "\"pool_hits\": %llu, \"pool_misses\": %llu}\n"
                "  },\n",
                ExecsPerSec(baseline), ExecsPerSec(paged_row), paged_overhead,
-               static_cast<unsigned long long>(wal_bytes),
-               static_cast<unsigned long long>(wal_fsyncs), pool_hit_rate,
-               static_cast<unsigned long long>(recovery.pool_hits),
-               static_cast<unsigned long long>(recovery.pool_misses),
+               static_cast<unsigned long long>(paged.wal_records),
+               static_cast<unsigned long long>(paged.wal_bytes),
+               static_cast<unsigned long long>(paged.fsyncs),
+               paged.pool_hit_rate() * 100.0,
+               static_cast<unsigned long long>(paged.pool_hits),
+               static_cast<unsigned long long>(paged.pool_misses),
                recovery.rows,
                static_cast<unsigned long long>(recovery.snapshot_pages),
                static_cast<unsigned long long>(recovery.replayed_records),
-               recovery.load_seconds, recovery.recovery_seconds);
+               recovery.load_seconds, recovery.recovery_seconds,
+               pool_hit_rate,
+               static_cast<unsigned long long>(recovery.pool_hits),
+               static_cast<unsigned long long>(recovery.pool_misses));
   std::fprintf(f,
                "  \"larger_than_ram\": {\"rows\": %d, \"pool_frames\": %zu, "
                "\"scans\": %d, \"scan_rows_per_sec\": %.0f, "

@@ -54,8 +54,9 @@ struct BackendOptions {
   /// Storage engine of the server. kPaged requires `db_dir`.
   StorageKind storage = StorageKind::kMem;
   /// Paged only: directory holding MANIFEST / snap.<lsn> / wal.<lsn>. The
-  /// backend owns its lifecycle: created on first Reset, wiped per session,
-  /// recovered after a child death when the durability oracle is armed.
+  /// backend owns its lifecycle: created on first Reset, emptied per
+  /// session by StorageEngine::ResetFresh, recovered after a child death
+  /// when the durability oracle is armed.
   std::string db_dir;
   /// Paged only: buffer-pool frame budget for snapshot I/O.
   size_t pool_frames = 64;

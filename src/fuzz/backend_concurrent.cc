@@ -22,7 +22,10 @@ ConcurrentBackend::~ConcurrentBackend() {
 }
 
 void ConcurrentBackend::Reset() {
-  if (!options_.db_dir.empty()) {
+  // Under paged storage the engine's ResetFresh owns the directory and may
+  // reset it in place through its open handles; wiping it here would
+  // orphan them.
+  if (!options_.db_dir.empty() && storage_engine() == nullptr) {
     minidb::Env* env = minidb::Env::Posix();
     (void)env->RemoveDirRecursive(options_.db_dir);
     (void)env->CreateDir(options_.db_dir);

@@ -27,7 +27,8 @@ namespace lego::fuzz {
 /// durable by a checkpoint (snapshot + WAL rotation) when the case finishes
 /// instead of per-statement logging. The backend owns its per-worker
 /// on-disk directory lifecycle when `db_dir` is configured: created up
-/// front, wiped on every Reset, removed on destruction.
+/// front, emptied on every Reset (by the storage engine's ResetFresh under
+/// paged storage), removed on destruction.
 class ConcurrentBackend : public InProcessBackend {
  public:
   ConcurrentBackend(const minidb::DialectProfile& profile,

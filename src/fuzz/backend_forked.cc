@@ -757,8 +757,9 @@ void ForkedBackend::ChildLoop() {
       case kReqReset: {
         // Same choreography as InProcessBackend::Reset, with the run map in
         // shared memory so the parent sees coverage even if we die.
-        db.ResetAll();
-        if (storage != nullptr && !storage->ResetFresh(&db).ok()) {
+        if (storage == nullptr) {
+          db.ResetAll();
+        } else if (!storage->ResetFresh(&db).ok()) {
           _exit(minidb::kStorageFailExitCode);
         }
         engine.ResetSession();

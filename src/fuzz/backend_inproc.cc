@@ -31,9 +31,13 @@ InProcessBackend::~InProcessBackend() {
 void InProcessBackend::Reset() {
   // Exact pre-seam order: fresh instance and fault session *outside* the
   // coverage scope, then the setup script *inside* it with the oracle
-  // disarmed and the trace cleared afterwards.
-  db_.ResetAll();
-  if (storage_ != nullptr) (void)storage_->ResetFresh(&db_);
+  // disarmed and the trace cleared afterwards. ResetFresh resets the
+  // catalog itself.
+  if (storage_ == nullptr) {
+    db_.ResetAll();
+  } else {
+    (void)storage_->ResetFresh(&db_);
+  }
   bug_engine_.ResetSession();
 
   run_map_.Reset();

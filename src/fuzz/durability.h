@@ -57,7 +57,7 @@ class DurabilityTracker {
   /// once the child acknowledged the reset).
   void BeginSession(std::string setup_script);
   /// The session never reached a clean reset; deaths before the first
-  /// tracked statement are not durability-checkable (reset wipes the dir).
+  /// tracked statement are not durability-checkable (reset empties the dir).
   void AbandonSession() { in_session_ = false; }
 
   /// The child acknowledged `sql` (kRespOk / kRespError / kRespCrash).

@@ -95,4 +95,15 @@ Status BufferPool::FlushAll() {
   return file_->Sync();
 }
 
+void BufferPool::Clear() {
+  for (Frame& f : frames_) {
+    f.valid = false;
+    f.dirty = false;
+    f.referenced = false;
+    f.pins = 0;
+  }
+  page_to_frame_.clear();
+  clock_hand_ = 0;
+}
+
 }  // namespace lego::minidb

@@ -43,6 +43,11 @@ class BufferPool {
   /// Writes back every dirty frame (pinned or not) and syncs the file.
   Status FlushAll();
 
+  /// Invalidates every frame without writing it back, as destroying the
+  /// pool would, and rewinds the clock hand: the pool then behaves exactly
+  /// like a new one over the same file. Counters keep accumulating.
+  void Clear();
+
   size_t frame_count() const { return frames_.size(); }
   const Stats& stats() const { return stats_; }
 

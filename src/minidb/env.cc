@@ -72,6 +72,13 @@ class PosixWritableLog : public WritableLog {
   uint64_t BufferedBytes() const override { return buffer_.size(); }
   uint64_t SyncedBytes() const override { return synced_bytes_; }
 
+  Status Truncate() override {
+    buffer_.clear();
+    if (::ftruncate(fd_, 0) != 0) return IoError("ftruncate", path_);
+    synced_bytes_ = 0;
+    return Status::OK();
+  }
+
  private:
   int fd_;
   std::string path_;
@@ -130,6 +137,12 @@ class PosixPagedFile : public PagedFile {
   }
 
   uint64_t PageCount() const override { return page_count_; }
+
+  Status Truncate() override {
+    if (::ftruncate(fd_, 0) != 0) return IoError("ftruncate", path_);
+    page_count_ = 0;
+    return Status::OK();
+  }
 
  private:
   int fd_;
@@ -354,6 +367,7 @@ class MemWritableLog : public WritableLog {
 
   uint64_t BufferedBytes() const override { return buffer_.size(); }
   uint64_t SyncedBytes() const override { return synced_bytes_; }
+  Status Truncate() override;
 
  private:
   friend class lego::minidb::MemEnv;
@@ -372,6 +386,7 @@ class MemPagedFile : public PagedFile {
   Status WritePage(uint64_t page_id, const char* buf) override;
   Status Sync() override;
   uint64_t PageCount() const override;
+  Status Truncate() override;
 
  private:
   MemEnv* env_;
@@ -417,6 +432,13 @@ Status MemWritableLog::Sync() {
   env_->stats_.bytes_written += off;
   ++env_->stats_.write_calls;
   ++env_->stats_.syncs;
+  return Status::OK();
+}
+
+Status MemWritableLog::Truncate() {
+  buffer_.clear();
+  env_->files_[path_] = MemEnv::MemFile{};
+  synced_bytes_ = 0;
   return Status::OK();
 }
 
@@ -473,6 +495,11 @@ uint64_t MemPagedFile::PageCount() const {
   auto it = env_->files_.find(path_);
   if (it == env_->files_.end()) return 0;
   return (it->second.data.size() + kPageSize - 1) / kPageSize;
+}
+
+Status MemPagedFile::Truncate() {
+  env_->files_[path_] = MemEnv::MemFile{};
+  return Status::OK();
 }
 
 StatusOr<std::string> MemEnv::ReadFile(const std::string& path) {

@@ -42,6 +42,10 @@ class WritableLog {
   virtual uint64_t BufferedBytes() const = 0;
   /// Durable bytes: file size as of the last successful Sync().
   virtual uint64_t SyncedBytes() const = 0;
+  /// Empties the log in place: drops the buffer without writing it and
+  /// truncates the file to zero, leaving the state opening with `truncate`
+  /// gives. The handle stays open.
+  virtual Status Truncate() = 0;
 };
 
 /// Page-granular random-access file (snapshot/heap images). Writes pass the
@@ -56,6 +60,8 @@ class PagedFile {
   virtual Status Sync() = 0;
   /// Pages the file currently spans (highest written page + 1).
   virtual uint64_t PageCount() const = 0;
+  /// Truncates the file to zero pages in place; the handle stays open.
+  virtual Status Truncate() = 0;
 };
 
 /// Counters a storage Env accumulates over its lifetime; the benchmarks and

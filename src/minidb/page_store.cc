@@ -28,13 +28,25 @@ Status PageStore::Open(bool truncate) {
   if (!file_or.ok()) return file_or.status();
   file_ = std::move(file_or).ValueOrDie();
   pool_ = std::make_unique<BufferPool>(file_.get(), frames_);
+  RewindAllocator();
+  return Status::OK();
+}
+
+Status PageStore::Reset() {
+  if (file_ == nullptr) return Status::Internal("page store is not open");
+  LEGO_RETURN_IF_ERROR(file_->Truncate());
+  pool_->Clear();
+  RewindAllocator();
+  return Status::OK();
+}
+
+void PageStore::RewindAllocator() {
   next_page_ = 0;
   free_list_.clear();
   cow_epoch_ = 1;
   cow_active_ = false;
   ram_mode_ = false;
   ram_overlay_.clear();
-  return Status::OK();
 }
 
 void PageStore::HandleIoFailure(const Status& status) {

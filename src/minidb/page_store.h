@@ -67,6 +67,13 @@ class PageStore {
   Status Open(bool truncate);
   bool is_open() const { return file_ != nullptr; }
 
+  /// Open(true) on an open store, without reopening: truncates the page
+  /// file through the open handle, clears the pool frames (dirty ones are
+  /// dropped, not written), and rewinds the allocator, the cow epoch and
+  /// the RAM overlay. Orphans every handed-out chain, as Open does. Stats
+  /// and pool counters keep accumulating.
+  Status Reset();
+
   /// Reads the blob stored under `chain` (concatenated page chunks). An
   /// empty chain yields an empty blob.
   void ReadBlob(const std::vector<uint32_t>& chain, std::string* out);
@@ -106,6 +113,8 @@ class PageStore {
   size_t frame_count() const { return frames_; }
 
  private:
+  /// Empty allocator, cow epoch 1, no RAM overlay: the state of a new file.
+  void RewindAllocator();
   uint32_t AllocPage();
   /// Reads one physical page's chunk; returns false on I/O failure (after
   /// applying the failure policy).

@@ -126,15 +126,37 @@ Status StorageEngine::AttachPageStore(Database* db) {
 
 Status StorageEngine::ResetFresh(Database* db) {
   db->set_storage_hook(nullptr);
-  LEGO_RETURN_IF_ERROR(env_->RemoveDirRecursive(options_.dir));
-  LEGO_RETURN_IF_ERROR(env_->CreateDir(options_.dir));
-  LEGO_RETURN_IF_ERROR(WriteManifest(ManifestInfo{0}));
-  LEGO_RETURN_IF_ERROR(wal_.Open(WalPath(0), /*truncate=*/true));
+  db->ResetAll();
+  // In place only over this engine's own clean generation 0: after a
+  // checkpoint attempt, a recovery or a degradation the directory may hold
+  // other generations or a half-written state, so it is rebuilt.
+  const bool in_place = generation_zero_open_ && !degraded();
+  generation_zero_open_ = false;
   lsn_ = 1;
   degraded_ = false;
+  ResetTxnState(/*next_txn_id=*/1);
+  if (in_place) {
+    // MANIFEST already reads 0. The unsynced log tail and dirty pool frames
+    // are dropped unwritten, as closing the log and destroying the pool do.
+    LEGO_RETURN_IF_ERROR(wal_.Truncate());
+    LEGO_RETURN_IF_ERROR(page_store_->Reset());
+    db->catalog().set_page_store(page_store_.get());
+  } else {
+    LEGO_RETURN_IF_ERROR(env_->RemoveDirRecursive(options_.dir));
+    LEGO_RETURN_IF_ERROR(env_->CreateDir(options_.dir));
+    LEGO_RETURN_IF_ERROR(WriteManifest(ManifestInfo{0}));
+    LEGO_RETURN_IF_ERROR(wal_.Open(WalPath(0), /*truncate=*/true));
+    LEGO_RETURN_IF_ERROR(AttachPageStore(db));
+  }
+  db->set_storage_hook(this);
+  generation_zero_open_ = true;
+  return Status::OK();
+}
+
+void StorageEngine::ResetTxnState(uint64_t next_txn_id) {
   in_txn_ = false;
   txn_id_ = 0;
-  next_txn_id_ = 1;
+  next_txn_id_ = next_txn_id;
   txn_streamed_ = false;
   txn_logical_mode_ = false;
   last_streamed_lsn_ = 0;
@@ -143,15 +165,12 @@ Status StorageEngine::ResetFresh(Database* db) {
   commits_since_checkpoint_ = 0;
   checkpoint_pending_ = false;
   in_statement_ = false;
-  db->ResetAll();
-  LEGO_RETURN_IF_ERROR(AttachPageStore(db));
-  db->set_storage_hook(this);
-  return Status::OK();
 }
 
 Status StorageEngine::OpenOrRecover(Database* db) {
   if (!env_->FileExists(ManifestPath())) return ResetFresh(db);
   db->set_storage_hook(nullptr);
+  generation_zero_open_ = false;
 
   auto manifest = ReadManifest(env_, options_.dir);
   if (!manifest.ok()) return manifest.status();
@@ -236,17 +255,7 @@ Status StorageEngine::OpenOrRecover(Database* db) {
   }
 
   degraded_ = false;
-  in_txn_ = false;
-  txn_id_ = 0;
-  next_txn_id_ = max_txn + 1;
-  txn_streamed_ = false;
-  txn_logical_mode_ = false;
-  last_streamed_lsn_ = 0;
-  txn_buffer_.clear();
-  savepoint_marks_.clear();
-  commits_since_checkpoint_ = 0;
-  checkpoint_pending_ = false;
-  in_statement_ = false;
+  ResetTxnState(max_txn + 1);
   LEGO_RETURN_IF_ERROR(AttachPageStore(db));
   db->set_storage_hook(this);
   return Status::OK();
@@ -530,6 +539,7 @@ Status StorageEngine::ReplayInto(Database* db,
 }
 
 Status StorageEngine::Checkpoint(Database* db) {
+  generation_zero_open_ = false;
   if (in_txn_) {
     checkpoint_pending_ = true;
     return Status::OK();

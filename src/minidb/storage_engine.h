@@ -68,7 +68,10 @@ namespace lego::minidb {
 /// snap.<lsn> (paged image streamed through the BufferPool), wal.<lsn>
 /// (rotated at checkpoint), heap.pages (the PageStore backing file — a
 /// runtime cache of the live heaps, truncated and rebuilt at recovery;
-/// durability lives in snapshot + WAL).
+/// durability lives in snapshot + WAL). A fresh generation is exactly
+/// MANIFEST (0), wal.0 and heap.pages; ResetFresh either rebuilds that
+/// layout from an empty directory or, when the directory already holds it
+/// with open handles, empties wal.0 and heap.pages in place.
 class StorageEngine : public StorageHook, public StorageObserver {
  public:
   struct Options {
@@ -118,9 +121,22 @@ class StorageEngine : public StorageHook, public StorageObserver {
 
   // --- lifecycle ---
 
-  /// Wipes the directory and starts a fresh generation (manifest LSN 0,
-  /// empty WAL, empty page store); resets `*db` and routes its heaps
-  /// through the page store. The cheap per-case reset.
+  /// Starts a fresh generation (manifest LSN 0, empty WAL, empty page
+  /// store); resets `*db` and routes its heaps through the page store. The
+  /// per-case reset, in one of two ways:
+  ///  - in place, when this engine's last lifecycle call was a successful
+  ///    ResetFresh, no Checkpoint was attempted since and it is not
+  ///    degraded: the open wal.0 and heap.pages handles are truncated, the
+  ///    log's unsynced buffer is dropped unwritten, the pool frames are
+  ///    invalidated without write-back and the page allocator rewinds. The
+  ///    manifest already reads 0 and is left alone; the pool and its
+  ///    counters live on.
+  ///  - otherwise (the first reset, or one after OpenOrRecover, a
+  ///    Checkpoint attempt or a degradation), by wiping the directory,
+  ///    writing MANIFEST 0 atomically, reopening wal.0 and heap.pages with
+  ///    truncation, and building a new page store and pool.
+  /// Both leave the same files with the same content, so recovery and
+  /// RecoverInto cannot tell them apart.
   Status ResetFresh(Database* db);
 
   /// Loads the manifest/snapshot, replays the WAL into `*db` redo-then-undo
@@ -226,6 +242,8 @@ class StorageEngine : public StorageHook, public StorageObserver {
   bool AppendRecord(const WalRecord& rec);
   /// Panic (_exit(kStorageFailExitCode)) or set degraded_, per options.
   void HandleStorageFailure(const Status& status);
+  /// Clears the transaction and statement state of a new generation.
+  void ResetTxnState(uint64_t next_txn_id);
   Status MaybeAutoCheckpoint(Database* db);
 
   /// Snapshot of sequence positions taken at BeginStatement.
@@ -237,6 +255,11 @@ class StorageEngine : public StorageHook, public StorageObserver {
   std::unique_ptr<PageStore> page_store_;
   uint64_t lsn_ = 1;
   bool degraded_ = false;
+  /// True while the directory holds only the generation 0 this engine's
+  /// last ResetFresh laid out, with the WAL and page store open on it;
+  /// cleared by OpenOrRecover and by any Checkpoint attempt. The next
+  /// ResetFresh then empties that generation in place, unless degraded.
+  bool generation_zero_open_ = false;
   Stats stats_;
 
   // Transaction state. Streamed records are already in the log; the buffer

@@ -119,6 +119,13 @@ Status WalManager::Open(const std::string& path, bool truncate) {
   return Status::OK();
 }
 
+Status WalManager::Truncate() {
+  if (log_ == nullptr) return Status::Internal("WAL is not open");
+  LEGO_RETURN_IF_ERROR(log_->Truncate());
+  appended_records_ = 0;
+  return Status::OK();
+}
+
 Status WalManager::Append(const WalRecord& rec) {
   if (log_ == nullptr) return Status::Internal("WAL is not open");
   if (LEGO_FAILPOINT("wal.append")) {

@@ -79,6 +79,9 @@ class WalManager {
   bool is_open() const { return log_ != nullptr; }
   const std::string& path() const { return path_; }
   void Close() { log_.reset(); }
+  /// Empties the open log in place, as Open(path(), true) would: buffered
+  /// bytes are dropped unwritten and the file is truncated to zero.
+  Status Truncate();
 
   Status Append(const WalRecord& rec);
 

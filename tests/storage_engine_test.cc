@@ -1,11 +1,13 @@
 // Storage-engine crash/recovery tests over the in-memory Env: committed
 // work survives SimulateCrash, uncommitted and rolled-back work stays
 // invisible, checkpoints rotate generations, mem and paged execution reach
-// identical digests, and the planted skip-fsync defect observably loses
-// acknowledged commits.
+// identical digests, the planted skip-fsync defect observably loses
+// acknowledged commits, and a per-case ResetFresh — in place or rebuilt —
+// leaves nothing of the previous case behind.
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "minidb/database.h"
@@ -16,6 +18,34 @@
 
 namespace lego::minidb {
 namespace {
+
+// Runs a script through the engine's statement bracket, the way the
+// backends drive it.
+void ExecOn(StorageEngine* engine, Database* db, const std::string& sql) {
+  auto stmts = sql::Parser::ParseScript(sql + ";");
+  ASSERT_TRUE(stmts.ok()) << sql;
+  for (const sql::StmtPtr& stmt : stmts.value()) {
+    engine->BeginStatement(db);
+    Status st = db->Execute(*stmt).status();
+    ASSERT_TRUE(engine->EndStatement(db, *stmt, st.ok()).ok());
+  }
+}
+
+// One INSERT of `rows` rows: at 64 rows a logical page, 700 rows span
+// eleven page chains, more than the fixture's eight pool frames.
+std::string BulkInsert(const std::string& table, int rows) {
+  std::string sql = "INSERT INTO " + table + " VALUES ";
+  for (int i = 0; i < rows; ++i) {
+    if (i > 0) sql += ", ";
+    sql += "(" + std::to_string(i) + ", 'v')";
+  }
+  return sql;
+}
+
+void ExecAll(StorageEngine* engine, Database* db,
+             const std::vector<std::string>& script) {
+  for (const std::string& sql : script) ExecOn(engine, db, sql);
+}
 
 class StorageEngineTest : public ::testing::Test {
  protected:
@@ -36,16 +66,24 @@ class StorageEngineTest : public ::testing::Test {
     engine_ = std::make_unique<StorageEngine>(opts);
   }
 
-  // Runs a script through the engine's statement bracket, the way the
-  // backends drive it.
-  void Exec(const std::string& sql) {
-    auto stmts = sql::Parser::ParseScript(sql + ";");
-    ASSERT_TRUE(stmts.ok()) << sql;
-    for (const sql::StmtPtr& stmt : stmts.value()) {
-      engine_->BeginStatement(db_.get());
-      Status st = db_->Execute(*stmt).status();
-      ASSERT_TRUE(engine_->EndStatement(db_.get(), *stmt, st.ok()).ok());
-    }
+  void Exec(const std::string& sql) { ExecOn(engine_.get(), db_.get(), sql); }
+
+  // Runs `script` on a fresh engine over its own MemEnv, the way a
+  // backend's first case does.
+  struct Solo {
+    MemEnv env;
+    std::unique_ptr<StorageEngine> engine;
+    std::unique_ptr<Database> db;
+  };
+  std::unique_ptr<Solo> RunSolo(const std::vector<std::string>& script) {
+    auto solo = std::make_unique<Solo>();
+    StorageEngine::Options opts = engine_->options();
+    opts.env = &solo->env;
+    solo->engine = std::make_unique<StorageEngine>(opts);
+    solo->db = std::make_unique<Database>(profile_);
+    EXPECT_TRUE(solo->engine->ResetFresh(solo->db.get()).ok());
+    ExecAll(solo->engine.get(), solo->db.get(), script);
+    return solo;
   }
 
   // Crash, then recover into a fresh Database (fresh engine too — the old
@@ -216,6 +254,165 @@ TEST_F(StorageEngineTest, RecoverIntoMatchesOpenOrRecover) {
   db_ = std::make_unique<Database>(profile_);
   ASSERT_TRUE(engine_->OpenOrRecover(db_.get()).ok());
   EXPECT_EQ(StateDigest(db_->catalog()), probe_digest);
+}
+
+// A case that ends inside an open transaction leaves streamed records in
+// the log's unsynced buffer. The next reset must drop them unwritten and
+// empty the file: the next case's log and recovered state are exactly those
+// of that case run alone.
+TEST_F(StorageEngineTest, ResetDropsStaleLogTail) {
+  Exec("CREATE TABLE a1 (x INT)");
+  Exec("INSERT INTO a1 VALUES (1)");
+  Exec("BEGIN");
+  const std::string synced = env_.ReadFile("db/wal.0").value();
+  const uint64_t records = engine_->stats().wal_records;
+  Exec("INSERT INTO a1 VALUES (2)");
+  // Streamed to the log but below steal_flush_bytes: still buffered.
+  ASSERT_GT(engine_->stats().wal_records, records);
+  ASSERT_EQ(env_.ReadFile("db/wal.0").value(), synced);
+
+  const std::vector<std::string> case2 = {
+      "CREATE TABLE b2 (y TEXT)", "INSERT INTO b2 VALUES ('k')", "BEGIN",
+      "INSERT INTO b2 VALUES ('m')", "COMMIT"};
+  ASSERT_TRUE(engine_->ResetFresh(db_.get()).ok());
+  for (const std::string& sql : case2) Exec(sql);
+  std::unique_ptr<Solo> alone = RunSolo(case2);
+
+  EXPECT_EQ(env_.ListDir("db").value(), alone->env.ListDir("db").value());
+  EXPECT_EQ(env_.ReadFile("db/wal.0").value(),
+            alone->env.ReadFile("db/wal.0").value());
+  const uint64_t expected = StateDigest(alone->db->catalog());
+  Database probe(profile_);
+  ASSERT_TRUE(StorageEngine::RecoverInto(&env_, "db", &probe, nullptr).ok());
+  EXPECT_EQ(StateDigest(probe.catalog()), expected);
+  EXPECT_EQ(CrashAndRecoverDigest(), expected);
+}
+
+// After a checkpoint the directory holds another generation; the reset
+// must roll back to exactly generation 0.
+TEST_F(StorageEngineTest, ResetAfterCheckpointRollsBackToGenerationZero) {
+  Exec("CREATE TABLE t (a INT)");
+  Exec("INSERT INTO t VALUES (1)");
+  Exec("CHECKPOINT");
+  Exec("INSERT INTO t VALUES (2)");
+  ASSERT_TRUE(engine_->ResetFresh(db_.get()).ok());
+
+  const std::vector<std::string> expected = {"MANIFEST", "heap.pages",
+                                             "wal.0"};
+  EXPECT_EQ(env_.ListDir("db").value(), expected);
+  auto manifest =
+      persist::StateReader::FromEnvelope(env_.ReadFile("db/MANIFEST").value());
+  ASSERT_TRUE(manifest.ok());
+  EXPECT_EQ(manifest.value().ReadU64(), 0u);
+
+  Database probe(profile_);
+  ASSERT_TRUE(StorageEngine::RecoverInto(&env_, "db", &probe, nullptr).ok());
+  EXPECT_TRUE(probe.catalog().TableNames().empty());
+  EXPECT_EQ(CrashAndRecoverDigest(), StateDigest(Database(profile_).catalog()));
+}
+
+// A degraded engine stopped logging; the reset must bring durability back,
+// whether the WAL sync or a page write-back failed.
+TEST_F(StorageEngineTest, ResetAfterDegradationRestoresDurability) {
+  Exec("CREATE TABLE t (a INT)");
+  env_.FailNextSyncs(1);
+  Exec("INSERT INTO t VALUES (1)");
+  ASSERT_TRUE(engine_->degraded());
+  ASSERT_TRUE(engine_->ResetFresh(db_.get()).ok());
+  EXPECT_FALSE(engine_->degraded());
+
+  // The bulk insert evicts before it commits: the failed write-back flips
+  // the page store into its RAM overlay.
+  Exec("CREATE TABLE p (a INT, b TEXT)");
+  env_.FailNextWrites(1);
+  Exec(BulkInsert("p", 700));
+  ASSERT_TRUE(engine_->page_store()->degraded());
+  ASSERT_TRUE(engine_->ResetFresh(db_.get()).ok());
+  EXPECT_FALSE(engine_->degraded());
+
+  Exec("CREATE TABLE u (b INT)");
+  Exec("INSERT INTO u VALUES (7)");
+  Exec("BEGIN");
+  Exec("INSERT INTO u VALUES (8)");
+  Exec("COMMIT");
+  const uint64_t committed = StateDigest(db_->catalog());
+  EXPECT_EQ(CrashAndRecoverDigest(), committed);
+}
+
+// The pool now lives across cases: one engine running three cases must
+// count exactly what three fresh engines count for the same cases, write
+// the manifest once instead of three times, and end with the log and page
+// file of the last case alone.
+TEST_F(StorageEngineTest, ResetKeepsStatsExactAcrossCases) {
+  // Every case pages through more chains than the pool has frames, and
+  // ends with dirty frames, an open transaction, or both.
+  std::vector<std::vector<std::string>> cases;
+  cases.push_back({"CREATE TABLE p (a INT, b TEXT)", BulkInsert("p", 700),
+                   "SELECT a FROM p", "DELETE FROM p WHERE a < 100",
+                   "SELECT a FROM p"});
+  cases.push_back({"CREATE TABLE t (a INT, b TEXT)", "BEGIN",
+                   BulkInsert("t", 600), "UPDATE t SET a = 3 WHERE a = 1",
+                   "COMMIT", "DELETE FROM t WHERE a = 2", "SELECT a FROM t"});
+  cases.push_back({"CREATE TABLE s (a INT, b TEXT)", BulkInsert("s", 300),
+                   "BEGIN", "INSERT INTO s VALUES (2, 'w')", "SAVEPOINT sp",
+                   "INSERT INTO s VALUES (3, 'w')", "ROLLBACK TO sp", "COMMIT",
+                   "BEGIN", BulkInsert("s", 500)});
+
+  MemEnv shared_env;
+  StorageEngine::Options opts = engine_->options();
+  opts.env = &shared_env;
+  StorageEngine shared(opts);
+  Database shared_db(profile_);
+  StorageEngine::Stats sum;
+  EnvStats env_sum;
+  std::unique_ptr<Solo> solo;
+  for (const std::vector<std::string>& script : cases) {
+    ASSERT_TRUE(shared.ResetFresh(&shared_db).ok());
+    ExecAll(&shared, &shared_db, script);
+
+    solo = RunSolo(script);
+    const StorageEngine::Stats one = solo->engine->stats();
+    sum.pool.hits += one.pool.hits;
+    sum.pool.misses += one.pool.misses;
+    sum.pool.evictions += one.pool.evictions;
+    sum.pool.writebacks += one.pool.writebacks;
+    sum.pages.blob_reads += one.pages.blob_reads;
+    sum.pages.blob_writes += one.pages.blob_writes;
+    sum.pages.pages_allocated += one.pages.pages_allocated;
+    sum.wal_records += one.wal_records;
+    sum.wal_bytes += one.wal_bytes;
+    sum.fsyncs += one.fsyncs;
+    sum.commits += one.commits;
+    sum.steal_flushes += one.steal_flushes;
+    env_sum.bytes_written += solo->env.stats().bytes_written;
+    env_sum.syncs += solo->env.stats().syncs;
+  }
+  const StorageEngine::Stats got = shared.stats();
+  EXPECT_GT(sum.pool.evictions, 0u);
+  EXPECT_EQ(got.pool.hits, sum.pool.hits);
+  EXPECT_EQ(got.pool.misses, sum.pool.misses);
+  EXPECT_EQ(got.pool.evictions, sum.pool.evictions);
+  EXPECT_EQ(got.pool.writebacks, sum.pool.writebacks);
+  EXPECT_EQ(got.pages.blob_reads, sum.pages.blob_reads);
+  EXPECT_EQ(got.pages.blob_writes, sum.pages.blob_writes);
+  EXPECT_EQ(got.pages.pages_allocated, sum.pages.pages_allocated);
+  EXPECT_EQ(got.wal_records, sum.wal_records);
+  EXPECT_EQ(got.wal_bytes, sum.wal_bytes);
+  EXPECT_EQ(got.fsyncs, sum.fsyncs);
+  EXPECT_EQ(got.commits, sum.commits);
+  EXPECT_EQ(got.steal_flushes, sum.steal_flushes);
+  EXPECT_EQ(got.checkpoints, 0u);
+
+  // The second and third resets ran in place: no manifest rewrite.
+  const uint64_t manifest_bytes = shared_env.ReadFile("db/MANIFEST")->size();
+  EXPECT_EQ(shared_env.stats().syncs, env_sum.syncs - 2);
+  EXPECT_EQ(shared_env.stats().bytes_written,
+            env_sum.bytes_written - 2 * manifest_bytes);
+  for (const char* file : {"db/wal.0", "db/heap.pages"}) {
+    EXPECT_EQ(shared_env.ReadFile(file).value(),
+              solo->env.ReadFile(file).value())
+        << file;
+  }
 }
 
 }  // namespace
