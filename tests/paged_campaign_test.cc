@@ -17,7 +17,9 @@
 #include "fuzz/fuzzer.h"
 #include "fuzz/harness.h"
 #include "fuzz/testcase.h"
+#include "lego/lego_fuzzer.h"
 #include "minidb/profile.h"
+#include "triage/oracle_suite.h"
 
 namespace lego::fuzz {
 namespace {
@@ -164,6 +166,54 @@ TEST(PagedCampaignTest, TinyPoolCampaignReportsEvictions) {
   EXPECT_GT(result.storage.pool_hit_rate(), 0.0);
   EXPECT_GT(result.storage.wal_bytes, 0u);
   EXPECT_GT(result.storage.fsyncs, 0u);
+}
+
+/// One rule-weighted lego campaign with the metamorphic oracles armed:
+/// pglite, seed 1, 2000 executions, snapshots every 200 — the settings of
+/// `fuzz_campaign_cli pglite lego 2000 1 --oracle=tlp,norec,clause
+/// --rule-coverage`.
+CampaignResult RunRuleWeightedLego(const BackendOptions& backend) {
+  const minidb::DialectProfile* profile =
+      minidb::DialectProfile::ByName("pglite");
+  EXPECT_NE(profile, nullptr);
+  core::LegoOptions lego_options;
+  lego_options.rng_seed = 1;
+  core::LegoFuzzer fuzzer(*profile, lego_options);
+  std::string error;
+  auto suite = triage::OracleSuite::FromSpec("tlp,norec,clause", &error);
+  EXPECT_NE(suite, nullptr) << error;
+  ExecutionHarness harness(*profile, backend);
+  harness.set_logic_oracle(suite.get());
+  harness.set_rule_coverage(true);
+  CampaignOptions options;
+  options.max_executions = 2000;
+  options.snapshot_every = 200;
+  return RunCampaign(&fuzzer, &harness, options);
+}
+
+// Golden for the grammar-rule feedback loop: the rule sets the harness
+// merges and hands to the corpus, the rarity-weighted seed picks and the
+// paged engine's choice between physiological and logical WAL records all
+// feed these numbers. The digest is the one the CLI prints for the same
+// settings. Re-capture only for an intended change of fuzzing behaviour.
+TEST(GoldenCampaignTest, RuleWeightedLegoPgliteMemAndPaged) {
+  CampaignResult on_mem = RunRuleWeightedLego(BackendOptions{});
+  EXPECT_EQ(ResultDigest(on_mem), 0xc8ed2f6d43b8dce5ULL);
+  EXPECT_EQ(on_mem.rules, 121u);
+  EXPECT_EQ(on_mem.fuzzer_stats.corpus_seeds, 279u);
+
+  const std::string dir = ::testing::TempDir() + "paged_golden_rules_db";
+  CampaignResult on_paged =
+      RunRuleWeightedLego(PagedOptions(BackendKind::kInProcess, dir, 64));
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(ResultDigest(on_paged), 0xc8ed2f6d43b8dce5ULL);
+  EXPECT_EQ(on_paged.rules, 121u);
+  EXPECT_EQ(on_paged.fuzzer_stats.corpus_seeds, 279u);
+  EXPECT_EQ(on_paged.storage.wal_records, 6536u);
+  EXPECT_EQ(on_paged.storage.wal_bytes, 400373u);
+  EXPECT_EQ(on_paged.storage.fsyncs, 2764u);
+  EXPECT_EQ(on_paged.storage.commits, 2764u);
+  EXPECT_EQ(on_paged.storage.checkpoints, 0u);
 }
 
 }  // namespace
