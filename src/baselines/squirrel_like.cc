@@ -44,7 +44,8 @@ fuzz::TestCase SquirrelLikeFuzzer::Next() {
 void SquirrelLikeFuzzer::OnResult(const fuzz::TestCase& tc,
                                   const fuzz::ExecResult& result) {
   if (!result.new_coverage && !result.new_rules) return;
-  corpus_.Add(tc.Clone());
+  corpus_.Add(tc.Clone(),
+              result.hit_rules ? &*result.hit_rules : nullptr);
   library_.AddTestCase(tc);
   if (current_seed_ != nullptr) ++current_seed_->discoveries;
 }

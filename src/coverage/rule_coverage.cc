@@ -30,6 +30,48 @@ bool CollectRules(std::string_view sql_text, RuleMap* map) {
   return sql::Parser::ParseScript(sql_text).ok();
 }
 
+RuleSet RuleCollector::Collect(const std::vector<sql::StmtPtr>& statements) {
+  script_.clear();
+  chunk_ends_.clear();
+  for (const sql::StmtPtr& stmt : statements) {
+    stmt->PrintTo(&script_);
+    script_ += ";\n";
+    chunk_ends_.push_back(script_.size());
+  }
+  RuleSet rules;
+  bool alone_ok = !statements.empty();
+  size_t begin = 0;
+  for (size_t end : chunk_ends_) {
+    const std::string_view chunk(script_.data() + begin, end - begin);
+    begin = end;
+    auto it = memo_.find(chunk);
+    if (it != memo_.end()) {
+      ++memo_hits_;
+    } else {
+      ++memo_misses_;
+      if (memo_.size() >= kMaxEntries) memo_.clear();
+      RuleMap map;
+      Chunk parsed;
+      {
+        sql::GrammarCoverageScope scope(map.data());
+        auto stmts = sql::Parser::ParseScript(chunk);
+        parsed.alone_ok = stmts.ok() && stmts->size() == 1;
+      }
+      parsed.rules = RuleSet(map);
+      it = memo_.emplace(std::string(chunk), parsed).first;
+    }
+    if (!it->second.alone_ok) {
+      alone_ok = false;
+      break;
+    }
+    rules.UnionWith(it->second.rules);
+  }
+  if (alone_ok) return rules;
+  RuleMap map;
+  CollectRules(script_, &map);
+  return RuleSet(map);
+}
+
 Status GlobalRuleCoverage::SaveState(persist::StateWriter* w) const {
   w->BeginChunk(kGlobalTag);
   w->WriteString(std::string_view(

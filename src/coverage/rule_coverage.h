@@ -2,10 +2,15 @@
 #define LEGO_COVERAGE_RULE_COVERAGE_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
+#include "sql/ast.h"
 #include "sql/grammar_coverage.h"
 #include "util/status.h"
 
@@ -55,10 +60,90 @@ class RuleMap {
   std::array<uint8_t, sql::kNumGrammarRules> map_;
 };
 
+/// The same hit-set as RuleMap in one bit per rule (172 rules fit in three
+/// words), for the memo and the per-case result.
+class RuleSet {
+ public:
+  static constexpr size_t kWords = (sql::kNumGrammarRules + 63) / 64;
+
+  RuleSet() = default;
+  explicit RuleSet(const RuleMap& map) {
+    const uint8_t* d = map.data();
+    for (size_t i = 0; i < RuleMap::size(); ++i) {
+      if (d[i] != 0) words_[i / 64] |= uint64_t{1} << (i % 64);
+    }
+  }
+
+  bool Covers(size_t rule) const {
+    return ((words_[rule / 64] >> (rule % 64)) & 1) != 0;
+  }
+  void UnionWith(const RuleSet& other) {
+    for (size_t w = 0; w < kWords; ++w) words_[w] |= other.words_[w];
+  }
+
+  /// Indices of all rules hit, ascending (RuleMap::HitRules' order).
+  std::vector<uint16_t> HitRules() const {
+    std::vector<uint16_t> out;
+    for (size_t w = 0; w < kWords; ++w) {
+      for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        out.push_back(static_cast<uint16_t>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+    return out;
+  }
+
+  bool operator==(const RuleSet& other) const = default;
+
+ private:
+  std::array<uint64_t, kWords> words_{};
+};
+
 /// Parses `sql_text` with rule probes routed into `map` (which is Reset
 /// first). Returns false if the script does not parse; the map then holds
 /// whatever rules fired before the error.
 bool CollectRules(std::string_view sql_text, RuleMap* map);
+
+/// CollectRules over a test case's script rendering, memoized per
+/// statement. The parser keeps no state from one statement to the next, so
+/// the rules a script fires are the union of what each `stmt;\n` chunk
+/// fires when parsed alone — provided every chunk parses alone into exactly
+/// one statement. Collect() unions memoized chunk sets when that holds and
+/// falls back to CollectRules over the whole script otherwise (an empty
+/// case, or any chunk that fails alone), so its result always equals
+/// CollectRules(script). Fuzzers mutate one statement of a seed at a time,
+/// so most chunks of a case were parsed before. The memo is cleared when it
+/// reaches kMaxEntries.
+class RuleCollector {
+ public:
+  static constexpr size_t kMaxEntries = 16384;
+
+  /// The rules CollectRules would record for `statements` printed as a
+  /// script, each followed by ";\n" (TestCase::ToSql's rendering).
+  RuleSet Collect(const std::vector<sql::StmtPtr>& statements);
+
+  size_t memo_size() const { return memo_.size(); }
+  /// Chunks answered from the memo, and chunks parsed alone.
+  uint64_t memo_hits() const { return memo_hits_; }
+  uint64_t memo_misses() const { return memo_misses_; }
+
+ private:
+  struct Chunk {
+    RuleSet rules;
+    bool alone_ok = false;  // parses alone into exactly one statement
+  };
+  struct TextHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+
+  std::unordered_map<std::string, Chunk, TextHash, std::equal_to<>> memo_;
+  std::string script_;            // scratch: the case's rendering
+  std::vector<size_t> chunk_ends_;  // scratch: end offset of each chunk
+  uint64_t memo_hits_ = 0;
+  uint64_t memo_misses_ = 0;
+};
 
 /// Accumulated rule coverage across a campaign; the rule-count analogue of
 /// GlobalCoverage.
@@ -72,17 +157,19 @@ class GlobalRuleCoverage {
   }
 
   /// Merges `run`; returns true if any previously-unseen rule appeared.
-  bool MergeDetectNew(const RuleMap& run) {
+  bool MergeDetectNew(const RuleSet& run) {
     bool new_cov = false;
-    const uint8_t* rd = run.data();
     for (size_t i = 0; i < RuleMap::size(); ++i) {
-      if (rd[i] != 0 && virgin_[i] == 0) {
+      if (run.Covers(i) && virgin_[i] == 0) {
         virgin_[i] = 1;
         ++covered_rules_;
         new_cov = true;
       }
     }
     return new_cov;
+  }
+  bool MergeDetectNew(const RuleMap& run) {
+    return MergeDetectNew(RuleSet(run));
   }
 
   size_t CoveredRules() const { return covered_rules_; }

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "coverage/rule_coverage.h"
 #include "fuzz/testcase.h"
 #include "persist/io.h"
 #include "util/random.h"
@@ -23,6 +24,9 @@ struct Seed {
   /// Grammar rules this seed's SQL exercises (ascending rule indices).
   /// Populated only under rule weighting; derived state, not serialized.
   std::vector<uint16_t> rules;
+  /// Sum over `rules` of 1/holders(rule), as of the last weighted pick.
+  /// Derived state kept by the corpus, not serialized.
+  double rarity = 0.0;
 };
 
 /// The seed pool. Selection is energy-based: favored (fresh) seeds first,
@@ -42,7 +46,10 @@ struct Seed {
 class Corpus {
  public:
   /// Adds a seed (typically one whose execution covered new branches).
-  Seed* Add(TestCase tc);
+  /// `rules`, when given, must be the seed's rule set as
+  /// cov::CollectRules(tc.ToSql()) records it (ExecResult::hit_rules); under
+  /// rule weighting it saves parsing the seed again.
+  Seed* Add(TestCase tc, const cov::RuleSet* rules = nullptr);
 
   /// Picks the next seed to mutate. Returns nullptr when empty.
   Seed* Select(Rng* rng);
@@ -54,21 +61,23 @@ class Corpus {
   /// SQL, never from RNG — and fully inert when disabled (Select() is then
   /// byte-identical to the unweighted scheduler). Enabling recomputes rule
   /// sets for seeds already in the pool, so the weighting is independent of
-  /// when the flag was flipped.
+  /// when the flag was flipped. Each seed's rarity sum is cached and
+  /// recomputed, for every seed and in the same rule order, at the first
+  /// weighted pick after the holder counts changed, so the weights are the
+  /// same doubles a recomputation on every pick would give.
   void set_rule_weighting(bool enabled);
   bool rule_weighting() const { return rule_weighting_; }
 
   size_t size() const { return seeds_.size(); }
   bool empty() const { return seeds_.empty(); }
   const std::deque<Seed>& seeds() const { return seeds_; }
-  /// Mutation through this pointer inherits the contracts above: the deque
-  /// may grow but elements never move, and access is single-thread only.
-  std::deque<Seed>* mutable_seeds() { return &seeds_; }
 
   /// Position of a handed-out seed pointer, -1 for nullptr. Lets owners
   /// checkpoint "which seed is in flight" as an index and rehydrate the
   /// pointer after LoadState.
   int IndexOf(const Seed* seed) const;
+  /// Owners may update `discoveries` through this pointer; `favored` is
+  /// the corpus's own (see favored_cursor_).
   Seed* at(size_t index) { return &seeds_[index]; }
 
   /// Checkpointing: test cases plus all scheduling bookkeeping (ids,
@@ -83,14 +92,23 @@ class Corpus {
   /// Debug-only enforcement of the two contracts (no-op in NDEBUG builds).
   void DebugCheckContract();
 
-  /// Fills `seed->rules` from its SQL and bumps the per-rule holder counts.
-  void ComputeRules(Seed* seed);
+  /// Fills `seed->rules` from `known` or, when null, by parsing its SQL, and
+  /// bumps the per-rule holder counts.
+  void ComputeRules(Seed* seed, const cov::RuleSet* known = nullptr);
 
   std::deque<Seed> seeds_;
   int next_id_ = 0;
   bool rule_weighting_ = false;
   /// holders[r] = number of seeds whose rule set contains rule r.
   std::vector<uint32_t> rule_holders_;
+  /// The holder counts changed since the cached rarities were computed.
+  bool rarity_stale_ = false;
+  /// Every seed before this index is unfavored: seeds become favored only
+  /// when appended (or loaded, which rewinds the cursor) and stay so until
+  /// their first pick.
+  size_t favored_cursor_ = 0;
+  /// Select()'s weight per seed, kept to reuse its allocation.
+  std::vector<double> weights_;
 #ifndef NDEBUG
   /// Every pointer ever handed out by Add(), with the id it pointed at.
   std::vector<std::pair<const Seed*, int>> handed_out_;

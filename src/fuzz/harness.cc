@@ -63,10 +63,9 @@ void ExecutionHarness::MergeRunFeedback(const TestCase& tc,
   if (rule_coverage_enabled_) {
     // Fuzzers emit ASTs, so parsing is not otherwise on the execution path;
     // re-parsing the rendered SQL is what fires the grammar-rule probes (and
-    // doubles as a continuous Print -> Parse round-trip check).
-    cov::RuleMap rule_map;
-    cov::CollectRules(tc.ToSql(), &rule_map);
-    result->new_rules = global_rules_.MergeDetectNew(rule_map);
+    // doubles as a Print -> Parse round-trip check of each new statement).
+    result->hit_rules = rule_collector_.Collect(tc.statements());
+    result->new_rules = global_rules_.MergeDetectNew(*result->hit_rules);
     result->total_rules = global_rules_.CoveredRules();
   }
 }

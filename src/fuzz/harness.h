@@ -74,6 +74,10 @@ struct ExecResult {
   int errors = 0;     // statements rejected (syntax/semantic/runtime)
   size_t total_edges = 0;  // campaign-global edge count after this run
   size_t total_rules = 0;  // campaign-global rule count after this run
+  /// The case's grammar rules, as CollectRules(tc.ToSql()) records them;
+  /// set only when rule coverage is on. Fuzzers pass it to Corpus::Add so
+  /// an admitted seed is not parsed again.
+  std::optional<cov::RuleSet> hit_rules;
   /// Concurrent backend only: the seed that drove session splitting and the
   /// interleaving scheduler, plus the digests that make "same (seed, case)
   /// => same execution" a testable equality.
@@ -103,11 +107,14 @@ class ExecutionHarness {
   }
   const std::string& setup_script() const { return backend_->setup_script(); }
 
-  /// Secondary feedback: grammar-rule coverage. When enabled, each test
-  /// case's SQL rendering is re-parsed with rule probes attached and the hit
-  /// rules merged into a campaign-global rule map; `ExecResult::new_rules`
-  /// reports previously-unseen productions. Off by default — the disabled
-  /// path is bit-identical to a build without the signal.
+  /// Secondary feedback: grammar-rule coverage. When enabled, the rules
+  /// that parsing each test case's SQL rendering fires are merged into a
+  /// campaign-global rule map; `ExecResult::new_rules` reports
+  /// previously-unseen productions and `ExecResult::hit_rules` carries the
+  /// case's set. The harness's RuleCollector parses only the statements it
+  /// has not seen before, with a result equal to re-parsing the whole
+  /// rendering. Off by default — the disabled path is bit-identical to a
+  /// build without the signal.
   void set_rule_coverage(bool enabled) { rule_coverage_enabled_ = enabled; }
   bool rule_coverage() const { return rule_coverage_enabled_; }
 
@@ -184,6 +191,7 @@ class ExecutionHarness {
   std::unique_ptr<DbBackend> backend_;
   cov::GlobalCoverage global_coverage_;
   cov::GlobalRuleCoverage global_rules_;
+  cov::RuleCollector rule_collector_;
   bool rule_coverage_enabled_ = false;
   LogicOracle* logic_oracle_ = nullptr;
   std::optional<uint64_t> forced_interleave_seed_;

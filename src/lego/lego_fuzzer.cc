@@ -222,7 +222,8 @@ void LegoFuzzer::OnResult(const fuzz::TestCase& tc,
   if (!result.new_coverage && !result.new_rules) return;
 
   // New-coverage inputs join the corpus and donate their AST structures.
-  corpus_.Add(tc.Clone());
+  corpus_.Add(tc.Clone(),
+              result.hit_rules ? &*result.hit_rules : nullptr);
   library_.AddTestCase(tc);
   if (current_seed_ != nullptr) ++current_seed_->discoveries;
 

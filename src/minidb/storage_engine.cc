@@ -165,6 +165,7 @@ void StorageEngine::ResetTxnState(uint64_t next_txn_id) {
   commits_since_checkpoint_ = 0;
   checkpoint_pending_ = false;
   in_statement_ = false;
+  schema_fp_chained_ = false;
 }
 
 Status StorageEngine::OpenOrRecover(Database* db) {
@@ -540,6 +541,7 @@ Status StorageEngine::ReplayInto(Database* db,
 
 Status StorageEngine::Checkpoint(Database* db) {
   generation_zero_open_ = false;
+  schema_fp_chained_ = false;
   if (in_txn_) {
     checkpoint_pending_ = true;
     return Status::OK();
@@ -671,7 +673,8 @@ void StorageEngine::BeginStatement(Database* db) {
   unknown_heap_ = false;
   stmt_records_.clear();
   stmt_user_ = db->session().current_user;
-  schema_fp_before_ = SchemaFingerprint(db->catalog());
+  schema_fp_before_ = schema_fp_chained_ ? schema_fp_chain_
+                                         : SchemaFingerprint(db->catalog());
   seq_before_.clear();
   for (const std::string& name : db->catalog().SequenceNames()) {
     const SequenceInfo* seq = db->catalog().FindSequence(name);
@@ -694,6 +697,7 @@ void StorageEngine::BeginStatement(Database* db) {
 Status StorageEngine::EndStatement(Database* db, const sql::Statement& stmt,
                                    bool executed_ok) {
   StorageHooks::Set(nullptr);
+  schema_fp_chained_ = false;
   if (!in_statement_) return Status::OK();
   in_statement_ = false;
   if (degraded_) return Status::OK();
@@ -730,6 +734,8 @@ Status StorageEngine::EndStatement(Database* db, const sql::Statement& stmt,
 
   const uint64_t schema_fp_after = SchemaFingerprint(db->catalog());
   const bool schema_changed = schema_fp_after != schema_fp_before_;
+  schema_fp_chain_ = schema_fp_after;
+  schema_fp_chained_ = true;
 
   std::vector<WalRecord> seq_records;
   for (const std::string& name : db->catalog().SequenceNames()) {

@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "baselines/sqlancer_like.h"
+#include "baselines/sqlsmith_like.h"
+#include "baselines/squirrel_like.h"
 #include "coverage/rule_coverage.h"
 #include "fuzz/campaign.h"
 #include "fuzz/checkpoint.h"
@@ -167,6 +171,109 @@ TEST(RuleCoverageTest, SerialCampaignBitIdenticalWithSignalDisabled) {
   EXPECT_EQ(ResultDigest(a), ResultDigest(b));
   EXPECT_EQ(a.edges, b.edges);
   EXPECT_EQ(a.statements_executed, b.statements_executed);
+}
+
+// The rules a full parse of the script records: the reference the memoized
+// RuleCollector must reproduce exactly.
+cov::RuleSet FullParseRules(const TestCase& tc) {
+  cov::RuleMap map;
+  cov::CollectRules(tc.ToSql(), &map);
+  return cov::RuleSet(map);
+}
+
+std::unique_ptr<Fuzzer> MakeFuzzer(const std::string& name,
+                                   const minidb::DialectProfile& profile,
+                                   uint64_t seed) {
+  if (name == "lego") {
+    core::LegoOptions options;
+    options.rng_seed = seed;
+    return std::make_unique<core::LegoFuzzer>(profile, options);
+  }
+  if (name == "squirrel") {
+    return std::make_unique<baselines::SquirrelLikeFuzzer>(profile, seed);
+  }
+  if (name == "sqlancer") {
+    return std::make_unique<baselines::SqlancerLikeFuzzer>(profile, seed);
+  }
+  return std::make_unique<baselines::SqlsmithLikeFuzzer>(profile, seed);
+}
+
+TEST(RuleCollectorTest, MatchesFullParseOnEveryCampaignCase) {
+  // Every case of a short rule-weighted campaign, for each profile and
+  // fuzzer: the harness's memoized rule set equals a full re-parse of the
+  // rendering, and of the clone the corpus stores.
+  for (const minidb::DialectProfile* profile : minidb::DialectProfile::All()) {
+    for (const char* name : {"lego", "squirrel", "sqlancer", "sqlsmith"}) {
+      std::unique_ptr<Fuzzer> fuzzer = MakeFuzzer(name, *profile, 5);
+      ExecutionHarness harness(*profile);
+      harness.set_rule_coverage(true);
+      fuzzer->Prepare(&harness);
+      int mismatches = 0;
+      for (int i = 0; i < 400; ++i) {
+        TestCase tc = fuzzer->Next();
+        ExecResult r = harness.Run(tc);
+        ASSERT_TRUE(r.hit_rules.has_value());
+        const cov::RuleSet expected = FullParseRules(tc);
+        if (*r.hit_rules != expected ||
+            FullParseRules(tc.Clone()) != expected) {
+          ++mismatches;
+          ADD_FAILURE() << profile->name << "/" << name << " case " << i
+                        << ":\n" << tc.ToSql();
+        }
+        fuzzer->OnResult(tc, r);
+        if (mismatches > 3) break;
+      }
+      EXPECT_EQ(mismatches, 0) << profile->name << "/" << name;
+    }
+  }
+}
+
+TEST(RuleCollectorTest, EmptyCaseFallsBackToFullParse) {
+  cov::RuleCollector collector;
+  const TestCase empty;
+  const cov::RuleSet rules = collector.Collect(empty.statements());
+  EXPECT_EQ(rules, FullParseRules(empty));
+  EXPECT_TRUE(rules.Covers(static_cast<size_t>(sql::GrammarRule::kScript)));
+  EXPECT_EQ(collector.memo_size(), 0u);
+}
+
+TEST(RuleCollectorTest, StatementThatDoesNotParseAloneFallsBack) {
+  // The middle statement prints as SQL the parser rejects, so the full
+  // parse stops there: the third statement's ORDER BY ... DESC must not be
+  // counted, although it parses fine on its own.
+  auto tc = TestCase::FromSql(
+      "CREATE TABLE t0 (a INT); INSERT INTO t0 VALUES (1); "
+      "SELECT a FROM t0 ORDER BY a DESC;");
+  ASSERT_TRUE(tc.ok());
+  static_cast<sql::InsertStmt*>((*tc->mutable_statements())[1].get())->table =
+      ") (";
+  cov::RuleMap full;
+  ASSERT_FALSE(cov::CollectRules(tc->ToSql(), &full));
+
+  cov::RuleCollector collector;
+  for (int pass = 0; pass < 2; ++pass) {  // cold, then from the memo
+    const cov::RuleSet rules = collector.Collect(tc->statements());
+    EXPECT_EQ(rules, cov::RuleSet(full)) << "pass " << pass;
+    EXPECT_FALSE(
+        rules.Covers(static_cast<size_t>(sql::GrammarRule::kOrderByDesc)));
+  }
+  EXPECT_GT(collector.memo_hits(), 0u);
+}
+
+TEST(RuleCollectorTest, MemoIsClearedAtTheCap) {
+  cov::RuleCollector collector;
+  const size_t cases = cov::RuleCollector::kMaxEntries + 100;
+  size_t peak = 0;
+  for (size_t i = 0; i < cases; ++i) {
+    auto tc = TestCase::FromSql("SELECT " + std::to_string(i) +
+                                (i % 2 == 0 ? ";" : " AS c ORDER BY 1 DESC;"));
+    ASSERT_TRUE(tc.ok());
+    ASSERT_EQ(collector.Collect(tc->statements()), FullParseRules(*tc)) << i;
+    peak = std::max(peak, collector.memo_size());
+  }
+  EXPECT_EQ(peak, cov::RuleCollector::kMaxEntries);
+  EXPECT_EQ(collector.memo_size(), 100u);  // cleared once, then refilled
+  EXPECT_EQ(collector.memo_misses(), cases);
 }
 
 }  // namespace

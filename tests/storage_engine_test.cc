@@ -14,6 +14,7 @@
 #include "minidb/env.h"
 #include "minidb/storage_engine.h"
 #include "minidb/storage_serde.h"
+#include "minidb/wal.h"
 #include "sql/parser.h"
 
 namespace lego::minidb {
@@ -84,6 +85,22 @@ class StorageEngineTest : public ::testing::Test {
     EXPECT_TRUE(solo->engine->ResetFresh(solo->db.get()).ok());
     ExecAll(solo->engine.get(), solo->db.get(), script);
     return solo;
+  }
+
+  // Types of the records in the current generation's log (the one wal.*
+  // file of the directory), in log order. Only synced records are seen.
+  std::vector<WalRecordType> WalTypes() {
+    std::vector<WalRecordType> types;
+    const std::vector<std::string> names = env_.ListDir("db").value();
+    for (const std::string& name : names) {
+      if (name.rfind("wal.", 0) != 0) continue;
+      WalLoadStats stats;
+      auto records = WalManager::Load(&env_, "db/" + name, &stats);
+      EXPECT_TRUE(records.ok()) << name;
+      if (!records.ok()) break;
+      for (const WalRecord& rec : records.value()) types.push_back(rec.type);
+    }
+    return types;
   }
 
   // Crash, then recover into a fresh Database (fresh engine too — the old
@@ -413,6 +430,83 @@ TEST_F(StorageEngineTest, ResetKeepsStatsExactAcrossCases) {
               solo->env.ReadFile(file).value())
         << file;
   }
+}
+
+// The schema fingerprint BeginStatement compares against is carried over
+// from the previous EndStatement. Each case below would compare against a
+// stale fingerprint if one of the chain's invalidation points were missing,
+// which flips the statement between logical and physiological logging.
+constexpr WalRecordType kLogical = WalRecordType::kLogical;
+constexpr WalRecordType kPut = WalRecordType::kPut;
+constexpr WalRecordType kCommit = WalRecordType::kCommit;
+
+// ROLLBACK undoes a CREATE TABLE; the INSERT after it changed no schema and
+// is logged physiologically.
+TEST_F(StorageEngineTest, DdlUndoneByRollbackThenDmlIsPhysiological) {
+  Exec("CREATE TABLE t (a INT)");
+  Exec("BEGIN");
+  Exec("CREATE TABLE u (b INT)");
+  Exec("ROLLBACK");
+  Exec("INSERT INTO t VALUES (1)");
+  EXPECT_EQ(WalTypes(),
+            (std::vector<WalRecordType>{kLogical, kCommit, kPut, kCommit}));
+  EXPECT_EQ(CrashAndRecoverDigest(), StateDigest(db_->catalog()));
+}
+
+// The same through ROLLBACK TO a savepoint, inside the transaction.
+TEST_F(StorageEngineTest, DdlUndoneByRollbackToThenDmlIsPhysiological) {
+  Exec("CREATE TABLE t (a INT)");
+  Exec("BEGIN");
+  Exec("SAVEPOINT sp");
+  Exec("CREATE TABLE u (b INT)");
+  Exec("ROLLBACK TO sp");
+  Exec("INSERT INTO t VALUES (1)");
+  Exec("COMMIT");
+  const std::vector<WalRecordType> types = WalTypes();
+  ASSERT_GE(types.size(), 2u);
+  EXPECT_EQ(types[types.size() - 2], kPut);
+  EXPECT_EQ(types.back(), kCommit);
+  EXPECT_EQ(CrashAndRecoverDigest(), StateDigest(db_->catalog()));
+}
+
+// DDL right after a CHECKPOINT statement is still seen as a schema change,
+// and DML after it is physiological again.
+TEST_F(StorageEngineTest, CheckpointThenDdlIsLogical) {
+  Exec("CREATE TABLE t (a INT)");
+  Exec("INSERT INTO t VALUES (1)");
+  Exec("CHECKPOINT");
+  Exec("CREATE TABLE u (b INT)");
+  Exec("INSERT INTO u VALUES (2)");
+  EXPECT_EQ(WalTypes(),
+            (std::vector<WalRecordType>{kLogical, kCommit, kPut, kCommit}));
+  EXPECT_EQ(CrashAndRecoverDigest(), StateDigest(db_->catalog()));
+}
+
+// Work outside the statement bracket (as concurrent sessions do) followed
+// by a Checkpoint call, the way ConcurrentBackend re-establishes
+// durability: the next statement must fingerprint the catalog afresh.
+TEST_F(StorageEngineTest, CheckpointAfterWorkOutsideTheBracket) {
+  Exec("CREATE TABLE t (a INT)");
+  auto ddl = sql::Parser::ParseStatement("CREATE TABLE u (b INT)");
+  ASSERT_TRUE(ddl.ok());
+  ASSERT_TRUE(db_->Execute(*ddl.value()).ok());
+  ASSERT_TRUE(engine_->Checkpoint(db_.get()).ok());
+  Exec("INSERT INTO u VALUES (1)");
+  EXPECT_EQ(WalTypes(), (std::vector<WalRecordType>{kPut, kCommit}));
+  EXPECT_EQ(CrashAndRecoverDigest(), StateDigest(db_->catalog()));
+}
+
+// A reset into a case with the previous case's schema: its CREATE TABLE
+// is a schema change against the empty catalog, not against the last case.
+TEST_F(StorageEngineTest, ResetIntoSameSchemaCaseLogsTheDdl) {
+  Exec("CREATE TABLE t (a INT)");
+  Exec("INSERT INTO t VALUES (1)");
+  ASSERT_TRUE(engine_->ResetFresh(db_.get()).ok());
+  Exec("CREATE TABLE t (a INT)");
+  Exec("INSERT INTO t VALUES (2)");
+  EXPECT_EQ(WalTypes(), (std::vector<WalRecordType>{kLogical, kCommit, kPut,
+                                                    kCommit}));
+  EXPECT_EQ(CrashAndRecoverDigest(), StateDigest(db_->catalog()));
 }
 
 }  // namespace
