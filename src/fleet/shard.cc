@@ -58,13 +58,12 @@ StatusOr<ShardOutcome> ExecuteShard(
     return Status::InvalidArgument("fleet: unknown profile '" +
                                    config.profile + "'");
   }
-  auto fuzzer = MakeFleetFuzzer(config.fuzzer, *profile, 0);
+  auto fuzzer =
+      MakeFleetFuzzer(config.fuzzer, *profile, ShardSeed(config, shard_id));
   if (fuzzer == nullptr) {
     return Status::InvalidArgument("fleet: unknown fuzzer '" + config.fuzzer +
                                    "'");
   }
-  // Rebuild with the shard seed (the probe above only validated the name).
-  fuzzer = MakeFleetFuzzer(config.fuzzer, *profile, ShardSeed(config, shard_id));
 
   std::unique_ptr<triage::OracleSuite> suite;
   fuzz::BackendOptions backend = config.backend;
