@@ -2,6 +2,7 @@
 #define LEGO_LEGO_AST_LIBRARY_H_
 
 #include <array>
+#include <memory>
 #include <vector>
 
 #include "fuzz/testcase.h"
@@ -16,6 +17,12 @@ namespace lego::core {
 /// their AST skeletons per type; instantiation samples a type-matched
 /// structure at random. Bounded per type with ring replacement so hot types
 /// keep fresh structures without unbounded growth.
+///
+/// Copies are copy-on-write snapshots: a copy shares every per-type bucket
+/// with its source, and AddStatement() copies a bucket (its pointers, not
+/// the skeletons, which are immutable once stored) only while another copy
+/// still shares it. A snapshot therefore samples exactly what the library
+/// held when it was taken, whatever is added afterwards.
 class AstLibrary {
  public:
   explicit AstLibrary(size_t cap_per_type = 64) : cap_(cap_per_type) {}
@@ -30,8 +37,14 @@ class AstLibrary {
   /// library has none.
   sql::StmtPtr Sample(sql::StatementType type, Rng* rng) const;
 
+  /// An immutable copy-on-write snapshot of the library as it stands.
+  std::shared_ptr<const AstLibrary> Snapshot() const {
+    return std::make_shared<const AstLibrary>(*this);
+  }
+
   size_t CountFor(sql::StatementType type) const {
-    return skeletons_[static_cast<size_t>(type)].size();
+    const auto& bucket = buckets_[static_cast<size_t>(type)];
+    return bucket == nullptr ? 0 : bucket->size();
   }
   size_t TotalCount() const;
 
@@ -42,8 +55,11 @@ class AstLibrary {
   Status LoadState(persist::StateReader* r);
 
  private:
+  using Bucket = std::vector<std::shared_ptr<const sql::Statement>>;
+
   size_t cap_;
-  std::array<std::vector<sql::StmtPtr>, sql::kNumStatementTypes> skeletons_;
+  /// nullptr for a type with no skeletons yet.
+  std::array<std::shared_ptr<Bucket>, sql::kNumStatementTypes> buckets_;
   std::array<size_t, sql::kNumStatementTypes> replace_cursor_ = {};
 };
 
