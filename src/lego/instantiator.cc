@@ -71,6 +71,12 @@ fuzz::TestCase Instantiator::Instantiate(
   return fuzz::TestCase(std::move(statements));
 }
 
+fuzz::TestCase DeferredInstantiation::Instantiate(
+    const minidb::DialectProfile& profile) const {
+  Rng rng(seed);
+  return Instantiator(&profile, library.get(), &rng).Instantiate(sequence);
+}
+
 void Instantiator::FixStatement(sql::Statement* stmt, SchemaContext* ctx) {
   const SymbolicTable* table = ctx->RandomTable(rng_);
   auto pick_table = [&]() -> std::string {

@@ -31,8 +31,23 @@ void LegoFuzzer::Prepare(fuzz::ExecutionHarness* harness) {
   corpus_.set_rule_weighting(harness->rule_coverage());
   for (const std::string& script : fuzz::SeedScriptsFor(profile_.name)) {
     auto tc = fuzz::TestCase::FromSql(script);
-    if (tc.ok()) queue_.push_back(std::move(*tc));
+    if (tc.ok()) queue_.emplace_back(std::move(*tc));
   }
+}
+
+fuzz::TestCase LegoFuzzer::PopQueue() {
+  QueueEntry entry = std::move(queue_.front());
+  queue_.pop_front();
+  if (const auto* deferred = std::get_if<DeferredInstantiation>(&entry)) {
+    return deferred->Instantiate(profile_);
+  }
+  return std::move(std::get<fuzz::TestCase>(entry));
+}
+
+size_t LegoFuzzer::deferred_in_queue() const {
+  return std::count_if(queue_.begin(), queue_.end(), [](const QueueEntry& e) {
+    return std::holds_alternative<DeferredInstantiation>(e);
+  });
 }
 
 fuzz::TestCase LegoFuzzer::Next() {
@@ -50,9 +65,7 @@ fuzz::TestCase LegoFuzzer::Next() {
   // (mutating corpus seeds): draining the queue exclusively would starve
   // the proactive affinity analysis that feeds it.
   if (!queue_.empty() && (corpus_.empty() || rng_.NextBool(0.6))) {
-    fuzz::TestCase tc = std::move(queue_.front());
-    queue_.pop_front();
-    return tc;
+    return PopQueue();
   }
   fuzz::Seed* seed = corpus_.Select(&rng_);
   if (seed == nullptr) {
@@ -70,12 +83,8 @@ fuzz::TestCase LegoFuzzer::Next() {
     size_t position = mutation_cursor_++ % std::max<size_t>(1, seed->test_case.size());
     auto mutants =
         mutator_.SequenceOrientedMutants(seed->test_case, position);
-    for (auto& m : mutants) queue_.push_back(std::move(m));
-    if (!queue_.empty()) {
-      fuzz::TestCase tc = std::move(queue_.front());
-      queue_.pop_front();
-      return tc;
-    }
+    for (auto& m : mutants) queue_.emplace_back(std::move(m));
+    if (!queue_.empty()) return PopQueue();
   }
   // Conventional syntax-preserving mutation on top of sequences (paper §II:
   // fine mutations deepen exploration once breadth is covered).
@@ -85,20 +94,26 @@ fuzz::TestCase LegoFuzzer::Next() {
 void LegoFuzzer::EnqueueSynthesized(sql::StatementType t1,
                                     sql::StatementType t2) {
   auto sequences = synthesizer_.OnNewAffinity(t1, t2, affinity_map_);
-  // Instantiate breadth-first: short sequences first. The depth-first
+  // Enqueue breadth-first: short sequences first. The depth-first
   // enumeration order of Algorithm 3 would otherwise spend the whole
   // consumption cap on deep expansions of the first few successors.
   std::stable_sort(sequences.begin(), sequences.end(),
                    [](const auto& a, const auto& b) {
                      return a.size() < b.size();
                    });
+  // Instantiation waits until Next() dequeues the entry, so the many entries
+  // a campaign never reaches cost a seed and a few pointers each. The
+  // snapshot lets every entry of this call sample the library as it stands
+  // now, as instantiating here would have.
+  std::shared_ptr<const AstLibrary> snapshot;
   int consumed = 0;
   for (const auto& seq : sequences) {
     if (consumed >= options_.max_sequences_per_affinity) break;
     ++consumed;
     for (int k = 0; k < options_.instantiations_per_sequence; ++k) {
       if (queue_.size() >= options_.max_queue) return;
-      queue_.push_back(instantiator_.Instantiate(seq));
+      if (snapshot == nullptr) snapshot = library_.Snapshot();
+      queue_.emplace_back(DeferredInstantiation{seq, rng_.Next(), snapshot});
     }
   }
 }
@@ -144,7 +159,15 @@ Status LegoFuzzer::SaveState(persist::StateWriter* w) const {
   LEGO_RETURN_IF_ERROR(affinity_map_.SaveState(w));
   LEGO_RETURN_IF_ERROR(synthesizer_.SaveState(w));
   LEGO_RETURN_IF_ERROR(corpus_.SaveState(w));
-  fuzz::SaveTestCaseQueue(queue_, w);
+  // Same layout as fuzz::SaveTestCaseQueue.
+  w->WriteU64(queue_.size());
+  for (const QueueEntry& entry : queue_) {
+    if (const auto* deferred = std::get_if<DeferredInstantiation>(&entry)) {
+      fuzz::SaveTestCase(deferred->Instantiate(profile_), w);
+    } else {
+      fuzz::SaveTestCase(std::get<fuzz::TestCase>(entry), w);
+    }
+  }
   w->WriteU64(pending_foreign_affinities_.size());
   for (const auto& [t1, t2] : pending_foreign_affinities_) {
     w->WriteU8(static_cast<uint8_t>(t1));
@@ -174,7 +197,10 @@ Status LegoFuzzer::LoadState(persist::StateReader* r) {
   LEGO_RETURN_IF_ERROR(affinity_map_.LoadState(r));
   LEGO_RETURN_IF_ERROR(synthesizer_.LoadState(r));
   LEGO_RETURN_IF_ERROR(corpus_.LoadState(r));
-  LEGO_RETURN_IF_ERROR(fuzz::LoadTestCaseQueue(r, &queue_));
+  std::deque<fuzz::TestCase> queued;
+  LEGO_RETURN_IF_ERROR(fuzz::LoadTestCaseQueue(r, &queued));
+  queue_.clear();
+  for (fuzz::TestCase& tc : queued) queue_.emplace_back(std::move(tc));
   uint64_t pending = r->ReadU64();
   if (!r->CheckCount(pending, 2)) return r->status();
   pending_foreign_affinities_.clear();

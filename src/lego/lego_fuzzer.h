@@ -4,6 +4,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <variant>
 
 #include "fuzz/corpus.h"
 #include "fuzz/fuzzer.h"
@@ -29,7 +30,8 @@ struct LegoOptions {
   int instantiations_per_sequence = 2;
   /// Per-affinity cap on sequences consumed from the synthesizer.
   int max_sequences_per_affinity = 96;
-  /// Pending-work queue bound.
+  /// Bound on queued entries, counting deferred instantiations and
+  /// materialized cases alike. Synthesis stops enqueueing at the bound.
   size_t max_queue = 16384;
   uint64_t rng_seed = 1;
 };
@@ -58,6 +60,11 @@ class LegoFuzzer : public fuzz::Fuzzer {
   /// corpus index) and the mutation cursor. Configuration (options_) is
   /// written as a fingerprint and verified on load, not restored: a resumed
   /// campaign must be constructed with the same options.
+  ///
+  /// Deferred queue entries are written as the test cases they materialize
+  /// to. Instantiation is a pure function of the entry, so the loaded queue
+  /// yields exactly what the uninterrupted one would have, and the queue
+  /// layout is the one of a fully materialized queue.
   Status SaveState(persist::StateWriter* w) const override;
   Status LoadState(persist::StateReader* r) override;
   fuzz::FuzzerStats stats() const override;
@@ -66,9 +73,18 @@ class LegoFuzzer : public fuzz::Fuzzer {
   const TypeAffinityMap& affinities() const { return affinity_map_; }
   const SequenceSynthesizer& synthesizer() const { return synthesizer_; }
   size_t corpus_size() const { return corpus_.size(); }
+  /// Queued synthesized sequences not yet instantiated.
+  size_t deferred_in_queue() const;
 
  private:
+  /// A queued test case. Seed scripts and mutants are stored materialized.
+  /// A synthesized sequence is stored as its type sequence, one seed drawn
+  /// from rng_ when it is enqueued, and the library snapshot of its
+  /// EnqueueSynthesized() call; Next() instantiates it when it is dequeued.
+  using QueueEntry = std::variant<fuzz::TestCase, DeferredInstantiation>;
+
   void EnqueueSynthesized(sql::StatementType t1, sql::StatementType t2);
+  fuzz::TestCase PopQueue();
 
   const minidb::DialectProfile& profile_;
   LegoOptions options_;
@@ -79,11 +95,13 @@ class LegoFuzzer : public fuzz::Fuzzer {
   TypeAffinityMap affinity_map_;
   SequenceSynthesizer synthesizer_;
   fuzz::Corpus corpus_;
-  std::deque<fuzz::TestCase> queue_;
-  /// Affinities learned from imported (cross-worker) seeds, synthesized
-  /// lazily in Next() when the queue has room: eagerly instantiating every
-  /// foreign affinity would synthesize far more test cases than a worker's
-  /// budget can execute. Always empty in serial campaigns.
+  std::deque<QueueEntry> queue_;
+  /// Affinities learned from imported (cross-worker) seeds, synthesized in
+  /// Next() one at a time and only while the queue is less than half full.
+  /// Queued entries are cheap now that instantiation is deferred, so this
+  /// sets priority rather than saving work: a worker executes its own
+  /// discoveries before the sequences of a whole imported corpus. Always
+  /// empty in serial campaigns.
   std::deque<std::pair<sql::StatementType, sql::StatementType>>
       pending_foreign_affinities_;
   /// Seed whose mutants are in flight (attribution for scheduling).

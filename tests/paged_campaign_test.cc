@@ -198,21 +198,21 @@ CampaignResult RunRuleWeightedLego(const BackendOptions& backend) {
 // settings. Re-capture only for an intended change of fuzzing behaviour.
 TEST(GoldenCampaignTest, RuleWeightedLegoPgliteMemAndPaged) {
   CampaignResult on_mem = RunRuleWeightedLego(BackendOptions{});
-  EXPECT_EQ(ResultDigest(on_mem), 0xc8ed2f6d43b8dce5ULL);
-  EXPECT_EQ(on_mem.rules, 121u);
-  EXPECT_EQ(on_mem.fuzzer_stats.corpus_seeds, 279u);
+  EXPECT_EQ(ResultDigest(on_mem), 0x36f87e36d5647d63ULL);
+  EXPECT_EQ(on_mem.rules, 126u);
+  EXPECT_EQ(on_mem.fuzzer_stats.corpus_seeds, 312u);
 
   const std::string dir = ::testing::TempDir() + "paged_golden_rules_db";
   CampaignResult on_paged =
       RunRuleWeightedLego(PagedOptions(BackendKind::kInProcess, dir, 64));
   std::filesystem::remove_all(dir);
-  EXPECT_EQ(ResultDigest(on_paged), 0xc8ed2f6d43b8dce5ULL);
-  EXPECT_EQ(on_paged.rules, 121u);
-  EXPECT_EQ(on_paged.fuzzer_stats.corpus_seeds, 279u);
-  EXPECT_EQ(on_paged.storage.wal_records, 6536u);
-  EXPECT_EQ(on_paged.storage.wal_bytes, 400373u);
-  EXPECT_EQ(on_paged.storage.fsyncs, 2764u);
-  EXPECT_EQ(on_paged.storage.commits, 2764u);
+  EXPECT_EQ(ResultDigest(on_paged), 0x36f87e36d5647d63ULL);
+  EXPECT_EQ(on_paged.rules, 126u);
+  EXPECT_EQ(on_paged.fuzzer_stats.corpus_seeds, 312u);
+  EXPECT_EQ(on_paged.storage.wal_records, 6355u);
+  EXPECT_EQ(on_paged.storage.wal_bytes, 372547u);
+  EXPECT_EQ(on_paged.storage.fsyncs, 2681u);
+  EXPECT_EQ(on_paged.storage.commits, 2681u);
   EXPECT_EQ(on_paged.storage.checkpoints, 0u);
 }
 
