@@ -8,6 +8,7 @@
 #include "fuzz/checkpoint.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/harness.h"
+#include "lego/lego_fuzzer.h"
 #include "minidb/profile.h"
 #include "persist/io.h"
 
@@ -176,6 +177,41 @@ TEST(FuzzerStateRoundtripTest, RestoredFuzzerContinuesIdentically) {
     ASSERT_EQ(ra.total_edges, rb.total_edges);
     a->OnResult(ta, ra);
     b->OnResult(tb, rb);
+  }
+}
+
+TEST(FuzzerStateRoundtripTest, DeferredQueueResumesIdentically) {
+  // Saved while synthesized sequences are still queued uninstantiated, a
+  // LEGO fuzzer loaded into a fresh instance must produce the next 200
+  // cases of the uninterrupted one: SaveState writes each deferred entry as
+  // the test case it materializes to.
+  const minidb::DialectProfile& profile = minidb::DialectProfile::PgLite();
+  core::LegoOptions options;
+  options.rng_seed = 9;
+  core::LegoFuzzer a(profile, options);
+  ExecutionHarness ha(profile);
+  FuzzFor(&a, &ha, 150);
+  ASSERT_GT(a.deferred_in_queue(), 0u);
+  persist::StateWriter w;
+  ASSERT_TRUE(a.SaveState(&w).ok());
+  ASSERT_TRUE(ha.SaveState(&w).ok());
+
+  core::LegoFuzzer b(profile, options);
+  ExecutionHarness hb(profile);
+  b.Prepare(&hb);
+  persist::StateReader r = persist::StateReader::FromPayload(w.buffer());
+  ASSERT_TRUE(b.LoadState(&r).ok());
+  ASSERT_TRUE(hb.LoadState(&r).ok());
+  EXPECT_EQ(b.deferred_in_queue(), 0u);
+
+  for (int i = 0; i < 200; ++i) {
+    TestCase ta = a.Next();
+    TestCase tb = b.Next();
+    ASSERT_EQ(ta.ToSql(), tb.ToSql()) << "diverged at continuation " << i;
+    ExecResult ra = ha.Run(ta);
+    ExecResult rb = hb.Run(tb);
+    a.OnResult(ta, ra);
+    b.OnResult(tb, rb);
   }
 }
 
