@@ -10,10 +10,14 @@
 // executes the wire-format SQL text, can touch a small superset of eval
 // edges. The first suite pins the strict statement-outcome parity on raw
 // cases; the second pins *full* parity (coverage included) on normalized
-// cases, proving the pipe protocol itself loses nothing.
+// cases, proving the pipe protocol itself loses nothing. The last two also
+// run on paged storage (equal WAL and commit counters) and compare what
+// oracles read: the rows of every SELECT re-run inside an oracle bracket,
+// and the first column of every table a case creates.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 
 #include "fuzz/backend.h"
@@ -21,6 +25,7 @@
 #include "fuzz/testcase.h"
 #include "lego/lego_fuzzer.h"
 #include "minidb/profile.h"
+#include "sql/ast.h"
 
 namespace lego::fuzz {
 namespace {
@@ -33,7 +38,35 @@ struct ParityOptions {
   bool normalize = false;
   /// Also require identical coverage feedback (normalized cases only).
   bool compare_coverage = false;
+  /// Run both backends on paged storage, each in its own directory, and
+  /// require equal WAL and commit counters after the last case.
+  bool paged = false;
+  /// After each case, re-run its SELECTs with rows requested inside an
+  /// OracleSession and compare the rows, and compare FirstColumnOf for
+  /// every table the case creates.
+  bool compare_oracle_reads = false;
 };
+
+/// The oracle's view of one backend after a case: each SELECT's outcome
+/// and rows under the oracle bracket, then the first column of each table
+/// the case creates.
+std::vector<std::string> OracleReads(DbBackend* backend, const TestCase& tc) {
+  std::vector<std::string> reads;
+  OracleSession session(backend);
+  for (const sql::StmtPtr& stmt : tc.statements()) {
+    if (stmt->type() == sql::StatementType::kSelect) {
+      StmtOutcome out = backend->Execute(*stmt, /*want_rows=*/true);
+      reads.push_back("status " +
+                      std::to_string(static_cast<int>(out.status)));
+      for (std::string& row : out.rows) reads.push_back(std::move(row));
+    } else if (stmt->type() == sql::StatementType::kCreateTable) {
+      const auto& create = static_cast<const sql::CreateTableStmt&>(*stmt);
+      reads.push_back("first column of " + create.name + ": " +
+                      backend->FirstColumnOf(create.name).value_or("-"));
+    }
+  }
+  return reads;
+}
 
 /// Drives kCases fuzzer-generated test cases through an in-process harness
 /// and a forked harness in lockstep, comparing every ExecResult field that
@@ -49,9 +82,19 @@ void ExpectParity(const std::string& profile_name, uint64_t seed,
   options.rng_seed = seed;
   core::LegoFuzzer fuzzer(*profile, options);
 
-  ExecutionHarness inproc(*profile);
+  BackendOptions inproc_options;
   BackendOptions forked_options;
   forked_options.kind = BackendKind::kForked;
+  const std::string dir_prefix = ::testing::TempDir() + "parity_" +
+                                 profile_name + "_" + std::to_string(seed);
+  if (popt.paged) {
+    inproc_options.storage = forked_options.storage = StorageKind::kPaged;
+    inproc_options.db_dir = dir_prefix + "_inproc";
+    forked_options.db_dir = dir_prefix + "_forked";
+    std::filesystem::remove_all(inproc_options.db_dir);
+    std::filesystem::remove_all(forked_options.db_dir);
+  }
+  ExecutionHarness inproc(*profile, inproc_options);
   ExecutionHarness forked(*profile, forked_options);
 
   fuzzer.Prepare(&inproc);
@@ -90,7 +133,22 @@ void ExpectParity(const std::string& profile_name, uint64_t seed,
         a.crashed != b.crashed) {
       return;  // first divergence pinpointed; later cases only add noise
     }
+    if (popt.compare_oracle_reads) {
+      EXPECT_EQ(OracleReads(&inproc.backend(), tc),
+                OracleReads(&forked.backend(), tc))
+          << "case " << i << ":\n" << sql;
+    }
     fuzzer.OnResult(tc, a);
+  }
+
+  if (popt.paged) {
+    const BackendStorageStats a = inproc.backend().storage_stats();
+    const BackendStorageStats b = forked.backend().storage_stats();
+    EXPECT_GT(a.wal_records, 0u);
+    EXPECT_EQ(a.wal_records, b.wal_records);
+    EXPECT_EQ(a.wal_bytes, b.wal_bytes);
+    EXPECT_EQ(a.fsyncs, b.fsyncs);
+    EXPECT_EQ(a.commits, b.commits);
   }
 }
 
@@ -105,6 +163,15 @@ TEST(BackendParityTest, PgliteNormalizedCoverage) {
 TEST(BackendParityTest, MarialiteNormalizedCoverage) {
   ExpectParity("marialite", 23,
                {/*normalize=*/true, /*compare_coverage=*/true});
+}
+
+TEST(BackendParityTest, PgliteNormalizedPaged) {
+  ExpectParity("pglite", 31, {/*normalize=*/true, /*compare_coverage=*/true,
+                              /*paged=*/true});
+}
+TEST(BackendParityTest, PgliteNormalizedOracleReads) {
+  ExpectParity("pglite", 41, {/*normalize=*/true, /*compare_coverage=*/true,
+                              /*paged=*/false, /*compare_oracle_reads=*/true});
 }
 
 }  // namespace
