@@ -1,23 +1,23 @@
 #ifndef LEGO_FLEET_PROTOCOL_H_
 #define LEGO_FLEET_PROTOCOL_H_
 
-#include <atomic>
 #include <cstdint>
-#include <string>
 #include <string_view>
 
+#include "persist/frame.h"
+#include "persist/io.h"
 #include "util/status.h"
 
 namespace lego::fleet {
 
 /// Coordinator <-> worker wire protocol over anonymous pipes, one pair per
-/// worker slot. Same shape as the forked-backend fork server: every message
-/// is a length-prefixed frame, so a worker killed mid-write leaves a torn
-/// frame the coordinator detects (short read / oversized length) instead of
-/// a desynchronized stream.
+/// worker slot, in the persist frames the fork-server backend also speaks
+/// (persist/frame.h):
 ///
 ///   frame := u32 length | u8 type | payload[length - 1]
 ///
+/// so a worker killed mid-write leaves a torn frame the coordinator detects
+/// (short read / oversized length) instead of a desynchronized stream.
 /// Payloads are persist envelopes or little-endian scalars; the result
 /// payload additionally carries its own magic/version/checksum envelope so
 /// the coordinator can reject poisoned results that arrive in well-formed
@@ -30,46 +30,28 @@ enum class MsgType : uint8_t {
   kShutdown = 5,    // coord -> worker: drain and exit(0)
 };
 
-/// Upper bound on one frame. Generous (corpus pools ride in lease grants)
-/// but finite: a corrupted length prefix fails fast instead of allocating.
-inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
+using persist::FrameBuffer;
+using persist::kMaxFrameBytes;
 
-/// Writes one frame, retrying EINTR. EPIPE (peer died) and short writes
-/// surface as errors — senders treat any failure as "peer gone".
-Status SendFrame(int fd, MsgType type, std::string_view payload);
+/// persist::SendFrame with a typed message. Workers drain on SIGTERM even
+/// when blocked in RecvFrame on the command pipe, through its stop flag.
+inline Status SendFrame(int fd, MsgType type, std::string_view payload) {
+  return persist::SendFrame(fd, static_cast<uint8_t>(type), payload);
+}
+using persist::RecvFrame;
 
-/// Blocking read of one frame. NotFound signals clean EOF before a frame
-/// started (peer closed); anything else torn or oversized is an error. When
-/// `stop` is set, the read aborts with Internal once the flag turns true
-/// (workers drain on SIGTERM even if blocked on the command pipe).
-Status RecvFrame(int fd, uint8_t* type, std::string* payload,
-                 const std::atomic<bool>* stop = nullptr);
-
-/// Nonblocking reassembly buffer for the coordinator's poll loop: bytes go
-/// in as they arrive, complete frames come out. A length prefix beyond
-/// kMaxFrameBytes poisons the buffer (Overflowed) — the slot is treated as
-/// speaking garbage and struck.
-class FrameBuffer {
- public:
-  void Append(const char* data, size_t n) { buf_.append(data, n); }
-
-  /// Extracts the next complete frame. Returns false when no full frame is
-  /// buffered yet (or the buffer is poisoned).
-  bool Next(uint8_t* type, std::string* payload);
-
-  bool Overflowed() const { return overflowed_; }
-  size_t buffered() const { return buf_.size(); }
-
- private:
-  std::string buf_;
-  bool overflowed_ = false;
-};
-
-// Little-endian scalar helpers shared by payload encoders.
-void AppendU32(std::string* out, uint32_t v);
-void AppendU64(std::string* out, uint64_t v);
-uint32_t ReadU32(std::string_view bytes, size_t offset);
-uint64_t ReadU64(std::string_view bytes, size_t offset);
+// Little-endian scalars of the fixed-layout payloads. ReadU32/ReadU64
+// return 0 past the end of `bytes`.
+using persist::AppendU32;
+using persist::AppendU64;
+inline uint32_t ReadU32(std::string_view bytes, size_t offset) {
+  return offset + 4 <= bytes.size() ? persist::LoadU32(bytes.data() + offset)
+                                    : 0;
+}
+inline uint64_t ReadU64(std::string_view bytes, size_t offset) {
+  return offset + 8 <= bytes.size() ? persist::LoadU64(bytes.data() + offset)
+                                    : 0;
+}
 
 }  // namespace lego::fleet
 

@@ -17,34 +17,6 @@ constexpr char kMagic[4] = {'L', 'G', 'S', 'T'};
 constexpr size_t kHeaderSize = 4 + 4 + 8;
 constexpr size_t kTrailerSize = 8;
 
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t LoadU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
 /// Shared temp-then-rename protocol for state files and text artifacts.
 /// The persist.* failpoints model each stage an OS-level write can fail at
 /// (short-circuited after the real error check, so they only fire on
@@ -76,6 +48,34 @@ Status WriteBytesAtomic(const std::string& path, std::string_view bytes) {
 }
 
 }  // namespace
+
+void AppendU32(std::string* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+void AppendU64(std::string* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+uint32_t LoadU32(const char* p) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+  }
+  return v;
+}
+
+uint64_t LoadU64(const char* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+  }
+  return v;
+}
 
 std::string TagName(uint32_t tag) {
   std::string out;

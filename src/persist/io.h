@@ -26,6 +26,13 @@ constexpr uint32_t ChunkTag(const char (&s)[5]) {
 /// Renders a tag back to "ABCD" for error messages.
 std::string TagName(uint32_t tag);
 
+/// The little-endian scalar codec under every persist format: state files,
+/// pipe frames and the fleet's fixed-layout payloads.
+void AppendU32(std::string* out, uint32_t v);
+void AppendU64(std::string* out, uint64_t v);
+uint32_t LoadU32(const char* p);
+uint64_t LoadU64(const char* p);
+
 /// Serializer for campaign state: an append-only little-endian byte buffer
 /// organized into tagged, length-prefixed chunks (nestable). The buffer is
 /// deterministic — identical logical state always yields identical bytes,
