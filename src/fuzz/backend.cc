@@ -106,17 +106,4 @@ std::unique_ptr<DbBackend> MakeBackend(const minidb::DialectProfile& profile,
   return nullptr;
 }
 
-namespace detail {
-
-std::string RenderRow(const minidb::Row& row) {
-  std::string line;
-  for (const minidb::Value& v : row) {
-    line += v.ToString();
-    line += '|';
-  }
-  return line;
-}
-
-}  // namespace detail
-
 }  // namespace lego::fuzz

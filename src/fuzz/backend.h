@@ -23,10 +23,11 @@ enum class BackendKind {
   /// but a genuine engine defect (real segfault/abort, not a BugEngine
   /// simulation) kills the whole campaign.
   kInProcess,
-  /// minidb in a forked child behind a length-prefixed pipe protocol, with
+  /// An InProcessBackend served by a forked child over persist frames, with
   /// a per-statement watchdog, signal/exit capture mapped into CrashInfo,
   /// shared-memory coverage export, and automatic respawn — the paper's
-  /// "crash kills the server, not the fuzzer" process model.
+  /// "crash kills the server, not the fuzzer" process model. The child's
+  /// storage engine panics on a storage error instead of degrading.
   kForked,
   /// minidb in-process with N concurrent sessions per test case, run as
   /// fibers and token-serialized by a seeded epoch scheduler (every
@@ -286,13 +287,6 @@ class OracleSession {
 /// Factory: builds the backend described by `options`.
 std::unique_ptr<DbBackend> MakeBackend(const minidb::DialectProfile& profile,
                                        const BackendOptions& options);
-
-namespace detail {
-/// Canonical row rendering for StmtOutcome::rows ("v|v|...|"). One shared
-/// definition so in-process execution and the forked child's wire encoding
-/// can never drift apart.
-std::string RenderRow(const minidb::Row& row);
-}  // namespace detail
 
 }  // namespace lego::fuzz
 

@@ -10,13 +10,15 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <new>
 #include <thread>
 #include <utility>
 
 #include "chaos/failpoint.h"
-#include "minidb/storage_engine.h"
+#include "fuzz/backend_inproc.h"
+#include "fuzz/state.h"
+#include "persist/frame.h"
+#include "persist/io.h"
 #include "sql/parser.h"
 #include "sql/statement_type.h"
 #include "util/hash.h"
@@ -24,20 +26,20 @@
 namespace lego::fuzz {
 namespace {
 
-// Request frame types (parent -> child).
-constexpr uint8_t kReqReset = 1;     // payload: setup script
-constexpr uint8_t kReqExecute = 2;   // payload: [u8 want_rows][sql text]
-constexpr uint8_t kReqOracleBegin = 3;
-constexpr uint8_t kReqOracleEnd = 4;
-constexpr uint8_t kReqFirstCol = 5;  // payload: table name
-constexpr uint8_t kReqStorageStats = 6;
-
-// Response codes (child -> parent).
-constexpr uint8_t kRespOk = 0;     // Execute-ok payload: encoded rows
-constexpr uint8_t kRespError = 1;  // statement rejected
-constexpr uint8_t kRespCrash = 2;  // payload: encoded CrashInfo (synthetic)
-constexpr uint8_t kRespCol = 3;    // payload: [u8 found][column name]
-constexpr uint8_t kRespStats = 4;  // payload: 10 x u64, see EncodeStorageStats
+// Request frame types (parent -> child). The child answers each request
+// with one frame of the same type. Payloads are persist-encoded:
+//   kReset        setup script                 -> (empty)
+//   kExecute      bool want_rows, string sql   -> outcome, see DecodeOutcome
+//   kOracleBegin  (empty)                      -> (empty)
+//   kOracleEnd    (empty)                      -> (empty)
+//   kFirstColumn  table name                   -> bool found, string column
+//   kStorageStats (empty)                      -> SaveStorageStats
+constexpr uint8_t kReset = 1;
+constexpr uint8_t kExecute = 2;
+constexpr uint8_t kOracleBegin = 3;
+constexpr uint8_t kOracleEnd = 4;
+constexpr uint8_t kFirstColumn = 5;
+constexpr uint8_t kStorageStats = 6;
 
 // Generous ceiling for protocol ops that run no fuzzer-chosen SQL (Reset
 // runs only the trusted setup script). A child that cannot answer within
@@ -55,108 +57,41 @@ constexpr int kOomExitCode = 86;
 // quickly, or permanent and hit the circuit breaker anyway.
 constexpr int kSpawnBackoffCapMs = 64;
 
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+/// The kExecute reply: u8 StmtOutcome::Status, the CrashInfo when the
+/// status is kCrash, then the row count and the rendered rows (none unless
+/// rows were requested). An undecodable crash becomes a REAL-PROTOCOL
+/// crash; any other undecodable reply is a rejected statement.
+void EncodeOutcome(const StmtOutcome& out, persist::StateWriter* w) {
+  w->WriteU8(static_cast<uint8_t>(out.status));
+  if (out.status == StmtOutcome::Status::kCrash) SaveCrashInfo(out.crash, w);
+  w->WriteU64(out.rows.size());
+  for (const std::string& row : out.rows) w->WriteString(row);
 }
 
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutStr(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-/// Bounds-checked little reader over a response payload.
-class Reader {
- public:
-  explicit Reader(const std::string& buf) : buf_(buf) {}
-
-  bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
-  bool Str(std::string* s) {
-    uint32_t n = 0;
-    if (!U32(&n) || buf_.size() - pos_ < n) return false;
-    s->assign(buf_, pos_, n);
-    pos_ += n;
-    return true;
-  }
-
- private:
-  bool Raw(void* out, size_t n) {
-    if (buf_.size() - pos_ < n) return false;
-    std::memcpy(out, buf_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  const std::string& buf_;
-  size_t pos_ = 0;
-};
-
-void EncodeCrash(std::string* out, const minidb::CrashInfo& crash) {
-  PutU64(out, crash.stack_hash);
-  PutStr(out, crash.bug_id);
-  PutStr(out, crash.component);
-  PutStr(out, crash.kind);
-  PutStr(out, crash.message);
-}
-
-bool DecodeCrash(const std::string& payload, minidb::CrashInfo* crash) {
-  Reader r(payload);
-  return r.U64(&crash->stack_hash) && r.Str(&crash->bug_id) &&
-         r.Str(&crash->component) && r.Str(&crash->kind) &&
-         r.Str(&crash->message);
-}
-
-void EncodeStorageStats(std::string* out, const BackendStorageStats& s) {
-  PutU64(out, s.pool_hits);
-  PutU64(out, s.pool_misses);
-  PutU64(out, s.pool_evictions);
-  PutU64(out, s.pool_writebacks);
-  PutU64(out, s.wal_records);
-  PutU64(out, s.wal_bytes);
-  PutU64(out, s.fsyncs);
-  PutU64(out, s.steal_flushes);
-  PutU64(out, s.commits);
-  PutU64(out, s.checkpoints);
-}
-
-bool DecodeStorageStats(const std::string& payload, BackendStorageStats* s) {
-  Reader r(payload);
-  return r.U64(&s->pool_hits) && r.U64(&s->pool_misses) &&
-         r.U64(&s->pool_evictions) && r.U64(&s->pool_writebacks) &&
-         r.U64(&s->wal_records) && r.U64(&s->wal_bytes) && r.U64(&s->fsyncs) &&
-         r.U64(&s->steal_flushes) && r.U64(&s->commits) &&
-         r.U64(&s->checkpoints);
-}
-
-bool WriteAll(int fd, const char* data, size_t n) {
-  while (n > 0) {
-    ssize_t w = ::write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
+StmtOutcome DecodeOutcome(std::string payload) {
+  persist::StateReader r = persist::StateReader::FromPayload(std::move(payload));
+  StmtOutcome out;
+  const auto status = static_cast<StmtOutcome::Status>(r.ReadU8());
+  if (status == StmtOutcome::Status::kCrash) {
+    out.status = status;
+    out.crash = LoadCrashInfo(&r);
+    if (!r.ok()) {
+      out.crash = minidb::CrashInfo();
+      out.crash.bug_id = "REAL-PROTOCOL";
+      out.crash.kind = "PROTOCOL";
+      out.crash.stack_hash = Fnv1a64("REAL-PROTOCOL");
     }
-    data += w;
-    n -= static_cast<size_t>(w);
+    return out;
   }
-  return true;
-}
-
-/// Blocking full read (child side; the parent uses polled reads).
-bool ReadAll(int fd, char* data, size_t n) {
-  while (n > 0) {
-    ssize_t r = ::read(fd, data, n);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (r == 0) return false;  // peer closed
-    data += r;
-    n -= static_cast<size_t>(r);
+  if (status != StmtOutcome::Status::kOk) return out;
+  const uint64_t n = r.ReadU64();
+  if (r.CheckCount(n, sizeof(uint64_t))) {
+    out.rows.reserve(n);
+    for (uint64_t i = 0; i < n; ++i) out.rows.push_back(r.ReadString());
   }
-  return true;
+  if (!r.ok()) return StmtOutcome();
+  out.status = status;
+  return out;
 }
 
 /// The wait-status → CrashInfo kind string ("SIGSEGV", "EXIT-3", ...).
@@ -267,7 +202,10 @@ bool ForkedBackend::TrySpawn() {
   child_pid_ = pid;
   alive_ = true;
   ++spawn_count_;
-  storage_last_poll_ = {};  // fresh child: cumulative counters restart at 0
+  // A fresh child's counters start at 0: fold the last child's final poll
+  // into the finished total.
+  storage_finished_.Add(storage_live_);
+  storage_live_ = {};
   return true;
 }
 
@@ -378,39 +316,16 @@ minidb::CrashInfo ForkedBackend::ReapAsCrash(sql::StatementType type) {
   return crash;
 }
 
-bool ForkedBackend::SendMsg(uint8_t type, const std::string& payload) {
-  if (cmd_fd_ < 0) return false;
-  std::string frame;
-  PutU32(&frame, static_cast<uint32_t>(payload.size() + 1));
-  frame.push_back(static_cast<char>(type));
-  frame.append(payload);
-  return WriteAll(cmd_fd_, frame.data(), frame.size());
-}
-
-ForkedBackend::Wait ForkedBackend::RecvMsg(int deadline_ms, uint8_t* code,
+ForkedBackend::Wait ForkedBackend::RecvMsg(int deadline_ms, uint8_t* type,
                                            std::string* payload) {
   using Clock = std::chrono::steady_clock;
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(deadline_ms < 0 ? 0
                                                                : deadline_ms);
-  std::string buf;
-  size_t need = sizeof(uint32_t);  // first the length prefix
-  bool have_len = false;
+  persist::FrameBuffer frames;
   for (;;) {
-    if (buf.size() >= need) {
-      if (!have_len) {
-        uint32_t len = 0;
-        std::memcpy(&len, buf.data(), sizeof(len));
-        buf.erase(0, sizeof(len));
-        need = len;
-        have_len = true;
-        if (need == 0) return Wait::kDead;  // malformed
-        continue;
-      }
-      *code = static_cast<uint8_t>(buf[0]);
-      payload->assign(buf, 1, need - 1);
-      return Wait::kData;
-    }
+    if (frames.Next(type, payload)) return Wait::kData;
+    if (frames.Overflowed()) return Wait::kDead;  // garbage length prefix
 
     int tick = 50;
     if (deadline_ms >= 0) {
@@ -430,7 +345,7 @@ ForkedBackend::Wait ForkedBackend::RecvMsg(int deadline_ms, uint8_t* code,
       char chunk[4096];
       ssize_t r = ::read(resp_fd_, chunk, sizeof(chunk));
       if (r > 0) {
-        buf.append(chunk, static_cast<size_t>(r));
+        frames.Append(chunk, static_cast<size_t>(r));
         continue;
       }
       if (r < 0 && errno == EINTR) continue;
@@ -452,11 +367,16 @@ ForkedBackend::Wait ForkedBackend::RecvMsg(int deadline_ms, uint8_t* code,
 }
 
 ForkedBackend::Wait ForkedBackend::RoundTrip(uint8_t type,
-                                             const std::string& payload,
-                                             int deadline_ms, uint8_t* code,
-                                             std::string* resp) {
-  if (!alive_ || !SendMsg(type, payload)) return Wait::kDead;
-  return RecvMsg(deadline_ms, code, resp);
+                                             std::string_view payload,
+                                             int deadline_ms,
+                                             std::string* reply) {
+  if (!alive_ || !persist::SendFrame(cmd_fd_, type, payload).ok()) {
+    return Wait::kDead;
+  }
+  uint8_t reply_type = 0;
+  const Wait w = RecvMsg(deadline_ms, &reply_type, reply);
+  // A reply to some other request is a child speaking garbage.
+  return w == Wait::kData && reply_type != type ? Wait::kDead : w;
 }
 
 bool ForkedBackend::DurabilityArmed() const {
@@ -496,13 +416,12 @@ void ForkedBackend::Reset() {
       reset_failure_.reset();
       return;
     }
-    uint8_t code = 0;
-    std::string resp;
+    std::string reply;
     const int deadline =
         options_.max_stmt_ms > 0 ? kControlDeadlineMs + options_.max_stmt_ms
                                  : kControlDeadlineMs;
-    Wait w = RoundTrip(kReqReset, setup_script(), deadline, &code, &resp);
-    if (w == Wait::kData && code == kRespOk) {
+    Wait w = RoundTrip(kReset, setup_script(), deadline, &reply);
+    if (w == Wait::kData) {
       reset_failure_.reset();
       if (DurabilityArmed()) dur_.BeginSession(setup_script());
       return;
@@ -547,15 +466,14 @@ StmtOutcome ForkedBackend::Execute(const sql::Statement& stmt,
   }
 
   const std::string sql_text = sql::ToSql(stmt);
-  std::string payload;
-  payload.push_back(want_rows ? 1 : 0);
-  payload += sql_text;
+  persist::StateWriter request;
+  request.WriteBool(want_rows);
+  request.WriteString(sql_text);
   if (DurabilityArmed()) dur_.SetInflight(sql_text);
 
-  uint8_t code = 0;
-  std::string resp;
+  std::string reply;
   const int deadline = options_.max_stmt_ms > 0 ? options_.max_stmt_ms : -1;
-  Wait w = RoundTrip(kReqExecute, payload, deadline, &code, &resp);
+  Wait w = RoundTrip(kExecute, request.buffer(), deadline, &reply);
 
   if (w == Wait::kTimeout) {
     KillChild();
@@ -601,38 +519,7 @@ StmtOutcome ForkedBackend::Execute(const sql::Statement& stmt,
   }
 
   if (DurabilityArmed()) dur_.RecordAcked(sql_text);
-
-  switch (code) {
-    case kRespOk: {
-      out.status = StmtOutcome::Status::kOk;
-      if (want_rows) {
-        Reader r(resp);
-        uint32_t n = 0;
-        if (r.U32(&n)) {
-          out.rows.reserve(n);
-          for (uint32_t i = 0; i < n; ++i) {
-            std::string row;
-            if (!r.Str(&row)) break;
-            out.rows.push_back(std::move(row));
-          }
-        }
-      }
-      return out;
-    }
-    case kRespCrash: {
-      out.status = StmtOutcome::Status::kCrash;
-      if (!DecodeCrash(resp, &out.crash)) {
-        out.crash.bug_id = "REAL-PROTOCOL";
-        out.crash.kind = "PROTOCOL";
-        out.crash.stack_hash = Fnv1a64("REAL-PROTOCOL");
-      }
-      return out;
-    }
-    case kRespError:
-    default:
-      out.status = StmtOutcome::Status::kError;
-      return out;
-  }
+  return DecodeOutcome(std::move(reply));
 }
 
 const cov::CoverageMap& ForkedBackend::FinishRun() {
@@ -647,243 +534,102 @@ const cov::CoverageMap& ForkedBackend::FinishRun() {
 
 void ForkedBackend::PollStorageStats() {
   if (options_.storage != StorageKind::kPaged || !alive_) return;
-  uint8_t code = 0;
-  std::string resp;
-  if (RoundTrip(kReqStorageStats, "", kControlDeadlineMs, &code, &resp) !=
-          Wait::kData ||
-      code != kRespStats) {
-    return;  // dead or stats-less child: keep the total as-is
+  std::string reply;
+  if (RoundTrip(kStorageStats, "", kControlDeadlineMs, &reply) !=
+      Wait::kData) {
+    return;  // dead child: its last poll stands
   }
-  BackendStorageStats current;
-  if (!DecodeStorageStats(resp, &current)) return;
-  BackendStorageStats delta = current;
-  // Child counters are monotonic per child lifetime; subtract the previous
-  // poll to get this window's contribution.
-  delta.pool_hits -= storage_last_poll_.pool_hits;
-  delta.pool_misses -= storage_last_poll_.pool_misses;
-  delta.pool_evictions -= storage_last_poll_.pool_evictions;
-  delta.pool_writebacks -= storage_last_poll_.pool_writebacks;
-  delta.wal_records -= storage_last_poll_.wal_records;
-  delta.wal_bytes -= storage_last_poll_.wal_bytes;
-  delta.fsyncs -= storage_last_poll_.fsyncs;
-  delta.steal_flushes -= storage_last_poll_.steal_flushes;
-  delta.commits -= storage_last_poll_.commits;
-  delta.checkpoints -= storage_last_poll_.checkpoints;
-  storage_last_poll_ = current;
-  storage_total_.Add(delta);
+  persist::StateReader r =
+      persist::StateReader::FromPayload(std::move(reply));
+  const BackendStorageStats polled = LoadStorageStats(&r);
+  if (r.ok()) storage_live_ = polled;
 }
 
 BackendStorageStats ForkedBackend::storage_stats() {
   PollStorageStats();
-  return storage_total_;
+  BackendStorageStats total = storage_finished_;
+  total.Add(storage_live_);
+  return total;
 }
 
 std::optional<std::string> ForkedBackend::FirstColumnOf(
     const std::string& table) {
-  uint8_t code = 0;
-  std::string resp;
-  if (RoundTrip(kReqFirstCol, table, kControlDeadlineMs, &code, &resp) !=
-          Wait::kData ||
-      code != kRespCol || resp.empty() || resp[0] == 0) {
+  std::string reply;
+  if (RoundTrip(kFirstColumn, table, kControlDeadlineMs, &reply) !=
+      Wait::kData) {
     return std::nullopt;
   }
-  return resp.substr(1);
+  persist::StateReader r =
+      persist::StateReader::FromPayload(std::move(reply));
+  const bool found = r.ReadBool();
+  std::string column = r.ReadString();
+  if (!r.ok() || !found) return std::nullopt;
+  return column;
 }
 
 void ForkedBackend::DoSnapshotForOracle() {
-  uint8_t code = 0;
-  std::string resp;
-  (void)RoundTrip(kReqOracleBegin, "", kControlDeadlineMs, &code, &resp);
+  std::string reply;
+  (void)RoundTrip(kOracleBegin, "", kControlDeadlineMs, &reply);
 }
 
 void ForkedBackend::DoRestoreForOracle() {
-  uint8_t code = 0;
-  std::string resp;
-  (void)RoundTrip(kReqOracleEnd, "", kControlDeadlineMs, &code, &resp);
+  std::string reply;
+  (void)RoundTrip(kOracleEnd, "", kControlDeadlineMs, &reply);
 }
 
 // ---------------------------------------------------------------------------
-// Child side: a tiny single-connection "server" speaking the pipe protocol.
+// Child side: serves one InProcessBackend, one request per frame.
 // ---------------------------------------------------------------------------
 
 void ForkedBackend::ChildLoop() {
-  // Fresh sink: never inherit the parent's thread-local probe target.
-  cov::CoverageRuntime::SetActiveMap(nullptr);
-
-  minidb::Database db(&profile_);
-  faults::BugEngine engine(profile_.name);
-  db.set_fault_hook(&engine);
-
-  // Paged storage: the child owns its db directory's lifecycle. Panic mode
-  // is what makes the durability oracle sound — a commit that cannot be
-  // made durable exits with kStorageFailExitCode *before* the statement is
-  // acknowledged, so the parent's shadow never records it.
-  std::unique_ptr<minidb::StorageEngine> storage;
-  if (options_.storage == StorageKind::kPaged && !options_.db_dir.empty()) {
-    minidb::StorageEngine::Options so;
-    so.dir = options_.db_dir;
-    so.pool_frames = options_.pool_frames;
-    so.skip_fsync = options_.planted_skip_fsync;
-    so.panic_on_storage_error = true;
-    storage = std::make_unique<minidb::StorageEngine>(so);
-  }
-
-  // Oracle bracket state (mirrors InProcessBackend's).
-  cov::CoverageMap* oracle_saved_map = nullptr;
-  minidb::FaultHook* oracle_saved_hook = nullptr;
-  size_t oracle_saved_types = 0;
-  size_t oracle_saved_features = 0;
-
-  auto reply = [&](uint8_t code, const std::string& payload) {
-    std::string frame;
-    PutU32(&frame, static_cast<uint32_t>(payload.size() + 1));
-    frame.push_back(static_cast<char>(code));
-    frame.append(payload);
-    if (!WriteAll(resp_fd_, frame.data(), frame.size())) _exit(0);
-  };
-
+  // The engine path is the in-process one; its probes write the shared map
+  // so the parent sees coverage even if the child dies.
+  InProcessBackend server(profile_, options_, shm_);
   for (;;) {
-    uint32_t len = 0;
-    if (!ReadAll(cmd_fd_, reinterpret_cast<char*>(&len), sizeof(len))) {
+    uint8_t type = 0;
+    std::string payload;
+    if (!persist::RecvFrame(cmd_fd_, &type, &payload).ok()) {
       _exit(0);  // parent went away: clean shutdown
     }
-    if (len == 0) _exit(0);
-    std::string frame(len, '\0');
-    if (!ReadAll(cmd_fd_, frame.data(), len)) _exit(0);
-    const uint8_t type = static_cast<uint8_t>(frame[0]);
-    const std::string payload = frame.substr(1);
-
+    persist::StateWriter reply;
     switch (type) {
-      case kReqReset: {
-        // Same choreography as InProcessBackend::Reset, with the run map in
-        // shared memory so the parent sees coverage even if we die.
-        if (storage == nullptr) {
-          db.ResetAll();
-        } else if (!storage->ResetFresh(&db).ok()) {
-          _exit(minidb::kStorageFailExitCode);
+      case kReset:
+        server.set_setup_script(std::move(payload));
+        server.Reset();
+        break;
+      case kExecute: {
+        persist::StateReader request =
+            persist::StateReader::FromPayload(std::move(payload));
+        const bool want_rows = request.ReadBool();
+        auto stmts = sql::Parser::ParseScript(request.ReadString() + ";");
+        StmtOutcome out;  // rejected unless it parses
+        if (request.ok() && stmts.ok() && !stmts->empty()) {
+          // A real defect below this line kills us mid-statement — that
+          // *is* the feature: the parent maps our death into a CrashInfo.
+          out = server.Execute(*(*stmts)[0], want_rows);
         }
-        engine.ResetSession();
-        shm_->Reset();
-        cov::CoverageRuntime::SetActiveMap(shm_);
-        if (!payload.empty()) {
-          db.set_fault_hook(nullptr);
-          if (storage == nullptr) {
-            (void)db.ExecuteScript(payload);
-          } else {
-            // Per-statement bracket: setup state must be logged so recovery
-            // after a mid-run kill reproduces it.
-            auto stmts = sql::Parser::ParseScript(payload);
-            if (stmts.ok()) {
-              for (const sql::StmtPtr& stmt : stmts.value()) {
-                storage->BeginStatement(&db);
-                auto st = db.Execute(*stmt);
-                (void)storage->EndStatement(&db, *stmt, st.ok());
-                if (!st.ok() && st.status().IsCrash()) break;
-              }
-            }
-          }
-          db.session().type_trace.clear();
-          db.session().feature_trace.clear();
-          db.set_fault_hook(&engine);
-          engine.ResetSession();
-        }
-        reply(kRespOk, "");
+        EncodeOutcome(out, &reply);
         break;
       }
-      case kReqExecute: {
-        if (payload.empty()) {
-          reply(kRespError, "");
-          break;
-        }
-        const bool want_rows = payload[0] != 0;
-        auto stmts = sql::Parser::ParseScript(payload.substr(1) + ";");
-        if (!stmts.ok() || stmts->empty()) {
-          reply(kRespError, "");
-          break;
-        }
-        // A real defect below this line kills us mid-statement — that *is*
-        // the feature: the parent maps our death into a CrashInfo.
-        if (storage != nullptr) storage->BeginStatement(&db);
-        auto st = db.Execute(*(*stmts)[0]);
-        if (storage != nullptr) {
-          (void)storage->EndStatement(&db, *(*stmts)[0], st.ok());
-        }
-        if (st.ok()) {
-          std::string rows;
-          if (want_rows) {
-            PutU32(&rows, static_cast<uint32_t>(st->rows.size()));
-            for (const minidb::Row& row : st->rows) {
-              PutStr(&rows, detail::RenderRow(row));
-            }
-          }
-          reply(kRespOk, rows);
-          break;
-        }
-        if (st.status().IsCrash()) {
-          std::string crash;
-          EncodeCrash(&crash, *db.last_crash());
-          reply(kRespCrash, crash);
-          break;
-        }
-        reply(kRespError, "");
+      case kOracleBegin:
+        server.SnapshotForOracle();
+        break;
+      case kOracleEnd:
+        server.RestoreForOracle();
+        break;
+      case kFirstColumn: {
+        const std::optional<std::string> column = server.FirstColumnOf(payload);
+        reply.WriteBool(column.has_value());
+        reply.WriteString(column.value_or(""));
         break;
       }
-      case kReqOracleBegin: {
-        oracle_saved_map = cov::CoverageRuntime::active_map();
-        cov::CoverageRuntime::SetActiveMap(nullptr);
-        oracle_saved_hook = db.fault_hook();
-        db.set_fault_hook(nullptr);
-        oracle_saved_types = db.session().type_trace.size();
-        oracle_saved_features = db.session().feature_trace.size();
-        reply(kRespOk, "");
+      case kStorageStats:
+        SaveStorageStats(server.storage_stats(), &reply);
         break;
-      }
-      case kReqOracleEnd: {
-        db.session().type_trace.resize(oracle_saved_types);
-        db.session().feature_trace.resize(oracle_saved_features);
-        db.set_fault_hook(oracle_saved_hook);
-        cov::CoverageRuntime::SetActiveMap(oracle_saved_map);
-        oracle_saved_map = nullptr;
-        oracle_saved_hook = nullptr;
-        reply(kRespOk, "");
-        break;
-      }
-      case kReqFirstCol: {
-        std::string resp(1, '\0');
-        auto t = db.catalog().GetTable(payload);
-        if (t.ok() && !(*t)->schema.columns.empty()) {
-          resp[0] = 1;
-          resp += (*t)->schema.columns.front().name;
-        }
-        reply(kRespCol, resp);
-        break;
-      }
-      case kReqStorageStats: {
-        if (storage == nullptr) {
-          reply(kRespError, "");
-          break;
-        }
-        const minidb::StorageEngine::Stats s = storage->stats();
-        BackendStorageStats bs;
-        bs.pool_hits = s.pool.hits;
-        bs.pool_misses = s.pool.misses;
-        bs.pool_evictions = s.pool.evictions;
-        bs.pool_writebacks = s.pool.writebacks;
-        bs.wal_records = s.wal_records;
-        bs.wal_bytes = s.wal_bytes;
-        bs.fsyncs = s.fsyncs;
-        bs.steal_flushes = s.steal_flushes;
-        bs.commits = s.commits;
-        bs.checkpoints = s.checkpoints;
-        std::string resp;
-        EncodeStorageStats(&resp, bs);
-        reply(kRespStats, resp);
-        break;
-      }
       default:
-        reply(kRespError, "");
         break;
     }
+    if (!persist::SendFrame(resp_fd_, type, reply.buffer()).ok()) _exit(0);
   }
 }
 

@@ -1,23 +1,48 @@
 #include "fuzz/backend_inproc.h"
 
+#include <unistd.h>
+
 #include <utility>
 
 #include "sql/parser.h"
 
 namespace lego::fuzz {
+namespace {
+
+/// Canonical row rendering for StmtOutcome::rows ("v|v|...|").
+std::string RenderRow(const minidb::Row& row) {
+  std::string line;
+  for (const minidb::Value& v : row) {
+    line += v.ToString();
+    line += '|';
+  }
+  return line;
+}
+
+}  // namespace
 
 InProcessBackend::InProcessBackend(const minidb::DialectProfile& profile,
-                                   const BackendOptions& options)
-    : profile_(profile), db_(&profile), bug_engine_(profile.name) {
+                                   const BackendOptions& options,
+                                   cov::CoverageMap* run_map)
+    : profile_(profile),
+      db_(&profile),
+      bug_engine_(profile.name),
+      // Panic mode is what makes the durability oracle sound in a forked
+      // child: a commit that cannot be made durable exits before the
+      // statement is acknowledged, so the parent's shadow never records
+      // it. In-process, a storage failure must not kill the fuzzer.
+      panic_on_storage_error_(options.kind == BackendKind::kForked),
+      run_map_(run_map != nullptr ? run_map : &own_map_) {
+  // A map shared with another process must never receive probes aimed at
+  // whatever sink this thread inherited.
+  if (run_map != nullptr) cov::CoverageRuntime::SetActiveMap(nullptr);
   db_.set_fault_hook(&bug_engine_);
   if (options.storage == StorageKind::kPaged && !options.db_dir.empty()) {
     minidb::StorageEngine::Options so;
     so.dir = options.db_dir;
     so.pool_frames = options.pool_frames;
     so.skip_fsync = options.planted_skip_fsync;
-    // In-process: a storage failure must not kill the fuzzer. The engine
-    // degrades (stops logging) and the campaign keeps fuzzing in memory.
-    so.panic_on_storage_error = false;
+    so.panic_on_storage_error = panic_on_storage_error_;
     storage_ = std::make_unique<minidb::StorageEngine>(so);
   }
 }
@@ -35,13 +60,13 @@ void InProcessBackend::Reset() {
   // catalog itself.
   if (storage_ == nullptr) {
     db_.ResetAll();
-  } else {
-    (void)storage_->ResetFresh(&db_);
+  } else if (!storage_->ResetFresh(&db_).ok() && panic_on_storage_error_) {
+    _exit(minidb::kStorageFailExitCode);
   }
   bug_engine_.ResetSession();
 
-  run_map_.Reset();
-  cov::CoverageRuntime::SetActiveMap(&run_map_);
+  run_map_->Reset();
+  cov::CoverageRuntime::SetActiveMap(run_map_);
   collecting_ = true;
 
   if (!setup_script().empty()) {
@@ -78,7 +103,7 @@ StmtOutcome InProcessBackend::Execute(const sql::Statement& stmt,
     if (want_rows) {
       out.rows.reserve(st->rows.size());
       for (const minidb::Row& row : st->rows) {
-        out.rows.push_back(detail::RenderRow(row));
+        out.rows.push_back(RenderRow(row));
       }
     }
     return out;
@@ -96,9 +121,9 @@ const cov::CoverageMap& InProcessBackend::FinishRun() {
   if (collecting_) {
     cov::CoverageRuntime::SetActiveMap(nullptr);
     collecting_ = false;
-    run_map_.ClassifyCounts();
+    run_map_->ClassifyCounts();
   }
-  return run_map_;
+  return *run_map_;
 }
 
 BackendStorageStats InProcessBackend::storage_stats() {
