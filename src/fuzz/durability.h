@@ -60,7 +60,8 @@ class DurabilityTracker {
   /// tracked statement are not durability-checkable (reset empties the dir).
   void AbandonSession() { in_session_ = false; }
 
-  /// The child acknowledged `sql` (kRespOk / kRespError / kRespCrash).
+  /// The child answered the execute request for `sql` (ok, error or
+  /// synthetic crash).
   void RecordAcked(std::string sql);
   /// `sql` was sent but not yet acknowledged.
   void SetInflight(std::string sql) { inflight_ = std::move(sql); }
