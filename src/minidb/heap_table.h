@@ -112,22 +112,22 @@ class StorageHookClearScope {
 /// The structure deliberately mirrors a slotted-page heap so scans, row ids,
 /// and vacuum behave like a real engine's.
 ///
-/// The heap runs in one of two modes with identical slot semantics (same
-/// RowIds, same scan order, same tombstone-reuse policy — digests match):
+/// One slot layer serves both storage modes: the page list, the liveness
+/// bits, the tombstone-reuse policy and the live/dead counts are shared,
+/// and every operation has one body. The modes differ only in where a
+/// page's rows are, and every operation reaches them through Rows() /
+/// MutableRows():
 ///
-///  - *Memory mode* (default): pages are a deque of row vectors, each
-///    reserved at full capacity up front so growing the heap never
-///    relocates existing rows — a concurrent session parked mid-scan can
-///    hold references across other sessions' inserts. This path is
-///    bit-identical to the pre-paged engine.
+///  - *Memory mode* (default): the rows are resident in the page, reserved
+///    at full capacity up front so growing the heap never relocates
+///    existing rows — a concurrent session parked mid-scan can hold
+///    references across other sessions' inserts.
 ///
-///  - *Paged mode* (after AttachStore): row payloads live in a PageStore —
-///    each logical page serialized as a blob chunked across 8 KiB physical
-///    pages under the shared BufferPool — and only per-page metadata (the
-///    chain of physical page ids, the slot liveness bitmap, the
-///    copy-on-write epoch) stays resident. A one-page decoded cache gives
-///    mutations and scans page locality; switching pages flushes the cache
-///    back through the pool, applying copy-on-write when a snapshot
+///  - *Paged mode* (after AttachStore): the rows live behind a PageStore
+///    chain — each logical page serialized as a blob chunked across 8 KiB
+///    physical pages under the shared BufferPool. A one-page decoded cache
+///    gives mutations and scans page locality; switching pages flushes the
+///    cache back through the pool, applying copy-on-write when a snapshot
 ///    transaction shares the chain. Pointers returned by Get()/RawRow()
 ///    point into the cache and are valid only until the next operation on
 ///    this table — every executor call site copies immediately.
@@ -179,9 +179,7 @@ class HeapTable {
   size_t LiveRowCount() const { return live_rows_; }
 
   /// Number of allocated pages.
-  size_t PageCount() const {
-    return store_ != nullptr ? ppages_.size() : pages_.size();
-  }
+  size_t PageCount() const { return pages_.size(); }
 
   /// Fraction of allocated slots that are dead (0 when empty).
   double DeadFraction() const;
@@ -226,35 +224,45 @@ class HeapTable {
   /// Routes this heap's row storage through `store`: existing in-memory
   /// pages are serialized into chains and released, and every subsequent
   /// operation reads/writes pager frames. Slot layout is preserved exactly.
+  /// Call it on a memory-mode heap (or again with the same store, which
+  /// does nothing).
   void AttachStore(PageStore* store);
-
-  bool paged() const { return store_ != nullptr; }
 
   /// Adds every physical page id reachable from this heap's chains to
   /// `live` (the storage engine's checkpoint mark phase).
   void CollectChainPages(std::set<uint32_t>* live) const;
 
  private:
+  /// One logical page. The liveness bits (1 = live, 0 = tombstone) are
+  /// resident in both modes, so liveness checks and PeekInsert never touch
+  /// the pager; `live.size()` is the page's slot count.
   struct Page {
-    std::vector<Row> rows;        // size == live.size()
-    std::vector<uint8_t> live;    // 1 = live, 0 = tombstone
-  };
-
-  /// Paged-mode resident metadata of one logical page. Row payloads live in
-  /// the PageStore under `chain`; the liveness bitmap stays resident so
-  /// liveness checks and PeekInsert never touch the pager.
-  struct PagedPage {
-    std::vector<uint32_t> chain;
     std::vector<uint8_t> live;
-    uint32_t slots = 0;
-    /// PageStore::cow_epoch() as of the last chain write; a flush under an
-    /// older epoch while cow is active copy-on-writes to a fresh chain.
-    uint64_t cow_epoch = 0;
+    /// Memory mode: the rows, one per slot. Empty in paged mode.
+    std::vector<Row> rows;
+    /// Paged mode: the PageStore chain holding the serialized rows.
+    /// Mutable, like the epoch below, because cache write-back from const
+    /// readers swaps page ids under copy-on-write.
+    mutable std::vector<uint32_t> chain;
+    /// Paged mode: PageStore::cow_epoch() as of the last chain write; a
+    /// flush under an older epoch while cow is active copy-on-writes to a
+    /// fresh chain.
+    mutable uint64_t cow_epoch = 0;
   };
 
-  static Page MakePage();
+  bool IsAllocated(RowId id) const;
+  bool IsLive(RowId id) const;
+  /// The rows of page `p`: the page's own in memory mode; in paged mode the
+  /// decoded cache, loaded on demand and valid until the next operation.
+  const std::vector<Row>& Rows(uint32_t p) const;
+  /// Rows() for writing; in paged mode marks the cache dirty.
+  std::vector<Row>& MutableRows(uint32_t p);
+  /// Writes `row` into the allocated slot `id` and marks it live.
+  void PutSlot(RowId id, Row row);
+  /// Tombstones the live slot `id` and returns its row.
+  Row KillSlot(RowId id);
 
-  // Paged-mode internals (all no-ops / unreachable in memory mode).
+  // Paged-mode decoded cache; memory mode never loads it.
   static constexpr uint32_t kNoCachedPage = UINT32_MAX;
   /// Decodes logical page `p` into the cache, flushing the previous cached
   /// page first.
@@ -262,21 +270,11 @@ class HeapTable {
   /// Serializes the cached page back through the store if dirty, applying
   /// copy-on-write when the chain is shared with a snapshot.
   void FlushCache() const;
-  std::string EncodeCachedPage() const;
+  /// Forgets the cached page without writing it.
+  void DropCache();
 
-  RowId PagedInsert(Row row);
-  bool PagedDelete(RowId id);
-  bool PagedUpdate(RowId id, Row row);
-  const Row* PagedGetSlot(RowId id) const;
-
-  // Memory mode.
   std::deque<Page> pages_;
-
-  // Paged mode. Mutable because cache write-back from const readers updates
-  // chains (copy-on-write swaps page ids) and cow epochs — the logical row
-  // content never changes from a const member.
   PageStore* store_ = nullptr;
-  mutable std::vector<PagedPage> ppages_;
   /// One-page decoded cache. Mutable: reads route through it. In concurrent
   /// mode every access happens under the scheduler token, so there is no
   /// data race despite the shared Database.
