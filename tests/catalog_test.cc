@@ -8,8 +8,10 @@ namespace {
 TableInfo MakeTable(const std::string& name) {
   TableInfo t;
   t.name = name;
-  t.schema.columns.push_back({.name = "a", .type = ValueType::kInt});
-  t.schema.columns.push_back({.name = "b", .type = ValueType::kText});
+  t.schema.columns.push_back(
+      {.name = "a", .type = ValueType::kInt, .default_value = nullptr});
+  t.schema.columns.push_back(
+      {.name = "b", .type = ValueType::kText, .default_value = nullptr});
   return t;
 }
 

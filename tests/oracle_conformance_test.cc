@@ -63,7 +63,9 @@ class PopulatedBackend : public fuzz::InProcessBackend {
         "INSERT INTO t0 VALUES (4, NULL);"
         "INSERT INTO t0 VALUES (5, -7);");
     EXPECT_TRUE(r.ok());
-    if (r.ok()) EXPECT_EQ(r->errors, 0);
+    if (r.ok()) {
+      EXPECT_EQ(r->errors, 0);
+    }
   }
 };
 
