@@ -3,7 +3,15 @@
 // the price of the pipe round-trip + child-side re-parse per statement —
 // the figure that tells you what crash isolation costs on this machine.
 //
+// Wall time on a shared machine swings widely for the forked run, whose
+// child's CPU the CPU column never sees. The `cpu_us_per_exec` counter adds
+// the CPU of reaped children (each iteration's harness reaps its fork
+// server when it is destroyed), so it compares the two backends by the work
+// they do.
+//
 //   ./bench/micro_backend
+
+#include <sys/resource.h>
 
 #include <benchmark/benchmark.h>
 
@@ -15,12 +23,25 @@ namespace {
 // round-trip, so a campaign is several times slower per execution.
 constexpr int kBudget = 2000;
 
+/// User+sys CPU of this process and of its reaped children, in seconds.
+double CpuSecondsWithChildren() {
+  auto sum = [](int who) {
+    rusage ru{};
+    getrusage(who, &ru);
+    return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+           static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) *
+               1e-6;
+  };
+  return sum(RUSAGE_SELF) + sum(RUSAGE_CHILDREN);
+}
+
 void RunBackendCampaign(benchmark::State& state,
                         lego::fuzz::BackendKind kind) {
   using namespace lego;  // NOLINT(build/namespaces)
   const auto& profile = minidb::DialectProfile::PgLite();
   fuzz::BackendOptions backend;
   backend.kind = kind;
+  const double cpu_start = CpuSecondsWithChildren();
   for (auto _ : state) {
     auto fuzzer = fleet::MakeFleetFuzzer("lego", profile, /*seed=*/1);
     fuzz::ExecutionHarness harness(profile, backend);
@@ -35,7 +56,12 @@ void RunBackendCampaign(benchmark::State& state,
       break;
     }
   }
+  const double execs = static_cast<double>(state.iterations()) * kBudget;
   state.SetItemsProcessed(state.iterations() * kBudget);
+  if (execs > 0) {
+    state.counters["cpu_us_per_exec"] =
+        (CpuSecondsWithChildren() - cpu_start) * 1e6 / execs;
+  }
 }
 
 void BM_InProcessBackend(benchmark::State& state) {
