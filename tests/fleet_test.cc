@@ -306,6 +306,47 @@ TEST_F(FleetTest, DistillRedistributeMatchesReference) {
   ExpectPoolMatchesReference(result, ref);
 }
 
+// --- incremental distill -------------------------------------------------
+
+TEST_F(FleetTest, PoolUpdatesAreStepwiseEqual) {
+  // Two pool evolutions fed the same exports in shard order must agree
+  // after every UpdatePool call, through three distill cycles.
+  FleetConfig config = BaseConfig();
+  config.num_shards = 6;
+  config.shard_budget = 400;
+  config.distill_every = 2;
+
+  struct PoolState {
+    std::vector<fuzz::TestCase> pool;
+    std::vector<fuzz::TestCase> pending;
+    int cycles = 0;
+    double seconds = 0.0;
+  };
+  PoolState fresh, second;
+  for (int s = 0; s < config.num_shards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    auto outcome = ExecuteShard(config, s, fresh.pool, nullptr, {});
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    std::vector<fuzz::TestCase> exports;
+    for (const fuzz::TestCase& tc : outcome->result.corpus_export) {
+      exports.push_back(tc.Clone());
+    }
+    ASSERT_TRUE(UpdatePool(config, s + 1,
+                           std::move(outcome->result.corpus_export),
+                           &fresh.pool, &fresh.pending, &fresh.cycles,
+                           &fresh.seconds)
+                    .ok());
+    ASSERT_TRUE(UpdatePool(config, s + 1, std::move(exports), &second.pool,
+                           &second.pending, &second.cycles, &second.seconds)
+                    .ok());
+    EXPECT_EQ(SqlOf(second.pool), SqlOf(fresh.pool));
+    EXPECT_EQ(SqlOf(second.pending), SqlOf(fresh.pending));
+    EXPECT_EQ(second.cycles, fresh.cycles);
+  }
+  EXPECT_EQ(fresh.cycles, 3);
+  EXPECT_FALSE(fresh.pool.empty());
+}
+
 // --- worker killed mid-shard: requeue without loss ------------------------
 
 TEST_F(FleetTest, WorkerKillMidShardRequeuesWithoutLoss) {
