@@ -230,6 +230,8 @@ int main(int argc, char** argv) {
   std::printf("unique logic bugs : %zu\n", result.logic.size());
   std::printf("corpus seeds : %zu\n",
               result.corpus.size() + result.corpus_pending.size());
+  std::printf("corpus digest : %016llx\n",
+              static_cast<unsigned long long>(result.corpus_digest()));
   if (result.distill_cycles > 0) {
     std::printf("distill    : %d cycles, %.2fs total\n", result.distill_cycles,
                 result.distill_seconds);

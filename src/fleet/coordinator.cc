@@ -448,7 +448,9 @@ class Coordinator {
     if (draining_) return;
     for (size_t s = 0; s < slots_.size(); ++s) {
       Slot& slot = slots_[s];
-      if (slot.state != Slot::State::kIdle) continue;
+      // A reaped slot may still read idle while Reap drains its last
+      // result; it gets no lease.
+      if (slot.state != Slot::State::kIdle || slot.pid <= 0) continue;
       // Lowest available shard id first, among those whose pool exists.
       int best = -1;
       for (size_t q = 0; q < queue_.size(); ++q) {
@@ -602,7 +604,14 @@ class Coordinator {
       return;
     }
 
-    MergeOutcome(*outcome, WorkerOrigin(s, slot.pid, config_.backend));
+    // The slot is idle again: hand it (and any other idle slot) its next
+    // lease before the bookkeeping below, which footprints the exports and
+    // rewrites the journal. The result is not in shards_done yet, so
+    // PoolReadyFor still judges by the pool as it was. The origin is taken
+    // first because a failed grant strikes the slot and clears its pid.
+    const std::string origin = WorkerOrigin(s, slot.pid, config_.backend);
+    GrantLeases();
+    MergeOutcome(*outcome, origin);
     result_.shards_done.insert(shard);
     result_.held_exports[shard] = std::move(outcome->result.corpus_export);
     Log("shard %d done by w%d: %d execs, %zu edges total, %zu crashes", shard,
@@ -620,7 +629,7 @@ class Coordinator {
       Status pool_st = UpdatePool(config_, absorbed, std::move(exports),
                                   &result_.corpus, &result_.corpus_pending,
                                   &result_.distill_cycles,
-                                  &result_.distill_seconds);
+                                  &result_.distill_seconds, &footprints_);
       if (!pool_st.ok()) {
         std::fprintf(stderr, "fleet: distill failed (pool unchanged): %s\n",
                      pool_st.ToString().c_str());
@@ -629,8 +638,8 @@ class Coordinator {
     if (pool_was_distilled_at_ != result_.distill_cycles) {
       pool_was_distilled_at_ = result_.distill_cycles;
       pool_bytes_ = EncodePool(result_.corpus);
-      // The distill replay blocked the loop; forgive every in-flight
-      // lease's heartbeat deadline for the time we stole.
+      // The distill blocked the loop; forgive every in-flight lease's
+      // heartbeat deadline for the time we stole.
       for (Slot& other : slots_) {
         if (other.state == Slot::State::kLeased) {
           other.last_heartbeat = Clock::now();
@@ -832,6 +841,7 @@ class Coordinator {
   std::vector<Slot> slots_;
   std::vector<PendingShard> queue_;
   std::string pool_bytes_;
+  PoolFootprints footprints_;  // of result_.corpus and corpus_pending
   int pool_was_distilled_at_ = 0;
   bool draining_ = false;
   Clock::time_point start_;
@@ -839,39 +849,67 @@ class Coordinator {
   Clock::time_point last_status_ = Clock::now() - std::chrono::hours(1);
 };
 
+/// Footprints the cases of `cases` past the prefix `footprints` covers.
+void FootprintMissing(const std::vector<fuzz::TestCase>& cases,
+                      std::vector<fuzz::CaseFootprint>* footprints,
+                      fuzz::ExecutionHarness* harness) {
+  for (size_t i = footprints->size(); i < cases.size(); ++i) {
+    footprints->push_back(fuzz::FootprintCase(cases[i], harness));
+  }
+}
+
 }  // namespace
 
 Status UpdatePool(const FleetConfig& config, int completed_shards,
                   std::vector<fuzz::TestCase> fresh,
                   std::vector<fuzz::TestCase>* pool,
                   std::vector<fuzz::TestCase>* pending, int* distill_cycles,
-                  double* distill_seconds) {
+                  double* distill_seconds, PoolFootprints* footprints) {
   for (auto& tc : fresh) pending->push_back(std::move(tc));
-  if (config.distill_every <= 0 || completed_shards == 0 ||
-      completed_shards % config.distill_every != 0 || pending->empty()) {
-    return Status::OK();
+  const int every = config.distill_every;
+  if (every <= 0 || completed_shards == 0) return Status::OK();
+  const bool boundary = completed_shards % every == 0;
+  PoolFootprints call_local;
+  if (footprints == nullptr) {
+    // A cache that dies with the call is worth filling only at a boundary.
+    if (!boundary) return Status::OK();
+    footprints = &call_local;
+  } else if (!boundary &&
+             (completed_shards / every + 1) * every > config.num_shards) {
+    return Status::OK();  // no later boundary will distill these exports
   }
+  if (boundary && pending->empty()) return Status::OK();
   const minidb::DialectProfile* profile =
       minidb::DialectProfile::ByName(config.profile);
   if (profile == nullptr) {
     return Status::InvalidArgument("fleet: unknown profile '" +
                                    config.profile + "'");
   }
-  std::vector<fuzz::TestCase> merged;
-  merged.reserve(pool->size() + pending->size());
-  for (auto& tc : *pool) merged.push_back(std::move(tc));
-  for (auto& tc : *pending) merged.push_back(std::move(tc));
-  pool->clear();
-  pending->clear();
-  // Distillation always replays on a private in-process/mem harness:
-  // deterministic, cheap, and independent of whatever backend the workers
-  // fuzz through.
-  fuzz::ExecutionHarness harness(*profile, fuzz::BackendOptions{});
-  fuzz::DistillStats stats;
+
   const Clock::time_point t0 = Clock::now();
-  *pool = fuzz::DistillCorpus(merged, &harness, &stats);
+  if (footprints->harness == nullptr) {
+    footprints->harness = std::make_unique<fuzz::ExecutionHarness>(
+        *profile, fuzz::BackendOptions{});
+  }
+  fuzz::ExecutionHarness* harness = footprints->harness.get();
+  FootprintMissing(*pool, &footprints->pool, harness);
+  FootprintMissing(*pending, &footprints->pending, harness);
+  if (boundary) {
+    std::vector<fuzz::TestCase> merged = std::move(*pool);
+    std::vector<fuzz::CaseFootprint> merged_fps = std::move(footprints->pool);
+    for (auto& tc : *pending) merged.push_back(std::move(tc));
+    for (auto& fp : footprints->pending) merged_fps.push_back(std::move(fp));
+    pool->clear();
+    pending->clear();
+    footprints->pool.clear();
+    footprints->pending.clear();
+    for (size_t i : fuzz::GreedyCover(merged_fps, nullptr)) {
+      pool->push_back(std::move(merged[i]));
+      footprints->pool.push_back(std::move(merged_fps[i]));
+    }
+    ++*distill_cycles;
+  }
   *distill_seconds += SecondsSince(t0);
-  ++*distill_cycles;
   return Status::OK();
 }
 
@@ -881,6 +919,17 @@ uint64_t BugDigest(const std::set<uint64_t>& crash_hashes,
   for (uint64_t h : crash_hashes) digest = HashMix(digest, h);
   digest = HashMix(digest, 0x10916);
   for (uint64_t f : logic_fingerprints) digest = HashMix(digest, f);
+  return digest;
+}
+
+uint64_t FleetResult::corpus_digest() const {
+  uint64_t digest = 0xc07905ULL;
+  for (const fuzz::TestCase& tc : corpus) {
+    digest = HashMix(digest, Fnv1a64(tc.ToSql()));
+  }
+  for (const fuzz::TestCase& tc : corpus_pending) {
+    digest = HashMix(digest, Fnv1a64(tc.ToSql()));
+  }
   return digest;
 }
 

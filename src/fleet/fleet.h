@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -11,6 +12,7 @@
 
 #include "coverage/coverage.h"
 #include "fuzz/backend.h"
+#include "fuzz/distill.h"
 #include "fuzz/harness.h"
 #include "fuzz/testcase.h"
 #include "util/status.h"
@@ -133,6 +135,8 @@ struct FleetResult {
   int results_rejected = 0;   // torn/poisoned envelopes
   int duplicate_results = 0;  // idempotent shard ids: re-delivery ignored
   int distill_cycles = 0;
+  /// Time spent distilling: the cover at each generation boundary plus the
+  /// footprint replays of the exports as they arrived.
   double distill_seconds = 0.0;
 
   // --- per-run telemetry (not journaled) ---
@@ -171,6 +175,9 @@ struct FleetResult {
   uint64_t bug_digest() const {
     return BugDigest(crash_hashes(), logic_fingerprints());
   }
+  /// Hash of the SQL of every `corpus` case, then every `corpus_pending`
+  /// case, in order: equal digests mean equal pools, case for case.
+  uint64_t corpus_digest() const;
   std::set<uint64_t> logic_fingerprints() const {
     std::set<uint64_t> out;
     for (const auto& [fp, info] : logic) out.insert(fp);
@@ -178,20 +185,45 @@ struct FleetResult {
   }
 };
 
+/// Footprints (fuzz::CaseFootprint) of a pool and of its pending exports,
+/// each list parallel to a prefix of its cases; a case past the prefix has
+/// none yet. The coordinator keeps one next to FleetResult::corpus and
+/// corpus_pending so that each case is replayed once, and a generation
+/// boundary costs only the cover. Derived state: it is not journaled, and
+/// after a resume it starts empty, so every case without a footprint is
+/// replayed once at the next footprinting.
+struct PoolFootprints {
+  std::vector<fuzz::CaseFootprint> pool;
+  std::vector<fuzz::CaseFootprint> pending;
+  /// The private in-process/mem harness that replays cases for their
+  /// footprints: deterministic, cheap, and independent of whatever backend
+  /// the workers fuzz through. Built on first use.
+  std::unique_ptr<fuzz::ExecutionHarness> harness;
+};
+
 /// Corpus-sync step shared by the coordinator and the in-process reference
 /// in tests: absorbs `fresh` exports into *pending and, when
 /// `completed_shards` crosses the distill cadence, merges pool+pending
-/// through DistillCorpus (replayed on an in-process/mem harness) back into
-/// *pool. Identical call sequence => identical pool evolution. The
+/// through the same footprints and greedy cover as fuzz::DistillCorpus
+/// (without its verifying replay) back into *pool. Identical call sequence
+/// => identical pool evolution, with or without a footprint cache. The
 /// coordinator calls it once per shard in shard-id order with
 /// completed_shards = shard + 1, the same sequence an in-order reference
 /// makes, which is what the merge-distill-redistribute equivalence test
 /// asserts at every worker count.
+///
+/// With `footprints`, the cache must belong to this (pool, pending) pair:
+/// the fresh exports are footprinted on arrival when a later boundary will
+/// distill them, and a boundary replays only the cases the cache lacks.
+/// Without it, a call-local cache footprints every case at the boundary,
+/// and a call between boundaries replays nothing. `distill_seconds`
+/// accumulates the time of both.
 Status UpdatePool(const FleetConfig& config, int completed_shards,
                   std::vector<fuzz::TestCase> fresh,
                   std::vector<fuzz::TestCase>* pool,
                   std::vector<fuzz::TestCase>* pending, int* distill_cycles,
-                  double* distill_seconds);
+                  double* distill_seconds,
+                  PoolFootprints* footprints = nullptr);
 
 /// Runs the fleet: forks options.num_workers worker processes, shards the
 /// campaign across them via leased shards renewed by heartbeat, survives

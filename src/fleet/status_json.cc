@@ -100,6 +100,8 @@ std::string RenderStatusJson(const FleetResult& result,
   out += ',';
   AppendKV(&out, "distill_cycles", static_cast<int64_t>(result.distill_cycles));
   out += ',';
+  AppendKV(&out, "distill_seconds", result.distill_seconds);
+  out += ',';
   AppendKV(&out, "leases_expired", static_cast<int64_t>(result.leases_expired));
   out += ',';
   AppendKV(&out, "results_rejected",

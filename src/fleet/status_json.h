@@ -22,7 +22,8 @@ struct WorkerStatus {
 
 /// Renders the one-line status JSON the fleet control plane serves:
 /// campaign progress (shards, execs, execs/sec, coverage, rules, unique
-/// bugs), worker fleet health (live/parked/quarantined, per-slot lease
+/// bugs), corpus sync (pool and pending sizes, distill cycles and the
+/// seconds they took, FleetResult::distill_seconds), worker fleet health (live/parked/quarantined, per-slot lease
 /// ages), fault counters, and storage stats. One line by contract so
 /// `fleet_cli status` and CI can pipe it straight into a JSON parser.
 std::string RenderStatusJson(const FleetResult& result,

@@ -58,6 +58,7 @@ ExecResult ExecutionHarness::Run(const TestCase& tc) {
 void ExecutionHarness::MergeRunFeedback(const TestCase& tc,
                                         ExecResult* result) {
   const cov::CoverageMap& run_map = backend_->FinishRun();
+  last_run_map_ = &run_map;
   result->new_coverage = global_coverage_.MergeDetectNew(run_map);
   result->total_edges = global_coverage_.CoveredEdges();
   if (rule_coverage_enabled_) {

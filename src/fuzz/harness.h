@@ -149,6 +149,10 @@ class ExecutionHarness {
     return global_coverage_;
   }
 
+  /// The classified coverage map of the last Run() alone, valid until the
+  /// next Run(). Requires at least one Run().
+  const cov::CoverageMap& last_run_coverage() const { return *last_run_map_; }
+
   /// Total distinct grammar rules covered so far (0 unless enabled).
   size_t CoveredRules() const { return global_rules_.CoveredRules(); }
 
@@ -192,6 +196,7 @@ class ExecutionHarness {
   cov::GlobalCoverage global_coverage_;
   cov::GlobalRuleCoverage global_rules_;
   cov::RuleCollector rule_collector_;
+  const cov::CoverageMap* last_run_map_ = nullptr;  // owned by backend_
   bool rule_coverage_enabled_ = false;
   LogicOracle* logic_oracle_ = nullptr;
   std::optional<uint64_t> forced_interleave_seed_;

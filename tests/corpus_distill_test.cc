@@ -15,7 +15,6 @@
 #include "fuzz/harness.h"
 #include "lego/lego_fuzzer.h"
 #include "minidb/profile.h"
-#include "persist/io.h"
 
 namespace lego::fuzz {
 namespace {
@@ -112,17 +111,6 @@ std::vector<std::string> SqlOf(const std::vector<TestCase>& cases) {
   return out;
 }
 
-/// The classified coverage of one run of `tc` on `harness`, as the bytes of
-/// the accumulated bitmap after resetting it: the bitmap then holds that run
-/// alone.
-std::string RunFootprint(ExecutionHarness* harness, const TestCase& tc) {
-  harness->ResetCoverage();
-  harness->Run(tc);
-  persist::StateWriter w;
-  EXPECT_TRUE(harness->global_coverage().SaveState(&w).ok());
-  return w.buffer();
-}
-
 TEST(CorpusFileTest, SaveLoadRoundTripsEveryCase) {
   std::vector<TestCase> donor = DonorCorpus(3, 1500);
   ASSERT_FALSE(donor.empty());
@@ -171,6 +159,8 @@ TEST(CorpusDistillTest, KeepsAllEdgesWithStrictlyFewerCases) {
   EXPECT_LT(kept.size(), donor.size());
   EXPECT_GT(stats.original_edges, 0u);
   EXPECT_EQ(stats.kept_edges, stats.original_edges);
+  // One replay per case for its footprint, one per kept case to verify.
+  EXPECT_EQ(stats.replays, donor.size() + kept.size());
 
   // Independent check on a fresh harness: the kept subset alone reaches
   // the full union.
@@ -241,9 +231,12 @@ TEST(CorpusDistillTest, FootprintDoesNotDependOnEarlierCases) {
   for (const TestCase& tc : donor) long_lived.Run(tc);
   for (size_t i = donor.size(); i-- > 0;) {
     ExecutionHarness fresh(minidb::DialectProfile::PgLite());
-    EXPECT_EQ(RunFootprint(&long_lived, donor[i]),
-              RunFootprint(&fresh, donor[i]))
-        << "case " << i;
+    const CaseFootprint late = FootprintCase(donor[i], &long_lived);
+    const CaseFootprint first = FootprintCase(donor[i], &fresh);
+    EXPECT_EQ(late.words, first.words) << "case " << i;
+    EXPECT_EQ(late.bits, first.bits) << "case " << i;
+    // The footprint's edge count is the case's solo edge count.
+    EXPECT_EQ(late.edges, fresh.CoveredEdges()) << "case " << i;
   }
 }
 

@@ -308,9 +308,12 @@ TEST_F(FleetTest, DistillRedistributeMatchesReference) {
 
 // --- incremental distill -------------------------------------------------
 
-TEST_F(FleetTest, PoolUpdatesAreStepwiseEqual) {
-  // Two pool evolutions fed the same exports in shard order must agree
-  // after every UpdatePool call, through three distill cycles.
+TEST_F(FleetTest, FootprintCacheKeepsPoolStepwiseEqual) {
+  // One pool evolution through fresh UpdatePool calls, one through calls
+  // that share a footprint cache, fed the same exports in shard order: they
+  // must agree after every call, through three distill cycles. The cache is
+  // dropped twice, as a coordinator resume drops it: once with footprinted
+  // exports pending, once right after a distill.
   FleetConfig config = BaseConfig();
   config.num_shards = 6;
   config.shard_budget = 400;
@@ -322,7 +325,8 @@ TEST_F(FleetTest, PoolUpdatesAreStepwiseEqual) {
     int cycles = 0;
     double seconds = 0.0;
   };
-  PoolState fresh, second;
+  PoolState fresh, cached;
+  PoolFootprints cache;
   for (int s = 0; s < config.num_shards; ++s) {
     SCOPED_TRACE("shard " + std::to_string(s));
     auto outcome = ExecuteShard(config, s, fresh.pool, nullptr, {});
@@ -336,12 +340,18 @@ TEST_F(FleetTest, PoolUpdatesAreStepwiseEqual) {
                            &fresh.pool, &fresh.pending, &fresh.cycles,
                            &fresh.seconds)
                     .ok());
-    ASSERT_TRUE(UpdatePool(config, s + 1, std::move(exports), &second.pool,
-                           &second.pending, &second.cycles, &second.seconds)
+    if (s == 3 || s == 4) cache = PoolFootprints{};
+    ASSERT_TRUE(UpdatePool(config, s + 1, std::move(exports), &cached.pool,
+                           &cached.pending, &cached.cycles, &cached.seconds,
+                           &cache)
                     .ok());
-    EXPECT_EQ(SqlOf(second.pool), SqlOf(fresh.pool));
-    EXPECT_EQ(SqlOf(second.pending), SqlOf(fresh.pending));
-    EXPECT_EQ(second.cycles, fresh.cycles);
+    EXPECT_EQ(SqlOf(cached.pool), SqlOf(fresh.pool));
+    EXPECT_EQ(SqlOf(cached.pending), SqlOf(fresh.pending));
+    EXPECT_EQ(cached.cycles, fresh.cycles);
+    // Every case is footprinted on arrival (after a drop, the pool again),
+    // and a boundary keeps the kept cases' footprints as the pool's.
+    EXPECT_EQ(cache.pool.size(), cached.pool.size());
+    EXPECT_EQ(cache.pending.size(), cached.pending.size());
   }
   EXPECT_EQ(fresh.cycles, 3);
   EXPECT_FALSE(fresh.pool.empty());
