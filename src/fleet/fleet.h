@@ -217,7 +217,7 @@ struct PoolFootprints {
 /// distill them, and a boundary replays only the cases the cache lacks.
 /// Without it, a call-local cache footprints every case at the boundary,
 /// and a call between boundaries replays nothing. `distill_seconds`
-/// accumulates the time of both.
+/// accumulates the time of the footprint replays and of the cover.
 Status UpdatePool(const FleetConfig& config, int completed_shards,
                   std::vector<fuzz::TestCase> fresh,
                   std::vector<fuzz::TestCase>* pool,

@@ -240,7 +240,8 @@ TEST_F(FleetTest, CleanFleetMatchesReference) {
     ASSERT_TRUE(status_json.ok());
     for (const char* key :
          {"\"shards_done\"", "\"execs_per_sec\"", "\"workers\"",
-          "\"unique_logic_bugs\"", "\"degraded\"", "\"storage\""}) {
+          "\"unique_logic_bugs\"", "\"distill_seconds\"", "\"degraded\"",
+          "\"storage\""}) {
       EXPECT_NE(status_json->find(key), std::string::npos) << key;
     }
   }
@@ -311,11 +312,12 @@ TEST_F(FleetTest, DistillRedistributeMatchesReference) {
 TEST_F(FleetTest, FootprintCacheKeepsPoolStepwiseEqual) {
   // One pool evolution through fresh UpdatePool calls, one through calls
   // that share a footprint cache, fed the same exports in shard order: they
-  // must agree after every call, through three distill cycles. The cache is
-  // dropped twice, as a coordinator resume drops it: once with footprinted
-  // exports pending, once right after a distill.
+  // must agree after every call, through four distill cycles. The pool's
+  // footprints carry from the first distill to the second; then the cache
+  // is dropped twice, as a coordinator resume drops it: once with
+  // footprinted exports pending, once right after a distill.
   FleetConfig config = BaseConfig();
-  config.num_shards = 6;
+  config.num_shards = 8;
   config.shard_budget = 400;
   config.distill_every = 2;
 
@@ -340,7 +342,7 @@ TEST_F(FleetTest, FootprintCacheKeepsPoolStepwiseEqual) {
                            &fresh.pool, &fresh.pending, &fresh.cycles,
                            &fresh.seconds)
                     .ok());
-    if (s == 3 || s == 4) cache = PoolFootprints{};
+    if (s == 5 || s == 6) cache = PoolFootprints{};
     ASSERT_TRUE(UpdatePool(config, s + 1, std::move(exports), &cached.pool,
                            &cached.pending, &cached.cycles, &cached.seconds,
                            &cache)
@@ -353,7 +355,7 @@ TEST_F(FleetTest, FootprintCacheKeepsPoolStepwiseEqual) {
     EXPECT_EQ(cache.pool.size(), cached.pool.size());
     EXPECT_EQ(cache.pending.size(), cached.pending.size());
   }
-  EXPECT_EQ(fresh.cycles, 3);
+  EXPECT_EQ(fresh.cycles, 4);
   EXPECT_FALSE(fresh.pool.empty());
 }
 
