@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -169,15 +170,16 @@ TEST(PagedCampaignTest, TinyPoolCampaignReportsEvictions) {
 }
 
 /// One rule-weighted lego campaign with the metamorphic oracles armed:
-/// pglite, seed 1, 2000 executions, snapshots every 200 — the settings of
-/// `fuzz_campaign_cli pglite lego 2000 1 --oracle=tlp,norec,clause
+/// pglite, 2000 executions, snapshots every 200 — the settings of
+/// `fuzz_campaign_cli pglite lego 2000 <seed> --oracle=tlp,norec,clause
 /// --rule-coverage`.
-CampaignResult RunRuleWeightedLego(const BackendOptions& backend) {
+CampaignResult RunRuleWeightedLego(const BackendOptions& backend,
+                                   uint64_t seed) {
   const minidb::DialectProfile* profile =
       minidb::DialectProfile::ByName("pglite");
   EXPECT_NE(profile, nullptr);
   core::LegoOptions lego_options;
-  lego_options.rng_seed = 1;
+  lego_options.rng_seed = seed;
   core::LegoFuzzer fuzzer(*profile, lego_options);
   std::string error;
   auto suite = triage::OracleSuite::FromSpec("tlp,norec,clause", &error);
@@ -197,23 +199,42 @@ CampaignResult RunRuleWeightedLego(const BackendOptions& backend) {
 // feed these numbers. The digest is the one the CLI prints for the same
 // settings. Re-capture only for an intended change of fuzzing behaviour.
 TEST(GoldenCampaignTest, RuleWeightedLegoPgliteMemAndPaged) {
-  CampaignResult on_mem = RunRuleWeightedLego(BackendOptions{});
-  EXPECT_EQ(ResultDigest(on_mem), 0x36f87e36d5647d63ULL);
-  EXPECT_EQ(on_mem.rules, 126u);
-  EXPECT_EQ(on_mem.fuzzer_stats.corpus_seeds, 312u);
+  struct Golden {
+    uint64_t seed;
+    uint64_t digest;
+    uint64_t rules;
+    uint64_t corpus_seeds;
+    uint64_t wal_records;
+    uint64_t wal_bytes;
+    uint64_t commits;  // each commit is one fsync
+    uint64_t checkpoints;
+  };
+  // Seed 1 never checkpoints; seed 5 checkpoints often, so most of its
+  // per-case resets follow a checkpoint.
+  const Golden goldens[] = {
+      {1, 0x36f87e36d5647d63ULL, 126, 312, 6355, 372547, 2681, 0},
+      {5, 0x75ee0c346e4f9ea3ULL, 126, 270, 6537, 390886, 2724, 192},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE("seed " + std::to_string(g.seed));
+    CampaignResult on_mem = RunRuleWeightedLego(BackendOptions{}, g.seed);
+    EXPECT_EQ(ResultDigest(on_mem), g.digest);
+    EXPECT_EQ(on_mem.rules, g.rules);
+    EXPECT_EQ(on_mem.fuzzer_stats.corpus_seeds, g.corpus_seeds);
 
-  const std::string dir = ::testing::TempDir() + "paged_golden_rules_db";
-  CampaignResult on_paged =
-      RunRuleWeightedLego(PagedOptions(BackendKind::kInProcess, dir, 64));
-  std::filesystem::remove_all(dir);
-  EXPECT_EQ(ResultDigest(on_paged), 0x36f87e36d5647d63ULL);
-  EXPECT_EQ(on_paged.rules, 126u);
-  EXPECT_EQ(on_paged.fuzzer_stats.corpus_seeds, 312u);
-  EXPECT_EQ(on_paged.storage.wal_records, 6355u);
-  EXPECT_EQ(on_paged.storage.wal_bytes, 372547u);
-  EXPECT_EQ(on_paged.storage.fsyncs, 2681u);
-  EXPECT_EQ(on_paged.storage.commits, 2681u);
-  EXPECT_EQ(on_paged.storage.checkpoints, 0u);
+    const std::string dir = ::testing::TempDir() + "paged_golden_rules_db";
+    CampaignResult on_paged = RunRuleWeightedLego(
+        PagedOptions(BackendKind::kInProcess, dir, 64), g.seed);
+    std::filesystem::remove_all(dir);
+    EXPECT_EQ(ResultDigest(on_paged), g.digest);
+    EXPECT_EQ(on_paged.rules, g.rules);
+    EXPECT_EQ(on_paged.fuzzer_stats.corpus_seeds, g.corpus_seeds);
+    EXPECT_EQ(on_paged.storage.wal_records, g.wal_records);
+    EXPECT_EQ(on_paged.storage.wal_bytes, g.wal_bytes);
+    EXPECT_EQ(on_paged.storage.fsyncs, g.commits);
+    EXPECT_EQ(on_paged.storage.commits, g.commits);
+    EXPECT_EQ(on_paged.storage.checkpoints, g.checkpoints);
+  }
 }
 
 }  // namespace
