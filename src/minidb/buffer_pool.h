@@ -29,6 +29,13 @@ class BufferPool {
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t writebacks = 0;
+
+    void Add(const Stats& o) {
+      hits += o.hits;
+      misses += o.misses;
+      evictions += o.evictions;
+      writebacks += o.writebacks;
+    }
   };
 
   BufferPool(PagedFile* file, size_t frames);

@@ -21,32 +21,24 @@ PageStore::PageStore(Env* env, std::string path, size_t frames,
       frames_(frames == 0 ? 1 : frames),
       panic_on_error_(panic_on_error) {}
 
-Status PageStore::Open(bool truncate) {
-  pool_.reset();
-  file_.reset();
-  auto file_or = env_->OpenPagedFile(path_, truncate);
-  if (!file_or.ok()) return file_or.status();
-  file_ = std::move(file_or).ValueOrDie();
-  pool_ = std::make_unique<BufferPool>(file_.get(), frames_);
-  RewindAllocator();
-  return Status::OK();
-}
-
 Status PageStore::Reset() {
-  if (file_ == nullptr) return Status::Internal("page store is not open");
-  LEGO_RETURN_IF_ERROR(file_->Truncate());
-  pool_->Clear();
-  RewindAllocator();
-  return Status::OK();
-}
-
-void PageStore::RewindAllocator() {
+  if (file_ == nullptr) {
+    auto file_or = env_->OpenPagedFile(path_, /*truncate=*/true);
+    if (!file_or.ok()) return file_or.status();
+    file_ = std::move(file_or).ValueOrDie();
+    pool_ = std::make_unique<BufferPool>(file_.get(), frames_);
+  } else {
+    LEGO_RETURN_IF_ERROR(file_->Truncate());
+    pool_->Clear();
+  }
+  // The state of a new file: empty allocator, cow epoch 1, no RAM overlay.
   next_page_ = 0;
   free_list_.clear();
   cow_epoch_ = 1;
   cow_active_ = false;
   ram_mode_ = false;
   ram_overlay_.clear();
+  return Status::OK();
 }
 
 void PageStore::HandleIoFailure(const Status& status) {

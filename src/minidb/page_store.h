@@ -54,6 +54,15 @@ class PageStore {
     uint64_t pages_allocated = 0;
     uint64_t pages_swept = 0;
     uint64_t sweeps = 0;
+
+    void Add(const Stats& o) {
+      blob_reads += o.blob_reads;
+      blob_writes += o.blob_writes;
+      cow_writes += o.cow_writes;
+      pages_allocated += o.pages_allocated;
+      pages_swept += o.pages_swept;
+      sweeps += o.sweeps;
+    }
   };
 
   PageStore(Env* env, std::string path, size_t frames, bool panic_on_error);
@@ -61,17 +70,12 @@ class PageStore {
   PageStore(const PageStore&) = delete;
   PageStore& operator=(const PageStore&) = delete;
 
-  /// Opens (or truncates) the page file and resets the allocator. A fresh
-  /// Open orphans every previously handed-out chain — callers re-attach
-  /// their heaps afterwards.
-  Status Open(bool truncate);
-  bool is_open() const { return file_ != nullptr; }
-
-  /// Open(true) on an open store, without reopening: truncates the page
-  /// file through the open handle, clears the pool frames (dirty ones are
-  /// dropped, not written), and rewinds the allocator, the cow epoch and
-  /// the RAM overlay. Orphans every handed-out chain, as Open does. Stats
-  /// and pool counters keep accumulating.
+  /// Empties the store: the first call opens the page file with
+  /// truncation and builds the pool, later calls truncate it through the
+  /// open handle and clear the pool frames (dirty ones are dropped, not
+  /// written). Rewinds the allocator, the cow epoch and the RAM overlay, so
+  /// every handed-out chain is orphaned — callers re-attach their heaps
+  /// afterwards. Stats and pool counters keep accumulating.
   Status Reset();
 
   /// Reads the blob stored under `chain` (concatenated page chunks). An
@@ -113,8 +117,6 @@ class PageStore {
   size_t frame_count() const { return frames_; }
 
  private:
-  /// Empty allocator, cow epoch 1, no RAM overlay: the state of a new file.
-  void RewindAllocator();
   uint32_t AllocPage();
   /// Reads one physical page's chunk; returns false on I/O failure (after
   /// applying the failure policy).

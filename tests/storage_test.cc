@@ -237,7 +237,7 @@ class HeapUnderTest {
     if (frames == 0) return;
     store_ = std::make_unique<PageStore>(&env_, "heap.pages", frames,
                                          /*panic_on_error=*/false);
-    EXPECT_TRUE(store_->Open(/*truncate=*/true).ok());
+    EXPECT_TRUE(store_->Reset().ok());
     heap_.AttachStore(store_.get());
   }
 
