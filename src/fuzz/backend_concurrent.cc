@@ -22,8 +22,8 @@ ConcurrentBackend::~ConcurrentBackend() {
 }
 
 void ConcurrentBackend::Reset() {
-  // Under paged storage the engine's ResetFresh owns the directory and may
-  // reset it in place through its open handles; wiping it here would
+  // Under paged storage the engine's ResetFresh owns the directory and
+  // resets it in place through its open handles; wiping it here would
   // orphan them.
   if (!options_.db_dir.empty() && storage_engine() == nullptr) {
     minidb::Env* env = minidb::Env::Posix();
