@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "concurrency/history_checker.h"
@@ -10,6 +12,9 @@
 #include "fuzz/multi_case.h"
 #include "fuzz/testcase.h"
 #include "minidb/profile.h"
+#include "minidb/storage_engine.h"
+#include "minidb/storage_serde.h"
+#include "sql/parser.h"
 #include "util/hash.h"
 
 namespace lego::fuzz {
@@ -290,6 +295,58 @@ TEST(ConcurrentBackendTest, SingleSessionFallsBackToSerialPath) {
   EXPECT_EQ(a.errors, b.errors);
   EXPECT_EQ(a.total_edges, b.total_edges);
   EXPECT_EQ(a.interleave_seed, 0u);  // serial path: no seed derived
+}
+
+TEST(ConcurrentBackendTest, PagedSessionsAreCheckpointedNotLogged) {
+  // On paged storage the sessions' statements write no WAL record of their
+  // own: the case's only storage work after its serial setup is the
+  // checkpoint that makes the concurrent phase durable.
+  const std::string dir = ::testing::TempDir() + "concurrent_backend_paged_db";
+  std::filesystem::remove_all(dir);
+  BackendOptions options = ConcurrentOptions();
+  options.storage = StorageKind::kPaged;
+  options.db_dir = dir;
+  {
+    ConcurrentBackend backend(minidb::DialectProfile::PgLite(), options);
+    ASSERT_NE(backend.storage_engine(), nullptr);
+    backend.Reset();
+    auto setup = sql::Parser::ParseScript(kSetup);
+    ASSERT_TRUE(setup.ok());
+    for (const sql::StmtPtr& stmt : setup.value()) {
+      ASSERT_EQ(backend.Execute(*stmt, /*want_rows=*/false).status,
+                StmtOutcome::Status::kOk);
+    }
+    const BackendStorageStats before = backend.storage_stats();
+    ASSERT_GT(before.wal_records, 0u);  // the serial setup is logged
+
+    MultiSessionCase mc;
+    mc.sessions.push_back(Parse(
+        "INSERT INTO t VALUES (3, 30); UPDATE t SET b = b + 1 WHERE a = 1;"
+        " BEGIN; DELETE FROM t WHERE a = 2; COMMIT;"));
+    mc.sessions.push_back(Parse(
+        "INSERT INTO t VALUES (4, 40); UPDATE t SET b = b * 2 WHERE a = 3;"));
+    auto result = backend.RunCase(mc, 11);
+    ASSERT_FALSE(result.stats.crashed);
+    EXPECT_EQ(result.stats.errors, 0);
+    EXPECT_GT(result.stats.executed, 0);
+
+    const BackendStorageStats after = backend.storage_stats();
+    EXPECT_EQ(after.wal_records, before.wal_records);
+    EXPECT_EQ(after.wal_bytes, before.wal_bytes);
+    EXPECT_EQ(after.commits, before.commits);
+    EXPECT_EQ(after.fsyncs, before.fsyncs);
+    EXPECT_EQ(after.checkpoints, before.checkpoints + 1);
+
+    // The checkpoint alone carries the sessions' writes to disk.
+    minidb::Database recovered(&minidb::DialectProfile::PgLite());
+    minidb::WalLoadStats wal_stats;
+    ASSERT_TRUE(minidb::StorageEngine::RecoverInto(minidb::Env::Posix(), dir,
+                                                   &recovered, &wal_stats)
+                    .ok());
+    EXPECT_EQ(minidb::StateDigest(recovered.catalog()),
+              minidb::StateDigest(backend.database().catalog()));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
