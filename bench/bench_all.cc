@@ -122,17 +122,9 @@ double ParseLoopSeconds(const std::string& script, int iters, bool armed) {
   return SecondsSince(t0);
 }
 
-/// Runs a script through the storage engine's statement bracket, the way
-/// the paged backends drive it.
-void BracketedExec(minidb::StorageEngine* engine, minidb::Database* db,
-                   const std::string& sql) {
-  auto stmts = sql::Parser::ParseScript(sql + ";");
-  if (!stmts.ok()) std::abort();
-  for (const sql::StmtPtr& stmt : stmts.value()) {
-    engine->BeginStatement(db);
-    Status st = db->Execute(*stmt).status();
-    (void)engine->EndStatement(db, *stmt, st.ok());
-  }
+/// Runs a script; on paged storage the engine logs every statement.
+void RunScript(minidb::Database* db, const std::string& sql) {
+  if (!db->ExecuteScript(sql + ";").ok()) std::abort();
 }
 
 struct RecoveryBench {
@@ -166,29 +158,27 @@ RecoveryBench TimedRecovery(int rows) {
     minidb::StorageEngine engine(sopts);
     minidb::Database db(profile);
     if (!engine.ResetFresh(&db).ok()) std::abort();
-    BracketedExec(&engine, &db, "CREATE TABLE t (a INT, b TEXT)");
+    RunScript(&db, "CREATE TABLE t (a INT, b TEXT)");
     // ~2KB per row: 40k rows put the snapshot at the 10k-page mark the
     // recovery figure is quoted against.
     const std::string pad(2000, 'x');
     constexpr int kBatch = 250;
     for (int base = 0; base < rows; base += kBatch) {
-      BracketedExec(&engine, &db, "BEGIN");
+      RunScript(&db, "BEGIN");
       for (int i = base; i < base + kBatch && i < rows; ++i) {
-        BracketedExec(&engine, &db,
-                      "INSERT INTO t VALUES (" + std::to_string(i) + ", '" +
-                          pad + "')");
+        RunScript(&db, "INSERT INTO t VALUES (" + std::to_string(i) + ", '" +
+                           pad + "')");
       }
-      BracketedExec(&engine, &db, "COMMIT");
+      RunScript(&db, "COMMIT");
     }
-    BracketedExec(&engine, &db, "CHECKPOINT");
+    RunScript(&db, "CHECKPOINT");
     // Post-checkpoint tail: recovery replays these on top of the snapshot.
     // Autocommit inserts, one fsync each — bounded so the bench stays
     // seconds, not minutes, on a real disk.
     const int tail = rows / 10 < 500 ? rows / 10 : 500;
     for (int i = 0; i < tail; ++i) {
-      BracketedExec(&engine, &db,
-                    "INSERT INTO t VALUES (" + std::to_string(rows + i) +
-                        ", 'tail')");
+      RunScript(&db, "INSERT INTO t VALUES (" + std::to_string(rows + i) +
+                         ", 'tail')");
     }
     bench.pool_hits = engine.stats().pool.hits;
     bench.pool_misses = engine.stats().pool.misses;
@@ -248,18 +238,17 @@ LargerThanRamBench TimedLargerThanRam(int rows, int scans) {
     minidb::StorageEngine engine(sopts);
     minidb::Database db(profile);
     if (!engine.ResetFresh(&db).ok()) std::abort();
-    BracketedExec(&engine, &db, "CREATE TABLE t (a INT, b TEXT)");
+    RunScript(&db, "CREATE TABLE t (a INT, b TEXT)");
     // ~200B per row: 10k rows ≈ 2MB of heap against a 512KB pool.
     const std::string pad(180, 'x');
     constexpr int kBatch = 250;
     for (int base = 0; base < rows; base += kBatch) {
-      BracketedExec(&engine, &db, "BEGIN");
+      RunScript(&db, "BEGIN");
       for (int i = base; i < base + kBatch && i < rows; ++i) {
-        BracketedExec(&engine, &db,
-                      "INSERT INTO t VALUES (" + std::to_string(i) + ", '" +
-                          pad + "')");
+        RunScript(&db, "INSERT INTO t VALUES (" + std::to_string(i) + ", '" +
+                           pad + "')");
       }
-      BracketedExec(&engine, &db, "COMMIT");
+      RunScript(&db, "COMMIT");
     }
     bench.load_seconds = SecondsSince(t0);
 
@@ -268,7 +257,7 @@ LargerThanRamBench TimedLargerThanRam(int rows, int scans) {
     for (int s = 0; s < scans; ++s) {
       // Full scan, empty result set: every row is decoded, nothing is
       // materialized, so the figure is pager throughput, not row copying.
-      BracketedExec(&engine, &db, "SELECT a FROM t WHERE a < 0");
+      RunScript(&db, "SELECT a FROM t WHERE a < 0");
     }
     const double scan_seconds = SecondsSince(t0);
     const minidb::StorageEngine::Stats after = engine.stats();
@@ -284,7 +273,7 @@ LargerThanRamBench TimedLargerThanRam(int rows, int scans) {
         scan_seconds > 0
             ? static_cast<double>(rows) * scans / scan_seconds
             : 0;
-    BracketedExec(&engine, &db, "CHECKPOINT");
+    RunScript(&db, "CHECKPOINT");
   }
 
   t0 = std::chrono::steady_clock::now();

@@ -119,8 +119,8 @@ void ConcurrentEngine::CommitTxn(SessionCtx& ctx) {
 
 void ConcurrentEngine::ApplyUndo(SessionCtx& ctx) {
   // Undo application must not re-enter the observer (no locks, no schedule
-  // points, no history inside a rollback). The storage engine's WAL capture
-  // is already cleared for the whole run.
+  // points, no history inside a rollback). The storage engine logs nothing
+  // of it: the database's storage hook is uninstalled for the whole run.
   minidb::RowHookClearScope no_hooks;
   std::map<std::string, minidb::HeapTable*> touched;
   for (auto it = ctx.undo.rbegin(); it != ctx.undo.rend(); ++it) {
@@ -419,24 +419,26 @@ ConcurrentEngine::RunStats ConcurrentEngine::Run(
   db_->set_txn_hook(this);
   minidb::RowObserver* const saved_observer = minidb::RowHooks::Get();
   minidb::RowHooks::Set(this);
-  {
-    // No per-statement WAL capture while sessions run: the backend
-    // checkpoints the concurrent phase as a whole.
-    minidb::StorageHookClearScope no_wal_capture;
-    // Start barrier: each session runs to its first schedule point, and the
-    // last arrival closes the first epoch.
-    for (int sid = 0; sid < n; ++sid) ResumeSession(sid);
-    for (int sid = scheduler_.running(); sid >= 0; sid = scheduler_.running()) {
-      ResumeSession(sid);
-    }
-    // After AbortAll (a crash), every parked session is resumed once: it
-    // wakes with kShutdown and unwinds through ShutdownException.
-    for (int sid = 0; sid < n; ++sid) {
-      if (fibers_[static_cast<size_t>(sid)].finished()) continue;
-      assert(scheduler_.aborted());
-      ResumeSession(sid);
-    }
+  // No per-statement WAL capture while sessions run: without a storage
+  // hook the database opens no statement bracket, so the storage engine
+  // ignores the paged heaps' reports, and the backend checkpoints the
+  // concurrent phase as a whole.
+  minidb::StorageHook* const saved_storage = db_->storage_hook();
+  db_->set_storage_hook(nullptr);
+  // Start barrier: each session runs to its first schedule point, and the
+  // last arrival closes the first epoch.
+  for (int sid = 0; sid < n; ++sid) ResumeSession(sid);
+  for (int sid = scheduler_.running(); sid >= 0; sid = scheduler_.running()) {
+    ResumeSession(sid);
   }
+  // After AbortAll (a crash), every parked session is resumed once: it
+  // wakes with kShutdown and unwinds through ShutdownException.
+  for (int sid = 0; sid < n; ++sid) {
+    if (fibers_[static_cast<size_t>(sid)].finished()) continue;
+    assert(scheduler_.aborted());
+    ResumeSession(sid);
+  }
+  db_->set_storage_hook(saved_storage);
   minidb::RowHooks::Set(saved_observer);
   db_->set_txn_hook(nullptr);
   current_ = nullptr;

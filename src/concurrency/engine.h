@@ -49,9 +49,11 @@ struct TxnAbortException {};
 /// token handoff, so each session observes its own settings/trace while the
 /// shared catalog carries the data. DDL is screened at the statement level
 /// and the catalog is additionally frozen by the backend, so the set of
-/// tables/indexes is fixed for the whole concurrent phase. The storage
-/// engine's per-statement WAL capture is cleared for the run: the backend
-/// makes the concurrent phase durable with one checkpoint afterwards.
+/// tables/indexes is fixed for the whole concurrent phase. The Database's
+/// storage hook is uninstalled for the run, so no statement is bracketed
+/// and the storage engine logs none of the sessions' row traffic: the
+/// backend makes the concurrent phase durable with one checkpoint
+/// afterwards.
 class ConcurrentEngine : public minidb::TxnHook, public minidb::RowObserver {
  public:
   struct Options {

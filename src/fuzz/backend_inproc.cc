@@ -4,8 +4,6 @@
 
 #include <utility>
 
-#include "sql/parser.h"
-
 namespace lego::fuzz {
 namespace {
 
@@ -71,20 +69,7 @@ void InProcessBackend::Reset() {
 
   if (!setup_script().empty()) {
     db_.set_fault_hook(nullptr);
-    if (storage_ == nullptr) {
-      (void)db_.ExecuteScript(setup_script());
-    } else {
-      // Per-statement bracket so the setup state is logged and recoverable.
-      auto stmts = sql::Parser::ParseScript(setup_script());
-      if (stmts.ok()) {
-        for (const sql::StmtPtr& stmt : stmts.value()) {
-          storage_->BeginStatement(&db_);
-          auto st = db_.Execute(*stmt);
-          (void)storage_->EndStatement(&db_, *stmt, st.ok());
-          if (!st.ok() && st.status().IsCrash()) break;
-        }
-      }
-    }
+    (void)db_.ExecuteScript(setup_script());
     db_.session().type_trace.clear();
     db_.session().feature_trace.clear();
     db_.set_fault_hook(&bug_engine_);
@@ -95,9 +80,7 @@ void InProcessBackend::Reset() {
 StmtOutcome InProcessBackend::Execute(const sql::Statement& stmt,
                                       bool want_rows) {
   StmtOutcome out;
-  if (storage_ != nullptr) storage_->BeginStatement(&db_);
   auto st = db_.Execute(stmt);
-  if (storage_ != nullptr) (void)storage_->EndStatement(&db_, stmt, st.ok());
   if (st.ok()) {
     out.status = StmtOutcome::Status::kOk;
     if (want_rows) {

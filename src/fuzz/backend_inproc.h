@@ -16,8 +16,10 @@ namespace lego::fuzz {
 /// oracle bracket).
 ///
 /// With StorageKind::kPaged the same execution path additionally runs behind
-/// a StorageEngine (fresh on-disk generation per Reset, statement bracket
-/// around every Execute). The mem path constructs no engine and stays
+/// a StorageEngine: every Reset starts a fresh on-disk generation, and the
+/// engine, installed as the database's storage hook, logs every statement
+/// the database executes (setup script, case, oracle queries, and direct
+/// database() calls alike). The mem path constructs no engine and stays
 /// bit-identical.
 ///
 /// In-process, a storage failure degrades the engine (it stops logging)
@@ -47,6 +49,7 @@ class InProcessBackend : public DbBackend {
 
   /// Direct engine access for tests and embedded tooling (populating a
   /// schema before driving an oracle by hand, planting evaluator bugs, ...).
+  /// On paged storage, statements executed here are logged like any other.
   minidb::Database& database() { return db_; }
 
   /// Paged mode only; nullptr on the mem path.

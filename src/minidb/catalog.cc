@@ -34,17 +34,18 @@ Status Catalog::CreateTable(TableInfo table) {
                                  "' already exists");
   }
   if (page_store_ != nullptr && !table.temporary) {
-    table.heap.AttachStore(page_store_);
+    table.heap.AttachStore(page_store_, observer_);
   }
   tables_.emplace(table.name, std::move(table));
   return Status::OK();
 }
 
-void Catalog::set_page_store(PageStore* store) {
+void Catalog::set_page_store(PageStore* store, StorageObserver* observer) {
   page_store_ = store;
+  observer_ = observer;
   if (store == nullptr) return;
   for (auto& [name, table] : tables_) {
-    if (!table.temporary) table.heap.AttachStore(store);
+    if (!table.temporary) table.heap.AttachStore(store, observer);
   }
 }
 

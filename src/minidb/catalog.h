@@ -184,14 +184,15 @@ class Catalog {
   void DropTemporaryTables();
 
   /// Routes every non-temporary heap (existing and future) through `store`
-  /// (paged mode). Catalog copies share the pointer, so snapshot copies
-  /// stay paged and copy-on-write keeps their chains intact. Temporary
-  /// tables stay memory-resident — they are session state, not durable
-  /// state, and the snapshot serde already skips them. nullptr detaches
-  /// nothing (attachment is one-way for a catalog generation; a fresh
-  /// generation starts from a fresh Catalog).
-  void set_page_store(PageStore* store);
-  PageStore* page_store() const { return page_store_; }
+  /// (paged mode) and has it report its mutations to `observer`, the
+  /// storage engine's WAL capture. Catalog copies share both pointers, so
+  /// snapshot copies stay paged and copy-on-write keeps their chains
+  /// intact. Temporary tables get neither: they stay memory-resident and
+  /// unlogged — they are session state, not durable state, and the
+  /// snapshot serde already skips them. A null store detaches nothing
+  /// (attachment is one-way for a catalog generation; a fresh generation
+  /// starts from a fresh Catalog).
+  void set_page_store(PageStore* store, StorageObserver* observer);
 
   /// Mark phase of the page-store sweep: every physical page id reachable
   /// from a (non-temporary) heap chain.
@@ -212,6 +213,7 @@ class Catalog {
 
   bool ddl_frozen_ = false;
   PageStore* page_store_ = nullptr;  // not owned; null = memory mode
+  StorageObserver* observer_ = nullptr;  // not owned; set with page_store_
   std::map<std::string, TableInfo> tables_;
   std::map<std::string, IndexInfo> indexes_;
   std::map<std::string, ViewInfo> views_;

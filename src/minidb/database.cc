@@ -39,7 +39,7 @@ void SetPlantedOomForTesting(bool armed) {
 
 Database::Database(const DialectProfile* profile) : profile_(profile) {}
 
-StatusOr<ResultSet> Database::Execute(const sql::Statement& stmt) {
+StatusOr<ResultSet> Database::ExecuteUnbracketed(const sql::Statement& stmt) {
   // Planted real defects (test-only): checked before any validation so the
   // trigger statement reproduces and minimizes to itself regardless of
   // catalog state.
@@ -86,6 +86,15 @@ StatusOr<ResultSet> Database::Execute(const sql::Statement& stmt) {
           "): " + crash->message));
     }
   }
+  return result;
+}
+
+StatusOr<ResultSet> Database::Execute(const sql::Statement& stmt) {
+  StorageHook* const hook = storage_hook_;
+  if (hook == nullptr) return ExecuteUnbracketed(stmt);
+  hook->OnStatementBegin(*this);
+  auto result = ExecuteUnbracketed(stmt);
+  hook->OnStatementEnd(*this, stmt, result.ok());
   return result;
 }
 

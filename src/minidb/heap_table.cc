@@ -11,16 +11,10 @@ namespace lego::minidb {
 
 namespace {
 thread_local RowObserver* tls_row_observer = nullptr;
-thread_local StorageObserver* tls_storage_observer = nullptr;
 }  // namespace
 
 RowObserver* RowHooks::Get() { return tls_row_observer; }
 void RowHooks::Set(RowObserver* observer) { tls_row_observer = observer; }
-
-StorageObserver* StorageHooks::Get() { return tls_storage_observer; }
-void StorageHooks::Set(StorageObserver* observer) {
-  tls_storage_observer = observer;
-}
 
 namespace {
 std::string EncodeRows(const std::vector<Row>& rows) {
@@ -144,7 +138,7 @@ RowId HeapTable::Insert(Row row) {
   } else {
     AppendRawSlot(std::move(row), /*live=*/true);
   }
-  if (StorageObserver* s = StorageHooks::Get()) s->OnPut(this, id, nullptr);
+  if (observer_ != nullptr) observer_->OnPut(this, id, nullptr);
   return id;
 }
 
@@ -154,7 +148,7 @@ bool HeapTable::Delete(RowId id) {
   if (RowObserver* o = RowHooks::Get()) o->OnDelete(this, id);
   if (!IsLive(id)) return false;
   const Row before = KillSlot(id);
-  if (StorageObserver* s = StorageHooks::Get()) s->OnErase(this, id, before);
+  if (observer_ != nullptr) observer_->OnErase(this, id, before);
   return true;
 }
 
@@ -162,11 +156,10 @@ bool HeapTable::Update(RowId id, Row row) {
   if (RowObserver* o = RowHooks::Get()) o->OnUpdate(this, id);
   if (!IsLive(id)) return false;
   Row& slot = MutableRows(id.page)[id.slot];
-  StorageObserver* s = StorageHooks::Get();
   Row before;
-  if (s != nullptr) before = std::move(slot);
+  if (observer_ != nullptr) before = std::move(slot);
   slot = std::move(row);
-  if (s != nullptr) s->OnPut(this, id, &before);
+  if (observer_ != nullptr) observer_->OnPut(this, id, &before);
   return true;
 }
 
@@ -192,7 +185,7 @@ const Row* HeapTable::RawRow(RowId id) const {
 bool HeapTable::ResurrectAt(RowId id, Row row) {
   if (!IsAllocated(id) || IsLive(id)) return false;
   PutSlot(id, std::move(row));
-  if (StorageObserver* s = StorageHooks::Get()) s->OnStructural(this);
+  if (observer_ != nullptr) observer_->OnStructural(this);
   return true;
 }
 
@@ -249,7 +242,7 @@ void HeapTable::Vacuum() {
   // every rebuilt page written once, in order.
   FlushCache();
   DropCache();
-  if (StorageObserver* s = StorageHooks::Get()) s->OnStructural(this);
+  if (observer_ != nullptr) observer_->OnStructural(this);
 }
 
 void HeapTable::Clear() {
@@ -259,7 +252,7 @@ void HeapTable::Clear() {
   DropCache();
   live_rows_ = 0;
   dead_slots_ = 0;
-  if (StorageObserver* s = StorageHooks::Get()) s->OnStructural(this);
+  if (observer_ != nullptr) observer_->OnStructural(this);
 }
 
 void HeapTable::VisitSlots(
@@ -320,7 +313,8 @@ void HeapTable::ApplyDelete(RowId id) {
 
 // --- paged mode wiring ---
 
-void HeapTable::AttachStore(PageStore* store) {
+void HeapTable::AttachStore(PageStore* store, StorageObserver* observer) {
+  observer_ = observer;
   if (store_ == store) return;
   store_ = store;
   DropCache();

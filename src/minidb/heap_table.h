@@ -38,7 +38,9 @@ class RowObserver {
 /// Thread-local observer installation. The concurrency engine installs its
 /// observer on the thread that runs the session fibers for the duration of
 /// a run; everything else (serial backends, setup scripts, tests) sees
-/// nullptr.
+/// nullptr. Unlike the storage observer, which each paged heap holds, this
+/// one stays thread-local: it is installed per run rather than per heap,
+/// must cover temporary heaps too, and is cleared while undo is applied.
 struct RowHooks {
   static RowObserver* Get();
   static void Set(RowObserver* observer);
@@ -62,10 +64,10 @@ class RowHookClearScope {
 /// concurrency engine can park/lock), these hooks fire *after* a successful
 /// mutation, when the post-image is in place — and carry the slot's
 /// before-image, which is exactly what a physiological redo+undo record
-/// needs under the steal policy. Installed per thread via StorageHooks only
-/// between a storage engine's BeginStatement/EndStatement bracket; every
-/// other code path pays one thread-local load per mutation and nothing
-/// else (before-images are only materialized while a hook is armed).
+/// needs under the steal policy. A heap holds its observer next to its
+/// PageStore (both handed over by AttachStore), so only paged,
+/// non-temporary heaps report; the observer itself ignores whatever fires
+/// outside its statement bracket (recovery, a concurrent run).
 class StorageObserver {
  public:
   virtual ~StorageObserver() = default;
@@ -82,29 +84,6 @@ class StorageObserver {
   /// identities are no longer stable, so per-op redo is off the table and
   /// the statement must be logged logically.
   virtual void OnStructural(const HeapTable* table) = 0;
-};
-
-/// Thread-local storage-observer installation (same pattern as RowHooks).
-struct StorageHooks {
-  static StorageObserver* Get();
-  static void Set(StorageObserver* observer);
-};
-
-/// Clears the calling thread's storage observer for a scope. The
-/// concurrency engine holds one for a whole run: its sessions' writes, undo
-/// included, are made durable by one checkpoint afterwards, never as
-/// per-statement redo records.
-class StorageHookClearScope {
- public:
-  StorageHookClearScope() : saved_(StorageHooks::Get()) {
-    StorageHooks::Set(nullptr);
-  }
-  ~StorageHookClearScope() { StorageHooks::Set(saved_); }
-  StorageHookClearScope(const StorageHookClearScope&) = delete;
-  StorageHookClearScope& operator=(const StorageHookClearScope&) = delete;
-
- private:
-  StorageObserver* saved_;
 };
 
 /// Page-structured row store. Rows live in fixed-capacity pages with a
@@ -225,8 +204,9 @@ class HeapTable {
   /// pages are serialized into chains and released, and every subsequent
   /// operation reads/writes pager frames. Slot layout is preserved exactly.
   /// Call it on a memory-mode heap (or again with the same store, which
-  /// does nothing).
-  void AttachStore(PageStore* store);
+  /// only replaces the observer). From then on every mutation reports to
+  /// `observer` (may be nullptr).
+  void AttachStore(PageStore* store, StorageObserver* observer);
 
   /// Adds every physical page id reachable from this heap's chains to
   /// `live` (the storage engine's checkpoint mark phase).
@@ -275,6 +255,7 @@ class HeapTable {
 
   std::deque<Page> pages_;
   PageStore* store_ = nullptr;
+  StorageObserver* observer_ = nullptr;
   /// One-page decoded cache. Mutable: reads route through it. In concurrent
   /// mode every access happens under the scheduler token, so there is no
   /// data race despite the shared Database.

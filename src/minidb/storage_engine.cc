@@ -134,7 +134,7 @@ Status StorageEngine::ResetFresh(Database* db) {
                            ? wal_.Truncate()
                            : wal_.Open(WalPath(0), /*truncate=*/true));
   LEGO_RETURN_IF_ERROR(page_store_.Reset());
-  db->catalog().set_page_store(&page_store_);
+  db->catalog().set_page_store(&page_store_, this);
   db->set_storage_hook(this);
   manifest_lsn_ = 0;
   return Status::OK();
@@ -236,7 +236,7 @@ Status StorageEngine::OpenOrRecover(Database* db) {
   degraded_ = false;
   ResetTxnState(max_txn + 1);
   LEGO_RETURN_IF_ERROR(page_store_.Reset());
-  db->catalog().set_page_store(&page_store_);
+  db->catalog().set_page_store(&page_store_, this);
   db->set_storage_hook(this);
   manifest_lsn_ = snap_lsn;
   return Status::OK();
@@ -591,37 +591,34 @@ bool StorageEngine::AppendRecord(const WalRecord& rec) {
   return true;
 }
 
-Status StorageEngine::CommitBatch(std::vector<WalRecord> records,
-                                  uint64_t txn_id) {
-  if (records.empty() && txn_id == 0) return Status::OK();
+void StorageEngine::CommitBatch(std::vector<WalRecord> records,
+                                uint64_t txn_id) {
+  if (records.empty() && txn_id == 0) return;
   for (const WalRecord& rec : records) {
-    if (!AppendRecord(rec)) return Status::OK();
+    if (!AppendRecord(rec)) return;
   }
   const uint64_t before = wal_.buffered_bytes() + wal_.synced_bytes();
   Status s = wal_.Commit(lsn_++, txn_id, options_.skip_fsync);
   if (!s.ok()) {
     HandleStorageFailure(s);
-    return Status::OK();
+    return;
   }
   ++stats_.wal_records;  // the kCommit marker
   stats_.wal_bytes += wal_.buffered_bytes() + wal_.synced_bytes() - before;
   if (!options_.skip_fsync) ++stats_.fsyncs;
   ++stats_.commits;
   ++commits_since_checkpoint_;
-  return Status::OK();
 }
 
-Status StorageEngine::MaybeAutoCheckpoint(Database* db) {
-  if (in_txn_ || degraded_) return Status::OK();
+void StorageEngine::MaybeAutoCheckpoint(Database* db) {
+  if (in_txn_ || degraded_) return;
   if (!checkpoint_pending_ &&
       commits_since_checkpoint_ < options_.checkpoint_every_commits) {
-    return Status::OK();
+    return;
   }
   // A failed checkpoint leaves the previous generation fully valid, so the
   // engine keeps running on the old WAL; it will simply retry later.
-  Status s = Checkpoint(db);
-  if (!s.ok()) commits_since_checkpoint_ = 0;
-  return Status::OK();
+  if (!Checkpoint(db).ok()) commits_since_checkpoint_ = 0;
 }
 
 StorageEngine::Stats StorageEngine::stats() const {
@@ -631,52 +628,46 @@ StorageEngine::Stats StorageEngine::stats() const {
   return s;
 }
 
-void StorageEngine::BeginStatement(Database* db) {
+void StorageEngine::OnStatementBegin(Database& db) {
   if (degraded_) return;
   structural_ = false;
   unknown_heap_ = false;
   stmt_records_.clear();
-  stmt_user_ = db->session().current_user;
+  stmt_user_ = db.session().current_user;
   schema_fp_before_ = schema_fp_chained_ ? schema_fp_chain_
-                                         : SchemaFingerprint(db->catalog());
+                                         : SchemaFingerprint(db.catalog());
   seq_before_.clear();
-  for (const std::string& name : db->catalog().SequenceNames()) {
-    const SequenceInfo* seq = db->catalog().FindSequence(name);
+  for (const std::string& name : db.catalog().SequenceNames()) {
+    const SequenceInfo* seq = db.catalog().FindSequence(name);
     seq_before_[name] = {seq->current, seq->started};
   }
+  // Temporary heaps hold no observer, so they never report.
   table_names_.clear();
-  temp_tables_.clear();
-  for (const std::string& name : db->catalog().TableNames()) {
-    const TableInfo* t = db->catalog().GetTable(name).value();
-    if (t->temporary) {
-      temp_tables_.insert(&t->heap);
-    } else {
-      table_names_[&t->heap] = name;
-    }
+  for (const std::string& name : db.catalog().TableNames()) {
+    const TableInfo* t = db.catalog().GetTable(name).value();
+    if (!t->temporary) table_names_[&t->heap] = name;
   }
   in_statement_ = true;
-  StorageHooks::Set(this);
 }
 
-Status StorageEngine::EndStatement(Database* db, const sql::Statement& stmt,
+void StorageEngine::OnStatementEnd(Database& db, const sql::Statement& stmt,
                                    bool executed_ok) {
-  StorageHooks::Set(nullptr);
   schema_fp_chained_ = false;
-  if (!in_statement_) return Status::OK();
+  if (!in_statement_) return;
   in_statement_ = false;
-  if (degraded_) return Status::OK();
+  if (degraded_) return;
 
   const sql::StatementType type = stmt.type();
   if (IsTclType(type)) {
     // Buffer management already happened through the StorageHook
     // notifications the transaction-control path fired.
     stmt_records_.clear();
-    return Status::OK();
+    return;
   }
 
   if (IsSessionContextType(type)) {
     stmt_records_.clear();
-    if (!executed_ok) return Status::OK();
+    if (!executed_ok) return;
     WalRecord rec;
     rec.type = WalRecordType::kLogical;
     rec.lsn = lsn_++;
@@ -684,26 +675,28 @@ Status StorageEngine::EndStatement(Database* db, const sql::Statement& stmt,
     rec.user = stmt_user_;
     std::vector<WalRecord> batch;
     batch.push_back(std::move(rec));
-    LEGO_RETURN_IF_ERROR(CommitBatch(std::move(batch), /*txn_id=*/0));
-    return MaybeAutoCheckpoint(db);
+    CommitBatch(std::move(batch), /*txn_id=*/0);
+    MaybeAutoCheckpoint(&db);
+    return;
   }
 
   if (type == sql::StatementType::kCheckpoint) {
     // CHECKPOINT changes no durable state, so it must be handled before the
-    // state_changed early-return below.
+    // state_changed early-return below. A failed attempt leaves the
+    // previous generation valid; the statement's own status stands.
     stmt_records_.clear();
-    if (!executed_ok) return Status::OK();
-    return Checkpoint(db);  // defers itself (checkpoint_pending_) in a txn
+    if (executed_ok) (void)Checkpoint(&db);  // defers itself in a txn
+    return;
   }
 
-  const uint64_t schema_fp_after = SchemaFingerprint(db->catalog());
+  const uint64_t schema_fp_after = SchemaFingerprint(db.catalog());
   const bool schema_changed = schema_fp_after != schema_fp_before_;
   schema_fp_chain_ = schema_fp_after;
   schema_fp_chained_ = true;
 
   std::vector<WalRecord> seq_records;
-  for (const std::string& name : db->catalog().SequenceNames()) {
-    const SequenceInfo* seq = db->catalog().FindSequence(name);
+  for (const std::string& name : db.catalog().SequenceNames()) {
+    const SequenceInfo* seq = db.catalog().FindSequence(name);
     auto it = seq_before_.find(name);
     if (it != seq_before_.end() &&
         it->second == std::make_pair(seq->current, seq->started)) {
@@ -720,7 +713,7 @@ Status StorageEngine::EndStatement(Database* db, const sql::Statement& stmt,
   const bool state_changed = !stmt_records_.empty() || structural_ ||
                              unknown_heap_ || schema_changed ||
                              !seq_records.empty();
-  if (!state_changed) return Status::OK();
+  if (!state_changed) return;
 
   const bool physio_ok = !structural_ && !unknown_heap_ && !schema_changed;
 
@@ -735,7 +728,7 @@ Status StorageEngine::EndStatement(Database* db, const sql::Statement& stmt,
       rec.deferred = false;
       if (!AppendRecord(rec)) {
         stmt_records_.clear();
-        return Status::OK();
+        return;
       }
       last_streamed_lsn_ = rec.lsn;
       txn_streamed_ = true;
@@ -749,12 +742,12 @@ Status StorageEngine::EndStatement(Database* db, const sql::Statement& stmt,
       Status s = wal_.Flush();
       if (!s.ok()) {
         HandleStorageFailure(s);
-        return Status::OK();
+        return;
       }
       ++stats_.steal_flushes;
       ++stats_.fsyncs;
     }
-    return Status::OK();
+    return;
   }
 
   std::vector<WalRecord> records;
@@ -777,16 +770,15 @@ Status StorageEngine::EndStatement(Database* db, const sql::Statement& stmt,
     // the transaction loses).
     if (!physio_ok) txn_logical_mode_ = true;
     for (WalRecord& rec : records) txn_buffer_.push_back(std::move(rec));
-    return Status::OK();
+    return;
   }
-  LEGO_RETURN_IF_ERROR(CommitBatch(std::move(records), /*txn_id=*/0));
-  return MaybeAutoCheckpoint(db);
+  CommitBatch(std::move(records), /*txn_id=*/0);
+  MaybeAutoCheckpoint(&db);
 }
 
 void StorageEngine::OnPut(const HeapTable* table, RowId id,
                           const Row* before) {
   if (!in_statement_) return;
-  if (temp_tables_.count(table) > 0) return;
   auto it = table_names_.find(table);
   if (it == table_names_.end()) {
     unknown_heap_ = true;
@@ -812,7 +804,6 @@ void StorageEngine::OnPut(const HeapTable* table, RowId id,
 void StorageEngine::OnErase(const HeapTable* table, RowId id,
                             const Row& before) {
   if (!in_statement_) return;
-  if (temp_tables_.count(table) > 0) return;
   auto it = table_names_.find(table);
   if (it == table_names_.end()) {
     unknown_heap_ = true;
@@ -828,7 +819,6 @@ void StorageEngine::OnErase(const HeapTable* table, RowId id,
 
 void StorageEngine::OnStructural(const HeapTable* table) {
   if (!in_statement_) return;
-  if (temp_tables_.count(table) > 0) return;
   if (table_names_.count(table) == 0) {
     unknown_heap_ = true;
     return;
@@ -859,9 +849,9 @@ void StorageEngine::OnTxnCommit(Database& db) {
       rec.txn_id = txn;
       rec.deferred = true;
     }
-    (void)CommitBatch(std::move(batch), txn);
+    CommitBatch(std::move(batch), txn);
   }
-  (void)MaybeAutoCheckpoint(&db);
+  MaybeAutoCheckpoint(&db);
 }
 
 void StorageEngine::OnTxnRollback(Database& db) {

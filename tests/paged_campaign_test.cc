@@ -13,13 +13,17 @@
 #include <vector>
 
 #include "fuzz/backend.h"
+#include "fuzz/backend_inproc.h"
 #include "fuzz/campaign.h"
 #include "fuzz/checkpoint.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/harness.h"
 #include "fuzz/testcase.h"
 #include "lego/lego_fuzzer.h"
+#include "minidb/env.h"
 #include "minidb/profile.h"
+#include "minidb/storage_engine.h"
+#include "minidb/storage_serde.h"
 #include "triage/oracle_suite.h"
 
 namespace lego::fuzz {
@@ -133,6 +137,41 @@ TEST(PagedCampaignTest, ForkedPagedMatchesMem) {
 TEST(PagedCampaignTest, ConcurrentPagedMatchesMem) {
   ExpectStorageParity(BackendKind::kConcurrent,
                       ::testing::TempDir() + "paged_parity_concurrent_db");
+}
+
+// A statement run straight through database(), not through the backend's
+// Execute, is logged like any other: a read-only recovery of the
+// directory, which sees only what reached the disk (all a crash would
+// leave), finds every such statement's effect.
+TEST(PagedCampaignTest, DirectDatabaseStatementsAreLoggedAndRecover) {
+  const std::string dir = ::testing::TempDir() + "paged_direct_db";
+  const minidb::DialectProfile* profile =
+      minidb::DialectProfile::ByName("pglite");
+  ASSERT_NE(profile, nullptr);
+  {
+    InProcessBackend backend(*profile,
+                             PagedOptions(BackendKind::kInProcess, dir));
+    backend.Reset();
+    auto script = backend.database().ExecuteScript(
+        "CREATE TABLE t (a INT, b TEXT); INSERT INTO t VALUES (1, 'x');"
+        " BEGIN; INSERT INTO t VALUES (2, 'y'); COMMIT;"
+        " UPDATE t SET b = 'z' WHERE a = 1;");
+    ASSERT_TRUE(script.ok());
+    ASSERT_EQ(script->errors, 0);
+    EXPECT_EQ(backend.storage_stats().commits, 4u);
+
+    minidb::Database recovered(profile);
+    minidb::WalLoadStats wal_stats;
+    ASSERT_TRUE(minidb::StorageEngine::RecoverInto(minidb::Env::Posix(), dir,
+                                                   &recovered, &wal_stats)
+                    .ok());
+    EXPECT_EQ(wal_stats.commits, 4u);
+    EXPECT_EQ(recovered.catalog().GetTable("t").value()->heap.LiveRowCount(),
+              2u);
+    EXPECT_EQ(minidb::StateDigest(recovered.catalog()),
+              minidb::StateDigest(backend.database().catalog()));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // A campaign whose dataset exceeds the pool must finish with real eviction

@@ -238,7 +238,7 @@ class HeapUnderTest {
     store_ = std::make_unique<PageStore>(&env_, "heap.pages", frames,
                                          /*panic_on_error=*/false);
     EXPECT_TRUE(store_->Reset().ok());
-    heap_.AttachStore(store_.get());
+    heap_.AttachStore(store_.get(), /*observer=*/nullptr);
   }
 
   HeapTable& heap() { return heap_; }
