@@ -3,35 +3,12 @@
 #include <utility>
 
 #include "minidb/catalog.h"
-#include "minidb/env.h"
 
 namespace lego::fuzz {
 
 ConcurrentBackend::ConcurrentBackend(const minidb::DialectProfile& profile,
                                      const BackendOptions& options)
-    : InProcessBackend(profile, options), options_(options) {
-  if (!options_.db_dir.empty()) {
-    (void)minidb::Env::Posix()->CreateDir(options_.db_dir);
-  }
-}
-
-ConcurrentBackend::~ConcurrentBackend() {
-  if (!options_.db_dir.empty()) {
-    (void)minidb::Env::Posix()->RemoveDirRecursive(options_.db_dir);
-  }
-}
-
-void ConcurrentBackend::Reset() {
-  // Under paged storage the engine's ResetFresh owns the directory and
-  // resets it in place through its open handles; wiping it here would
-  // orphan them.
-  if (!options_.db_dir.empty() && storage_engine() == nullptr) {
-    minidb::Env* env = minidb::Env::Posix();
-    (void)env->RemoveDirRecursive(options_.db_dir);
-    (void)env->CreateDir(options_.db_dir);
-  }
-  InProcessBackend::Reset();
-}
+    : InProcessBackend(profile, options), options_(options) {}
 
 ConcurrentBackend::CaseResult ConcurrentBackend::RunCase(
     const MultiSessionCase& mcase, uint64_t seed) {
@@ -80,11 +57,11 @@ ConcurrentBackend::CaseResult ConcurrentBackend::RunCase(
   result.stats = engine_->Run(scripts);
   db.catalog().set_ddl_frozen(false);
 
-  // Paged mode: the sessions wrote the shared pager-backed heaps outside
-  // the storage engine's per-statement WAL capture (the engine clears it
-  // for the run). Re-establish durability by checkpointing the final
-  // state — snapshot plus WAL rotation — once the interleaving is fully
-  // resolved.
+  // Paged mode: the sessions wrote the shared pager-backed heaps with no
+  // statement bracket (the engine uninstalls the database's storage hook
+  // for the run), so none of it was logged. Re-establish durability by
+  // checkpointing the final state — snapshot plus WAL rotation — once the
+  // interleaving is fully resolved.
   minidb::StorageEngine* storage = storage_engine();
   if (storage != nullptr && !result.stats.crashed) {
     (void)storage->Checkpoint(&db);

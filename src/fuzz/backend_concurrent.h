@@ -21,23 +21,20 @@ namespace lego::fuzz {
 ///
 /// Storage note: with StorageKind::kPaged the sessions share the same
 /// pager-backed heaps as the serial phases; the scheduler token gives the
-/// page cache one user at a time. The storage engine's per-statement WAL
-/// capture is cleared while the sessions run, and its transaction hooks are
-/// shadowed by the engine's TxnHook, so the concurrent phase is made
-/// durable by a checkpoint (snapshot + WAL rotation) when the case finishes
-/// instead of per-statement logging. The backend owns its per-worker
-/// on-disk directory lifecycle when `db_dir` is configured: created up
-/// front, emptied on every Reset (by the storage engine's ResetFresh under
-/// paged storage), removed on destruction.
+/// page cache one user at a time. The concurrency engine uninstalls the
+/// database's storage hook while the sessions run, so no session statement
+/// is bracketed or logged, and its TxnHook takes over transaction control;
+/// the concurrent phase is made durable by a checkpoint (snapshot + WAL
+/// rotation) when the case finishes instead of per-statement logging. As
+/// in InProcessBackend, `db_dir` belongs to the storage engine: its
+/// ResetFresh creates and empties it under paged storage, mem storage
+/// never writes to it, and removing it is the caller's business.
 class ConcurrentBackend : public InProcessBackend {
  public:
   ConcurrentBackend(const minidb::DialectProfile& profile,
                     const BackendOptions& options);
-  ~ConcurrentBackend() override;
 
   std::string_view name() const override { return "concurrent"; }
-
-  void Reset() override;
 
   struct CaseResult {
     concurrency::ConcurrentEngine::RunStats stats;
