@@ -261,6 +261,7 @@ int main(int argc, char** argv) {
   options.resume = resume;
   options.export_corpus = !export_corpus.empty();
   std::vector<fuzz::TestCase> imported_seeds;
+  size_t import_skipped = 0;  // damaged entries a tolerant import skipped
   if (!import_corpus.empty() && !resume) {
     // Tolerant import: salvage the loadable prefix of a damaged corpus
     // (skip the rest with a counted warning) instead of refusing it.
@@ -274,7 +275,7 @@ int main(int argc, char** argv) {
     }
     imported_seeds = std::move(*loaded);
     options.import_seeds = &imported_seeds;
-    options.import_skipped = cls.skipped;
+    import_skipped = cls.skipped;
     if (cls.skipped > 0 || cls.degraded) {
       std::fprintf(stderr,
                    "warning: corpus %s damaged; salvaged %zu seed(s), "
@@ -360,10 +361,9 @@ int main(int argc, char** argv) {
   std::printf("  sequences          : %zu synthesized, %zu dropped at cap\n",
               result.fuzzer_stats.sequences_total,
               result.fuzzer_stats.sequences_dropped);
-  if (result.fuzzer_stats.import_skipped > 0) {
+  if (import_skipped > 0) {
     std::printf("  import skipped     : %zu damaged corpus entr%s\n",
-                result.fuzzer_stats.import_skipped,
-                result.fuzzer_stats.import_skipped == 1 ? "y" : "ies");
+                import_skipped, import_skipped == 1 ? "y" : "ies");
   }
   if (backend.storage == fuzz::StorageKind::kPaged) {
     const fuzz::BackendStorageStats& ss = result.storage;

@@ -189,7 +189,6 @@ CampaignResult RunCampaign(Fuzzer* fuzzer, ExecutionHarness* harness,
     result.coverage_curve.emplace_back(result.executions, result.edges);
   }
   result.fuzzer_stats = fuzzer->stats();
-  result.fuzzer_stats.import_skipped = options.import_skipped;
   if (options.export_corpus) result.corpus_export = fuzzer->ExportCorpus();
   if (Persisting(options)) {
     Status saved = Status::OK();

@@ -50,9 +50,6 @@ struct CampaignOptions {
   /// campaign end (fuel for `corpus_cli distill` / --import-corpus). Off by
   /// default: exporting clones the whole corpus.
   bool export_corpus = false;
-  /// Corrupt entries skipped by a tolerant --import-corpus (set by the CLI
-  /// alongside import_seeds; surfaced in FuzzerStats::import_skipped).
-  size_t import_skipped = 0;
 
   /// Cooperative external stop (graceful shutdown). When non-null and the
   /// pointee becomes true, the campaign finishes the in-flight test case,

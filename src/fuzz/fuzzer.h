@@ -20,9 +20,6 @@ struct FuzzerStats {
   size_t sequences_total = 0;
   /// Sequences silently discarded at the synthesizer's kMaxSequences cap.
   size_t sequences_dropped = 0;
-  /// Corrupt entries a tolerant --import-corpus skipped (filled in by the
-  /// campaign runner from CampaignOptions, not by the fuzzer itself).
-  size_t import_skipped = 0;
 };
 
 /// Common interface for all fuzzers (LEGO, LEGO-, and the baselines). The

@@ -7,6 +7,18 @@
 #include "fuzz/state.h"
 
 namespace lego::core {
+namespace {
+
+/// Each synthesized sequence is instantiated this many times (§III-B:
+/// randomness in structure selection adds diversity).
+constexpr int kInstantiationsPerSequence = 2;
+/// Per-affinity cap on sequences consumed from the synthesizer.
+constexpr int kMaxSequencesPerAffinity = 96;
+/// Bound on queued entries, counting deferred instantiations and
+/// materialized cases alike. Synthesis stops enqueueing at the bound.
+constexpr size_t kMaxQueue = 16384;
+
+}  // namespace
 
 LegoFuzzer::LegoFuzzer(const minidb::DialectProfile& profile,
                        LegoOptions options)
@@ -56,7 +68,7 @@ fuzz::TestCase LegoFuzzer::Next() {
   // otherwise imported discoveries from fast neighbors would have this
   // worker synthesizing instead of fuzzing.
   if (!pending_foreign_affinities_.empty() &&
-      queue_.size() < options_.max_queue / 2) {
+      queue_.size() < kMaxQueue / 2) {
     auto [t1, t2] = pending_foreign_affinities_.front();
     pending_foreign_affinities_.pop_front();
     EnqueueSynthesized(t1, t2);
@@ -108,10 +120,10 @@ void LegoFuzzer::EnqueueSynthesized(sql::StatementType t1,
   std::shared_ptr<const AstLibrary> snapshot;
   int consumed = 0;
   for (const auto& seq : sequences) {
-    if (consumed >= options_.max_sequences_per_affinity) break;
+    if (consumed >= kMaxSequencesPerAffinity) break;
     ++consumed;
-    for (int k = 0; k < options_.instantiations_per_sequence; ++k) {
-      if (queue_.size() >= options_.max_queue) return;
+    for (int k = 0; k < kInstantiationsPerSequence; ++k) {
+      if (queue_.size() >= kMaxQueue) return;
       if (snapshot == nullptr) snapshot = library_.Snapshot();
       queue_.emplace_back(DeferredInstantiation{seq, rng_.Next(), snapshot});
     }

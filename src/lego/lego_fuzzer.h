@@ -25,14 +25,6 @@ struct LegoOptions {
   /// synthesis are disabled together (the paper's LEGO- ablation — they are
   /// tightly coupled, §V-D).
   bool sequence_algorithms_enabled = true;
-  /// Each synthesized sequence is instantiated this many times (§III-B:
-  /// randomness in structure selection adds diversity).
-  int instantiations_per_sequence = 2;
-  /// Per-affinity cap on sequences consumed from the synthesizer.
-  int max_sequences_per_affinity = 96;
-  /// Bound on queued entries, counting deferred instantiations and
-  /// materialized cases alike. Synthesis stops enqueueing at the bound.
-  size_t max_queue = 16384;
   uint64_t rng_seed = 1;
 };
 
