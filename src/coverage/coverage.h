@@ -227,7 +227,9 @@ class CoverageScope {
 
 /// Instrumentation probe: drop one at each interesting control-flow point in
 /// the target engine. The id is a compile-time hash of file:line, so probe
-/// identity is stable across runs.
+/// identity is stable across runs. Because the id hashes its line, moving a
+/// probe to another line re-keys its edges, which can move campaign
+/// trajectories and the golden digests.
 #define LEGO_COV()                                                       \
   do {                                                                   \
     constexpr uint64_t _lego_cov_id =                                    \
