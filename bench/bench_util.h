@@ -1,7 +1,13 @@
 #ifndef LEGO_BENCH_BENCH_UTIL_H_
 #define LEGO_BENCH_BENCH_UTIL_H_
 
+#include <stdlib.h>
+
+#include <benchmark/benchmark.h>
+
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -11,6 +17,40 @@
 #include "minidb/profile.h"
 
 namespace lego::bench {
+
+/// Every micro_* benchmark runs 5 repetitions and reports only their mean,
+/// median, stddev and cv: one run on a shared machine can be off by a
+/// third, so compare two builds by the medians and read the spread next to
+/// them.
+inline void Repeated(benchmark::internal::Benchmark* b) {
+  b->Repetitions(5)->DisplayAggregatesOnly(true);
+}
+
+/// A fresh directory under the system temp dir, removed with its contents
+/// when the object goes out of scope.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& stem) {
+    std::string path =
+        (std::filesystem::temp_directory_path() / (stem + "_XXXXXX")).string();
+    if (::mkdtemp(path.data()) == nullptr) {
+      std::perror("mkdtemp");
+      std::abort();
+    }
+    path_ = path;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Runs one serial campaign of `executions` runs. Fuzzer names are the
 /// fleet's ("lego-" is the ablation).

@@ -106,19 +106,24 @@ void BM_ForkedCampaign_Governed(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_FailpointCheck_Disabled);
-BENCHMARK(BM_FailpointCheck_ArmedNeverFiring);
+BENCHMARK(BM_FailpointCheck_Disabled)->Apply(lego::bench::Repeated);
+BENCHMARK(BM_FailpointCheck_ArmedNeverFiring)
+    ->Apply(lego::bench::Repeated);
 BENCHMARK(BM_Campaign_ChaosDisarmed)
     ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+    ->UseRealTime()
+    ->Apply(lego::bench::Repeated);
 BENCHMARK(BM_Campaign_ChaosArmedNeverFiring)
     ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+    ->UseRealTime()
+    ->Apply(lego::bench::Repeated);
 BENCHMARK(BM_ForkedCampaign_Ungoverned)
     ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+    ->UseRealTime()
+    ->Apply(lego::bench::Repeated);
 BENCHMARK(BM_ForkedCampaign_Governed)
     ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+    ->UseRealTime()
+    ->Apply(lego::bench::Repeated);
 
 BENCHMARK_MAIN();

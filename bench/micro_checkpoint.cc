@@ -8,7 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <filesystem>
 #include <string>
 
 #include "bench_util.h"
@@ -20,19 +19,13 @@ namespace {
 // Big enough that the 10k-interval rows actually checkpoint mid-run.
 constexpr int kBudget = 20000;
 
-std::string ScratchDir() {
-  auto dir = std::filesystem::temp_directory_path() / "lego_bench_ckpt";
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
 /// One campaign per iteration; range(0) = checkpoint interval (0 =
 /// persistence off entirely).
 void BM_CampaignCheckpoint(benchmark::State& state) {
   using namespace lego;  // NOLINT(build/namespaces)
   const int interval = static_cast<int>(state.range(0));
   const auto& profile = minidb::DialectProfile::PgLite();
-  const std::string dir = ScratchDir();
+  const lego::bench::ScratchDir dir("lego_bench_ckpt");
   for (auto _ : state) {
     auto fuzzer = fleet::MakeFleetFuzzer("lego", profile, /*seed=*/1);
     fuzz::ExecutionHarness harness(profile);
@@ -40,7 +33,7 @@ void BM_CampaignCheckpoint(benchmark::State& state) {
     options.max_executions = kBudget;
     options.snapshot_every = kBudget;
     if (interval > 0) {
-      options.state_dir = dir;
+      options.state_dir = dir.path();
       options.checkpoint_every = interval;
     }
     fuzz::CampaignResult result =
@@ -51,7 +44,6 @@ void BM_CampaignCheckpoint(benchmark::State& state) {
       break;
     }
   }
-  std::filesystem::remove_all(dir);
   state.SetItemsProcessed(state.iterations() * kBudget);
   state.counters["ckpt_every"] = interval;
 }
@@ -69,9 +61,8 @@ void BM_StateSaveLatency(benchmark::State& state) {
   fuzz::CampaignResult result =
       fuzz::RunCampaign(fuzzer.get(), &harness, options);
 
-  const std::string dir = ScratchDir();
-  std::filesystem::create_directories(dir);
-  const std::string path = fuzz::SerialStatePath(dir);
+  const bench::ScratchDir dir("lego_bench_ckpt");
+  const std::string path = fuzz::SerialStatePath(dir.path());
   size_t bytes = 0;
   for (auto _ : state) {
     persist::StateWriter w;
@@ -84,7 +75,6 @@ void BM_StateSaveLatency(benchmark::State& state) {
     }
     bytes = w.buffer().size();
   }
-  std::filesystem::remove_all(dir);
   state.counters["state_bytes"] = static_cast<double>(bytes);
 }
 
@@ -95,11 +85,13 @@ BENCHMARK(BM_CampaignCheckpoint)
     ->Arg(1000)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+    ->UseRealTime()
+    ->Apply(lego::bench::Repeated);
 
 BENCHMARK(BM_StateSaveLatency)
     ->Arg(2000)
     ->Arg(8000)
-    ->Unit(benchmark::kMicrosecond);
+    ->Unit(benchmark::kMicrosecond)
+    ->Apply(lego::bench::Repeated);
 
 BENCHMARK_MAIN();

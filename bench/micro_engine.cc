@@ -1,10 +1,10 @@
 // Microbenchmarks for the minidb substrate: storage, index, executor, the
-// harness hot loop (executions/second is the fuzzing budget currency), and
-// corpus distillation.
+// paged engine's cold recovery and scans of a heap larger than its buffer
+// pool, the harness hot loop (executions/second is the fuzzing budget
+// currency), and corpus distillation.
 //
 // Every benchmark runs 5 repetitions and reports only their mean, median,
-// stddev and cv: one run on a shared machine can be off by a third, so
-// compare two builds by the medians and read the spread next to them.
+// stddev and cv (bench_util.h's Repeated).
 //
 //   ./bench/micro_engine --benchmark_min_time=0.05
 
@@ -12,26 +12,30 @@
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+#include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "fleet/shard.h"
 #include "fuzz/campaign.h"
 #include "fuzz/distill.h"
 #include "fuzz/harness.h"
 #include "minidb/btree.h"
 #include "minidb/database.h"
+#include "minidb/env.h"
+#include "minidb/storage_engine.h"
 #include "sql/parser.h"
 
 namespace {
 
+using lego::bench::Repeated;
+using lego::bench::ScratchDir;
 using lego::minidb::BTreeIndex;
 using lego::minidb::Database;
 using lego::minidb::RowId;
+using lego::minidb::StorageEngine;
 using lego::minidb::Value;
-
-void Repeated(benchmark::internal::Benchmark* b) {
-  b->Repetitions(5)->DisplayAggregatesOnly(true);
-}
 
 void BM_BTreeInsert(benchmark::State& state) {
   for (auto _ : state) {
@@ -141,6 +145,124 @@ void BM_HarnessRunTestCase(benchmark::State& state) {
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_HarnessRunTestCase)->Apply(Repeated);
+
+StorageEngine::Options PagedOptions(const std::string& dir) {
+  StorageEngine::Options options;
+  options.dir = dir;
+  options.pool_frames = 64;
+  // One explicit checkpoint: an automatic one mid-load would shrink the WAL
+  // tail that recovery replays.
+  options.checkpoint_every_commits = 1u << 30;
+  return options;
+}
+
+void RunSql(Database* db, const std::string& sql) {
+  if (!db->ExecuteScript(sql + ";").ok()) std::abort();
+}
+
+/// Loads rows 0..rows-1 into a new table t(a INT, b TEXT), each with a
+/// `pad_bytes` text, in commits of 250 rows.
+void BulkLoad(Database* db, int rows, size_t pad_bytes) {
+  RunSql(db, "CREATE TABLE t (a INT, b TEXT)");
+  const std::string pad(pad_bytes, 'x');
+  constexpr int kBatch = 250;
+  for (int base = 0; base < rows; base += kBatch) {
+    RunSql(db, "BEGIN");
+    for (int i = base; i < base + kBatch && i < rows; ++i) {
+      RunSql(db, "INSERT INTO t VALUES (" + std::to_string(i) + ", '" + pad +
+                     "')");
+    }
+    RunSql(db, "COMMIT");
+  }
+}
+
+/// A paged database directory for cold recovery, written once per process:
+/// 4000 rows of about 2 KB, a CHECKPOINT, then 400 autocommit inserts that
+/// recovery replays over the snapshot.
+struct RecoveryImage {
+  RecoveryImage() {
+    StorageEngine engine(PagedOptions(dir.path()));
+    Database db(&lego::minidb::DialectProfile::PgLite());
+    if (!engine.ResetFresh(&db).ok()) std::abort();
+    BulkLoad(&db, 4000, 2000);
+    RunSql(&db, "CHECKPOINT");
+    for (int i = 0; i < 400; ++i) {
+      RunSql(&db, "INSERT INTO t VALUES (" + std::to_string(4000 + i) +
+                      ", 'tail')");
+    }
+  }
+  ScratchDir dir{"lego_bench_recovery"};
+};
+
+/// Cold recovery: snapshot load plus WAL-tail replay. Recovery leaves the
+/// directory as it found it, so every iteration replays the same records.
+void BM_ColdRecovery(benchmark::State& state) {
+  static const RecoveryImage image;
+  uint64_t replayed = 0;
+  for (auto _ : state) {
+    StorageEngine engine(PagedOptions(image.dir.path()));
+    Database db(&lego::minidb::DialectProfile::PgLite());
+    if (!engine.OpenOrRecover(&db).ok()) {
+      state.SkipWithError("recovery failed");
+      break;
+    }
+    const uint64_t records = engine.stats().recovered_records;
+    if (replayed != 0 && records != replayed) {
+      state.SkipWithError("recovery changed the directory it recovered");
+      break;
+    }
+    replayed = records;
+  }
+  uint64_t snapshot_bytes = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(image.dir.path())) {
+    if (entry.path().filename().string().rfind("snap.", 0) == 0) {
+      snapshot_bytes += entry.file_size();
+    }
+  }
+  state.counters["replayed_records"] = static_cast<double>(replayed);
+  state.counters["snapshot_pages"] =
+      static_cast<double>(snapshot_bytes / lego::minidb::kPageSize);
+}
+BENCHMARK(BM_ColdRecovery)->Unit(benchmark::kMillisecond)->Apply(Repeated);
+
+/// 10000 rows of about 200 bytes in a paged database kept open, a heap
+/// about four times its 64-frame pool. Loaded once per process.
+struct LargeHeap {
+  static constexpr int kRows = 10000;
+  LargeHeap() : engine(PagedOptions(dir.path())) {
+    if (!engine.ResetFresh(&db).ok()) std::abort();
+    BulkLoad(&db, kRows, 180);
+  }
+  ScratchDir dir{"lego_bench_scan"};
+  StorageEngine engine;
+  Database db{&lego::minidb::DialectProfile::PgLite()};
+};
+
+/// Full scans of LargeHeap: every pass re-faults evicted pages through the
+/// Env. The empty result keeps the figure pager throughput, not row copying.
+void BM_ScanLargerThanPool(benchmark::State& state) {
+  static LargeHeap heap;
+  auto scan = lego::sql::Parser::ParseStatement("SELECT a FROM t WHERE a < 0");
+  const StorageEngine::Stats before = heap.engine.stats();
+  for (auto _ : state) {
+    auto result = heap.db.Execute(**scan);
+    benchmark::DoNotOptimize(result);
+  }
+  const StorageEngine::Stats after = heap.engine.stats();
+  const double hits = static_cast<double>(after.pool.hits - before.pool.hits);
+  const double misses =
+      static_cast<double>(after.pool.misses - before.pool.misses);
+  state.SetItemsProcessed(state.iterations() * LargeHeap::kRows);
+  state.counters["pool_hit_rate"] =
+      hits + misses > 0 ? hits / (hits + misses) : 0.0;
+  state.counters["evictions_per_scan"] = benchmark::Counter(
+      static_cast<double>(after.pool.evictions - before.pool.evictions),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ScanLargerThanPool)
+    ->Unit(benchmark::kMillisecond)
+    ->Apply(Repeated);
 
 double ThreadCpuSeconds() {
   timespec ts{};

@@ -1,15 +1,24 @@
 // Microbenchmarks for the SQL front-end: lexing, parsing, and printing.
 // These back the paper's C3 concern — fuzzing throughput is bounded by how
 // fast test cases can be (re)parsed and rendered.
+//
+// BM_ParseScript parses with the grammar-rule probes detached, as every
+// campaign parse but the rule-signal reparse does; BM_ParseScriptArmed
+// parses the same script with them armed. The pair prices the probes.
 
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 
+#include "bench_util.h"
+#include "coverage/rule_coverage.h"
+#include "sql/grammar_coverage.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 
 namespace {
+
+using lego::bench::Repeated;
 
 const char* kScript =
     "CREATE TABLE t1 (v1 INT PRIMARY KEY, v2 TEXT NOT NULL, v3 REAL);\n"
@@ -35,7 +44,7 @@ void BM_Lex(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(strlen(kScript)));
 }
-BENCHMARK(BM_Lex);
+BENCHMARK(BM_Lex)->Apply(Repeated);
 
 void BM_ParseScript(benchmark::State& state) {
   for (auto _ : state) {
@@ -45,7 +54,20 @@ void BM_ParseScript(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(strlen(kScript)));
 }
-BENCHMARK(BM_ParseScript);
+BENCHMARK(BM_ParseScript)->Apply(Repeated);
+
+void BM_ParseScriptArmed(benchmark::State& state) {
+  lego::cov::RuleMap map;
+  lego::sql::GrammarCoverageScope scope(map.data());
+  for (auto _ : state) {
+    auto stmts = lego::sql::Parser::ParseScript(kScript);
+    benchmark::DoNotOptimize(stmts);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(strlen(kScript)));
+  state.counters["rules_hit"] = static_cast<double>(map.CountNonZero());
+}
+BENCHMARK(BM_ParseScriptArmed)->Apply(Repeated);
 
 void BM_ParseComplexSelect(benchmark::State& state) {
   for (auto _ : state) {
@@ -53,7 +75,7 @@ void BM_ParseComplexSelect(benchmark::State& state) {
     benchmark::DoNotOptimize(stmt);
   }
 }
-BENCHMARK(BM_ParseComplexSelect);
+BENCHMARK(BM_ParseComplexSelect)->Apply(Repeated);
 
 void BM_PrintStatement(benchmark::State& state) {
   auto stmt = lego::sql::Parser::ParseStatement(kComplexSelect);
@@ -62,7 +84,7 @@ void BM_PrintStatement(benchmark::State& state) {
     benchmark::DoNotOptimize(text);
   }
 }
-BENCHMARK(BM_PrintStatement);
+BENCHMARK(BM_PrintStatement)->Apply(Repeated);
 
 void BM_CloneStatement(benchmark::State& state) {
   auto stmt = lego::sql::Parser::ParseStatement(kComplexSelect);
@@ -71,7 +93,7 @@ void BM_CloneStatement(benchmark::State& state) {
     benchmark::DoNotOptimize(copy);
   }
 }
-BENCHMARK(BM_CloneStatement);
+BENCHMARK(BM_CloneStatement)->Apply(Repeated);
 
 }  // namespace
 

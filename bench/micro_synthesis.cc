@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_util.h"
 #include "fuzz/seeds.h"
 #include "lego/affinity.h"
 #include "lego/ast_library.h"
@@ -16,6 +17,7 @@
 namespace {
 
 using lego::Rng;
+using lego::bench::Repeated;
 using lego::core::SequenceSynthesizer;
 using lego::core::TypeAffinityMap;
 using lego::sql::StatementType;
@@ -49,7 +51,7 @@ void BM_AffinityAnalyze(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_AffinityAnalyze);
+BENCHMARK(BM_AffinityAnalyze)->Apply(Repeated);
 
 // Algorithm 3: only sequences containing the new affinity are enumerated.
 void BM_ProgressiveSynthesis(benchmark::State& state) {
@@ -69,7 +71,7 @@ void BM_ProgressiveSynthesis(benchmark::State& state) {
     benchmark::DoNotOptimize(produced);
   }
 }
-BENCHMARK(BM_ProgressiveSynthesis)->Arg(16)->Arg(48);
+BENCHMARK(BM_ProgressiveSynthesis)->Arg(16)->Arg(48)->Apply(Repeated);
 
 // Ablation: rebuild every sequence from scratch after each new affinity
 // (what the Prefix Sequence index avoids). Same output set, much more work.
@@ -96,7 +98,7 @@ void BM_FullReenumeration(benchmark::State& state) {
     benchmark::DoNotOptimize(produced);
   }
 }
-BENCHMARK(BM_FullReenumeration)->Arg(16)->Arg(48);
+BENCHMARK(BM_FullReenumeration)->Arg(16)->Arg(48)->Apply(Repeated);
 
 // Instantiation throughput + semantic-validity rate of the dependency
 // refill (executed against a fresh database; errors counted).
@@ -134,7 +136,7 @@ void BM_InstantiateAndExecute(benchmark::State& state) {
         1.0 - static_cast<double>(errors) / static_cast<double>(statements);
   }
 }
-BENCHMARK(BM_InstantiateAndExecute);
+BENCHMARK(BM_InstantiateAndExecute)->Apply(Repeated);
 
 }  // namespace
 

@@ -121,8 +121,6 @@ int main(int argc, char** argv) {
            "quarantined (default 3)"},
           {"respawn-backoff-ms", &options.respawn_backoff_ms, "N",
            "base respawn delay, doubled per strike (default 50)"},
-          {"progress-every", &config.progress_every, "N",
-           "worker heartbeat cadence in executions (default 64)"},
           {"chaos-fp", &chaos_fps, "NAME=SPEC",
            "arm one failpoint: fleet.journal_write and fleet.lease_grant in "
            "the coordinator, others in every worker (repeatable)"},

@@ -380,9 +380,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(ss.wal_bytes),
                 static_cast<unsigned long long>(ss.fsyncs),
                 static_cast<unsigned long long>(ss.steal_flushes));
-    std::printf("  durability         : %llu commit(s), %llu checkpoint(s)\n",
+    std::printf("  durability         : %llu commit(s), %llu checkpoint(s), "
+                "%llu failed reset(s)\n",
                 static_cast<unsigned long long>(ss.commits),
-                static_cast<unsigned long long>(ss.checkpoints));
+                static_cast<unsigned long long>(ss.checkpoints),
+                static_cast<unsigned long long>(ss.reset_failures));
   }
   if (result.checkpoints_failed > 0) {
     std::printf("  self-healing       : %d checkpoint write(s) failed\n",

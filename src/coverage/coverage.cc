@@ -6,8 +6,6 @@
 
 namespace lego::cov {
 
-thread_local CoverageMap* CoverageRuntime::active_ = nullptr;
-
 namespace {
 
 constexpr uint32_t kGlobalTag = persist::ChunkTag("GCOV");

@@ -204,7 +204,7 @@ class CoverageRuntime {
   }
 
  private:
-  static thread_local CoverageMap* active_;
+  static inline constinit thread_local CoverageMap* active_ = nullptr;
 };
 
 /// RAII scope that routes probe hits into `map` for its lifetime.

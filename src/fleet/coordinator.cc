@@ -471,9 +471,6 @@ class Coordinator {
       queue_.erase(queue_.begin() + best);
       std::string payload;
       AppendU32(&payload, static_cast<uint32_t>(shard));
-      AppendU64(&payload, ShardSeed(config_, shard));
-      AppendU32(&payload, static_cast<uint32_t>(config_.shard_budget));
-      AppendU32(&payload, static_cast<uint32_t>(options_.lease_deadline_ms));
       payload += pool_bytes_;
       if (!SendFrame(slot.cmd_fd, MsgType::kLeaseGrant, payload).ok()) {
         Requeue(shard, true);

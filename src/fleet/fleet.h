@@ -39,9 +39,6 @@ struct FleetConfig {
   /// Worker execution backend. With paged storage, worker slot w runs under
   /// `db_dir`/fw<w> so slots never share a WAL generation.
   fuzz::BackendOptions backend;
-  /// Heartbeat cadence in *executions*, not wall time — so a chaos schedule
-  /// on fleet.heartbeat (e.g. kill:N) is deterministic per shard.
-  int progress_every = 64;
   /// Corpus sync in generations of N shards: shard s belongs to generation
   /// s / N and imports the pool distilled from every shard of the earlier
   /// generations, merged in shard-id order. Its lease waits until that pool

@@ -14,8 +14,10 @@ namespace {
 constexpr char kFingerprintChunk[5] = "FLFP";
 constexpr char kDataChunk[5] = "FLET";
 /// Journal layout version, first in the fingerprint. 2 added the capture
-/// shard of every finding and the held (not yet pooled) shard exports.
-constexpr uint32_t kJournalVersion = 2;
+/// shard of every finding and the held (not yet pooled) shard exports; 3
+/// dropped the heartbeat cadence from the fingerprint and added the failed
+/// reset count to the storage counters.
+constexpr uint32_t kJournalVersion = 3;
 
 void SaveFingerprint(const FleetConfig& config, persist::StateWriter* w) {
   w->BeginChunk(persist::ChunkTag(kFingerprintChunk));
@@ -29,7 +31,6 @@ void SaveFingerprint(const FleetConfig& config, persist::StateWriter* w) {
   w->WriteBool(config.rule_coverage);
   w->WriteString(std::string(fuzz::BackendKindName(config.backend.kind)));
   w->WriteString(std::string(fuzz::StorageKindName(config.backend.storage)));
-  w->WriteU32(static_cast<uint32_t>(config.progress_every));
   w->WriteU32(static_cast<uint32_t>(config.distill_every));
   w->EndChunk();
 }
@@ -51,7 +52,6 @@ Status CheckFingerprint(const FleetConfig& config, persist::StateReader* r) {
   const bool rule_coverage = r->ReadBool();
   const std::string backend = r->ReadString();
   const std::string storage = r->ReadString();
-  const int progress_every = static_cast<int>(r->ReadU32());
   const int distill_every = static_cast<int>(r->ReadU32());
   LEGO_RETURN_IF_ERROR(r->ExitChunk());
   if (!r->ok()) return r->status();
@@ -62,7 +62,6 @@ Status CheckFingerprint(const FleetConfig& config, persist::StateReader* r) {
       rule_coverage != config.rule_coverage ||
       backend != fuzz::BackendKindName(config.backend.kind) ||
       storage != fuzz::StorageKindName(config.backend.storage) ||
-      progress_every != config.progress_every ||
       distill_every != config.distill_every) {
     return Status::InvalidArgument(
         "fleet journal: campaign fingerprint mismatch (journal is from "
@@ -73,74 +72,52 @@ Status CheckFingerprint(const FleetConfig& config, persist::StateReader* r) {
   return Status::OK();
 }
 
-/// Capture shard of a finding; 0 when the merge did not record one.
-int ShardOf(const std::map<uint64_t, int>& shards, uint64_t key) {
-  auto it = shards.find(key);
-  return it == shards.end() ? 0 : it->second;
-}
-
-void SaveCrashMap(const FleetResult& result, persist::StateWriter* w) {
-  w->WriteU64(result.crashes.size());
-  for (const auto& [hash, crash] : result.crashes) {
-    w->WriteU64(hash);
-    fuzz::SaveCrashInfo(crash, w);
-    w->WriteString(result.crash_origins.count(hash)
-                       ? result.crash_origins.at(hash)
-                       : std::string());
-    w->WriteU32(static_cast<uint32_t>(ShardOf(result.crash_shards, hash)));
-    fuzz::SaveTestCase(result.crash_cases.at(hash), w);
+/// One finding map (crashes by stack hash, logic bugs by fingerprint) with
+/// its captures: count, then per finding its key, the finding, the origin
+/// ("" when none), the capture shard (0 when the merge recorded none) and
+/// the captured case.
+template <typename Finding>
+void SaveFindings(const std::map<uint64_t, Finding>& findings,
+                  const std::map<uint64_t, fuzz::TestCase>& cases,
+                  const std::map<uint64_t, std::string>& origins,
+                  const std::map<uint64_t, int>& shards,
+                  void (*save)(const Finding&, persist::StateWriter*),
+                  persist::StateWriter* w) {
+  w->WriteU64(findings.size());
+  for (const auto& [key, finding] : findings) {
+    w->WriteU64(key);
+    save(finding, w);
+    auto origin = origins.find(key);
+    w->WriteString(origin == origins.end() ? std::string() : origin->second);
+    auto shard = shards.find(key);
+    w->WriteU32(static_cast<uint32_t>(shard == shards.end() ? 0
+                                                             : shard->second));
+    fuzz::SaveTestCase(cases.at(key), w);
   }
 }
 
-Status LoadCrashMap(persist::StateReader* r, FleetResult* result) {
+template <typename Finding>
+Status LoadFindings(persist::StateReader* r,
+                    Finding (*load)(persist::StateReader*),
+                    std::map<uint64_t, Finding>* findings,
+                    std::map<uint64_t, fuzz::TestCase>* cases,
+                    std::map<uint64_t, std::string>* origins,
+                    std::map<uint64_t, int>* shards) {
   const uint64_t count = r->ReadU64();
   if (!r->CheckCount(count, 8)) {
-    return Status::Internal("fleet journal: corrupt crash map");
+    return Status::Internal("fleet journal: corrupt finding map");
   }
   for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t hash = r->ReadU64();
-    minidb::CrashInfo crash = fuzz::LoadCrashInfo(r);
+    const uint64_t key = r->ReadU64();
+    Finding finding = load(r);
     const std::string origin = r->ReadString();
     const int shard = static_cast<int>(r->ReadU32());
     auto tc = fuzz::LoadTestCase(r);
     if (!tc.ok()) return tc.status();
-    result->crashes.emplace(hash, std::move(crash));
-    result->crash_cases.emplace(hash, std::move(*tc));
-    result->crash_shards.emplace(hash, shard);
-    if (!origin.empty()) result->crash_origins.emplace(hash, origin);
-  }
-  return Status::OK();
-}
-
-void SaveLogicMap(const FleetResult& result, persist::StateWriter* w) {
-  w->WriteU64(result.logic.size());
-  for (const auto& [fp, bug] : result.logic) {
-    w->WriteU64(fp);
-    fuzz::SaveLogicBug(bug, w);
-    w->WriteString(result.logic_origins.count(fp)
-                       ? result.logic_origins.at(fp)
-                       : std::string());
-    w->WriteU32(static_cast<uint32_t>(ShardOf(result.logic_shards, fp)));
-    fuzz::SaveTestCase(result.logic_cases.at(fp), w);
-  }
-}
-
-Status LoadLogicMap(persist::StateReader* r, FleetResult* result) {
-  const uint64_t count = r->ReadU64();
-  if (!r->CheckCount(count, 8)) {
-    return Status::Internal("fleet journal: corrupt logic map");
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t fp = r->ReadU64();
-    fuzz::LogicBugInfo bug = fuzz::LoadLogicBug(r);
-    const std::string origin = r->ReadString();
-    const int shard = static_cast<int>(r->ReadU32());
-    auto tc = fuzz::LoadTestCase(r);
-    if (!tc.ok()) return tc.status();
-    result->logic.emplace(fp, std::move(bug));
-    result->logic_cases.emplace(fp, std::move(*tc));
-    result->logic_shards.emplace(fp, shard);
-    if (!origin.empty()) result->logic_origins.emplace(fp, origin);
+    findings->emplace(key, std::move(finding));
+    cases->emplace(key, std::move(*tc));
+    shards->emplace(key, shard);
+    if (!origin.empty()) origins->emplace(key, origin);
   }
   return Status::OK();
 }
@@ -177,8 +154,10 @@ Status SaveJournal(const std::string& fleet_dir, const FleetConfig& config,
   w.WriteU32(static_cast<uint32_t>(result.duplicate_results));
   w.WriteU32(static_cast<uint32_t>(result.distill_cycles));
   w.WriteDouble(result.distill_seconds);
-  SaveCrashMap(result, &w);
-  SaveLogicMap(result, &w);
+  SaveFindings(result.crashes, result.crash_cases, result.crash_origins,
+               result.crash_shards, fuzz::SaveCrashInfo, &w);
+  SaveFindings(result.logic, result.logic_cases, result.logic_origins,
+               result.logic_shards, fuzz::SaveLogicBug, &w);
   fuzz::SaveTestCases(result.corpus, &w);
   fuzz::SaveTestCases(result.corpus_pending, &w);
   w.WriteU64(result.held_exports.size());
@@ -222,8 +201,14 @@ Status LoadJournal(const std::string& fleet_dir, const FleetConfig& config,
   result->duplicate_results = static_cast<int>(r.ReadU32());
   result->distill_cycles = static_cast<int>(r.ReadU32());
   result->distill_seconds = r.ReadDouble();
-  LEGO_RETURN_IF_ERROR(LoadCrashMap(&r, result));
-  LEGO_RETURN_IF_ERROR(LoadLogicMap(&r, result));
+  LEGO_RETURN_IF_ERROR(LoadFindings(&r, fuzz::LoadCrashInfo, &result->crashes,
+                                   &result->crash_cases,
+                                   &result->crash_origins,
+                                   &result->crash_shards));
+  LEGO_RETURN_IF_ERROR(LoadFindings(&r, fuzz::LoadLogicBug, &result->logic,
+                                   &result->logic_cases,
+                                   &result->logic_origins,
+                                   &result->logic_shards));
   LEGO_RETURN_IF_ERROR(fuzz::LoadTestCases(&r, &result->corpus));
   LEGO_RETURN_IF_ERROR(fuzz::LoadTestCases(&r, &result->corpus_pending));
   const uint64_t held_count = r.ReadU64();

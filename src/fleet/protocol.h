@@ -26,7 +26,7 @@ enum class MsgType : uint8_t {
   kHello = 1,       // worker -> coord: u64 pid (ready for a lease)
   kHeartbeat = 2,   // worker -> coord: u32 shard | u64 executions
   kResult = 3,      // worker -> coord: u32 shard | enveloped ShardOutcome
-  kLeaseGrant = 4,  // coord -> worker: shard | seed | budget | deadline | pool
+  kLeaseGrant = 4,  // coord -> worker: u32 shard | enveloped pool
   kShutdown = 5,    // coord -> worker: drain and exit(0)
 };
 

@@ -5,6 +5,7 @@
 #include "baselines/sqlancer_like.h"
 #include "baselines/sqlsmith_like.h"
 #include "baselines/squirrel_like.h"
+#include "fuzz/checkpoint.h"
 #include "fuzz/harness.h"
 #include "fuzz/state.h"
 #include "lego/lego_fuzzer.h"
@@ -87,7 +88,6 @@ StatusOr<ShardOutcome> ExecuteShard(
   if (!pool.empty()) options.import_seeds = &pool;
   options.stop_flag = stop;
   options.on_progress = std::move(progress);
-  options.progress_every = config.progress_every;
 
   ShardOutcome outcome;
   outcome.shard_id = shard_id;
@@ -106,27 +106,11 @@ std::string EncodeShardOutcome(const ShardOutcome& outcome) {
   w.BeginChunk(persist::ChunkTag(kShardChunk));
   w.WriteU32(static_cast<uint32_t>(outcome.shard_id));
   w.WriteBool(outcome.complete);
-  const fuzz::CampaignResult& r = outcome.result;
-  w.WriteI64(r.executions);
-  w.WriteI64(r.statements_executed);
-  w.WriteI64(r.statement_errors);
-  w.WriteI64(r.crashes_total);
-  w.WriteI64(r.logic_bugs_total);
-  w.WriteU64(r.rules);
-  w.WriteU64(r.fuzzer_stats.corpus_seeds);
-
-  w.WriteU64(r.captured_cases.size());
-  for (size_t i = 0; i < r.captured_cases.size(); ++i) {
-    fuzz::SaveCrashInfo(r.captured_crashes[i], &w);
-    fuzz::SaveTestCase(r.captured_cases[i], &w);
-  }
-  w.WriteU64(r.captured_logic_cases.size());
-  for (size_t i = 0; i < r.captured_logic_cases.size(); ++i) {
-    fuzz::SaveLogicBug(r.captured_logic_bugs[i], &w);
-    fuzz::SaveTestCase(r.captured_logic_cases[i], &w);
-  }
-  fuzz::SaveTestCases(r.corpus_export, &w);
-  fuzz::SaveStorageStats(r.storage, &w);
+  // Fails only on a result whose captures are out of step; the empty
+  // payload is then refused by the decoder like any poisoned one.
+  if (!fuzz::SaveCampaignResult(outcome.result, &w).ok()) return {};
+  fuzz::SaveTestCases(outcome.result.corpus_export, &w);
+  fuzz::SaveStorageStats(outcome.result.storage, &w);
   w.EndChunk();
   (void)outcome.coverage.SaveState(&w);
   return w.EnvelopedBytes();
@@ -142,45 +126,12 @@ StatusOr<ShardOutcome> DecodeShardOutcome(const std::string& bytes) {
   outcome.shard_id = static_cast<int>(r.ReadU32());
   outcome.complete = r.ReadBool();
   fuzz::CampaignResult& res = outcome.result;
-  res.executions = static_cast<int>(r.ReadI64());
-  res.statements_executed = static_cast<int>(r.ReadI64());
-  res.statement_errors = static_cast<int>(r.ReadI64());
-  res.crashes_total = static_cast<int>(r.ReadI64());
-  res.logic_bugs_total = static_cast<int>(r.ReadI64());
-  res.rules = r.ReadU64();
-  res.fuzzer_stats.corpus_seeds = r.ReadU64();
-
-  const uint64_t crash_count = r.ReadU64();
-  if (!r.CheckCount(crash_count, 1)) {
-    return Status::Internal("fleet shard: corrupt crash count");
-  }
-  for (uint64_t i = 0; i < crash_count; ++i) {
-    minidb::CrashInfo crash = fuzz::LoadCrashInfo(&r);
-    auto tc = fuzz::LoadTestCase(&r);
-    if (!tc.ok()) return tc.status();
-    res.crash_hashes.insert(crash.stack_hash);
-    res.bug_ids.insert(crash.bug_id);
-    res.captured_crashes.push_back(std::move(crash));
-    res.captured_cases.push_back(std::move(*tc));
-  }
-  const uint64_t logic_count = r.ReadU64();
-  if (!r.CheckCount(logic_count, 1)) {
-    return Status::Internal("fleet shard: corrupt logic count");
-  }
-  for (uint64_t i = 0; i < logic_count; ++i) {
-    fuzz::LogicBugInfo bug = fuzz::LoadLogicBug(&r);
-    auto tc = fuzz::LoadTestCase(&r);
-    if (!tc.ok()) return tc.status();
-    res.logic_fingerprints.insert(bug.fingerprint);
-    res.captured_logic_bugs.push_back(std::move(bug));
-    res.captured_logic_cases.push_back(std::move(*tc));
-  }
+  LEGO_RETURN_IF_ERROR(fuzz::LoadCampaignResult(&r, &res));
   LEGO_RETURN_IF_ERROR(fuzz::LoadTestCases(&r, &res.corpus_export));
   res.storage = fuzz::LoadStorageStats(&r);
   LEGO_RETURN_IF_ERROR(r.ExitChunk());
   LEGO_RETURN_IF_ERROR(outcome.coverage.LoadState(&r));
   if (!r.ok()) return r.status();
-  res.edges = outcome.coverage.CoveredEdges();
   return outcome;
 }
 

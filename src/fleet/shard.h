@@ -46,7 +46,7 @@ std::unique_ptr<fuzz::Fuzzer> MakeFleetFuzzer(
 /// with `pool` imported as the starting corpus. Pure function of
 /// (config, shard_id, pool) — a re-queued shard replayed anywhere
 /// reproduces the same outcome. `progress` (optional) receives the running
-/// execution count every config.progress_every executions; `stop` drains
+/// execution count as CampaignOptions::on_progress does; `stop` drains
 /// cooperatively (outcome.complete turns false).
 StatusOr<ShardOutcome> ExecuteShard(
     const FleetConfig& config, int shard_id,
@@ -55,7 +55,9 @@ StatusOr<ShardOutcome> ExecuteShard(
 
 /// Serializes an outcome into persist-enveloped bytes (magic + version +
 /// checksum), so the coordinator can ProbeEnvelope() a result frame and
-/// reject torn/poisoned payloads before parsing. Decode mirrors; any
+/// reject torn/poisoned payloads before parsing: the CampaignResult in the
+/// checkpoint's layout (SaveCampaignResult), then the corpus export, the
+/// storage counters and the coverage bitmap. Decode mirrors; any
 /// structural damage surfaces as a non-OK status.
 std::string EncodeShardOutcome(const ShardOutcome& outcome);
 StatusOr<ShardOutcome> DecodeShardOutcome(const std::string& bytes);

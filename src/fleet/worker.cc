@@ -76,13 +76,12 @@ int WorkerMain(const WorkerContext& ctx) {
       return 1;
     }
 
-    // Lease grant: shard | seed | budget | deadline | pool envelope.
-    if (payload.size() < 4 + 8 + 4 + 4) return 1;
+    // Lease grant: shard | pool envelope. The budget is config.shard_budget.
+    if (payload.size() < 4) return 1;
     const int shard_id = static_cast<int>(ReadU32(payload, 0));
-    const int budget = static_cast<int>(ReadU32(payload, 12));
     std::vector<fuzz::TestCase> pool;
-    if (payload.size() > 20) {
-      auto decoded = DecodePool(payload.substr(20));
+    if (payload.size() > 4) {
+      auto decoded = DecodePool(payload.substr(4));
       if (!decoded.ok()) {
         std::fprintf(stderr, "fleet worker %d: bad pool in lease: %s\n",
                      ctx.slot, decoded.status().ToString().c_str());
@@ -90,8 +89,6 @@ int WorkerMain(const WorkerContext& ctx) {
       }
       pool = std::move(*decoded);
     }
-    FleetConfig shard_config = config;
-    shard_config.shard_budget = budget;
 
     auto progress = [&](int64_t executions) {
       // The heartbeat failpoint models a worker that keeps fuzzing but goes
@@ -107,7 +104,7 @@ int WorkerMain(const WorkerContext& ctx) {
     // progress interval, so lease age and heartbeat age start together.
     progress(0);
 
-    auto outcome = ExecuteShard(shard_config, shard_id, pool, &g_worker_stop,
+    auto outcome = ExecuteShard(config, shard_id, pool, &g_worker_stop,
                                 progress);
     if (!outcome.ok()) {
       std::fprintf(stderr, "fleet worker %d: shard %d failed: %s\n", ctx.slot,

@@ -139,6 +139,10 @@ struct BackendStorageStats {
   uint64_t steal_flushes = 0;
   uint64_t commits = 0;
   uint64_t checkpoints = 0;
+  /// Per-case resets whose StorageEngine::ResetFresh failed, so the case
+  /// ran unlogged on memory-mode heaps. In-process only: a forked child
+  /// exits on the failure instead.
+  uint64_t reset_failures = 0;
 
   double pool_hit_rate() const {
     const uint64_t total = pool_hits + pool_misses;
@@ -157,6 +161,7 @@ struct BackendStorageStats {
     steal_flushes += o.steal_flushes;
     commits += o.commits;
     checkpoints += o.checkpoints;
+    reset_failures += o.reset_failures;
   }
 };
 

@@ -58,8 +58,9 @@ void InProcessBackend::Reset() {
   // catalog itself.
   if (storage_ == nullptr) {
     db_.ResetAll();
-  } else if (!storage_->ResetFresh(&db_).ok() && panic_on_storage_error_) {
-    _exit(minidb::kStorageFailExitCode);
+  } else if (!storage_->ResetFresh(&db_).ok()) {
+    if (panic_on_storage_error_) _exit(minidb::kStorageFailExitCode);
+    ++reset_failures_;
   }
   bug_engine_.ResetSession();
 
@@ -123,6 +124,7 @@ BackendStorageStats InProcessBackend::storage_stats() {
   out.steal_flushes = s.steal_flushes;
   out.commits = s.commits;
   out.checkpoints = s.checkpoints;
+  out.reset_failures = reset_failures_;
   return out;
 }
 

@@ -65,6 +65,7 @@ class InProcessBackend : public DbBackend {
   faults::BugEngine bug_engine_;
   std::unique_ptr<minidb::StorageEngine> storage_;
   const bool panic_on_storage_error_;
+  uint64_t reset_failures_ = 0;
   cov::CoverageMap own_map_;
   cov::CoverageMap* const run_map_;
   bool collecting_ = false;

@@ -17,6 +17,9 @@ namespace {
 /// cadence point writes a strictly newer one anyway.
 constexpr int kFinalSaveAttempts = 8;
 
+/// Executions between two on_progress calls.
+constexpr int kProgressEvery = 64;
+
 bool Persisting(const CampaignOptions& options) {
   return !options.state_dir.empty();
 }
@@ -147,8 +150,7 @@ CampaignResult RunCampaign(Fuzzer* fuzzer, ExecutionHarness* harness,
     }
     fuzzer->OnResult(tc, exec);
 
-    if (options.on_progress && options.progress_every > 0 &&
-        result.executions % options.progress_every == 0) {
+    if (options.on_progress && result.executions % kProgressEvery == 0) {
       options.on_progress(result.executions);
     }
     if (options.snapshot_every > 0 &&

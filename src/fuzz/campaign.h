@@ -58,11 +58,10 @@ struct CampaignOptions {
   /// observed between executions. Not owned; must outlive RunCampaign.
   const std::atomic<bool>* stop_flag = nullptr;
   /// Progress hook, invoked from the campaign with the total executions so
-  /// far, every `progress_every` executions. Fleet workers hang lease
-  /// heartbeats off this.
+  /// far, every 64 executions. Fleet workers hang lease heartbeats off
+  /// this; counting executions, not wall time, keeps a chaos schedule on
+  /// the heartbeat deterministic per shard.
   std::function<void(int64_t executions)> on_progress;
-  /// Cadence for on_progress, in executions.
-  int progress_every = 64;
 };
 
 /// Aggregated campaign outcome: everything the paper's tables/figures need.

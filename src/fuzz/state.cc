@@ -121,7 +121,8 @@ LogicBugInfo LoadLogicBug(persist::StateReader* r) {
 void SaveStorageStats(const BackendStorageStats& s, persist::StateWriter* w) {
   for (uint64_t v : {s.pool_hits, s.pool_misses, s.pool_evictions,
                      s.pool_writebacks, s.wal_records, s.wal_bytes, s.fsyncs,
-                     s.steal_flushes, s.commits, s.checkpoints}) {
+                     s.steal_flushes, s.commits, s.checkpoints,
+                     s.reset_failures}) {
     w->WriteU64(v);
   }
 }
@@ -131,7 +132,7 @@ BackendStorageStats LoadStorageStats(persist::StateReader* r) {
   for (uint64_t* v : {&s.pool_hits, &s.pool_misses, &s.pool_evictions,
                       &s.pool_writebacks, &s.wal_records, &s.wal_bytes,
                       &s.fsyncs, &s.steal_flushes, &s.commits,
-                      &s.checkpoints}) {
+                      &s.checkpoints, &s.reset_failures}) {
     *v = r->ReadU64();
   }
   return s;

@@ -47,7 +47,7 @@ minidb::CrashInfo LoadCrashInfo(persist::StateReader* r);
 void SaveLogicBug(const LogicBugInfo& bug, persist::StateWriter* w);
 LogicBugInfo LoadLogicBug(persist::StateReader* r);
 
-/// The ten BackendStorageStats counters, in declaration order.
+/// The eleven BackendStorageStats counters, in declaration order.
 void SaveStorageStats(const BackendStorageStats& s, persist::StateWriter* w);
 BackendStorageStats LoadStorageStats(persist::StateReader* r);
 

@@ -2,8 +2,6 @@
 
 namespace lego::sql {
 
-thread_local uint8_t* GrammarCoverageRuntime::active_ = nullptr;
-
 std::string_view GrammarRuleName(GrammarRule rule) {
   static constexpr std::string_view kNames[] = {
 #define LEGO_GRAMMAR_RULE_NAME(name) #name,

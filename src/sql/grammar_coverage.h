@@ -222,7 +222,7 @@ class GrammarCoverageRuntime {
   }
 
  private:
-  static thread_local uint8_t* active_;
+  static inline constinit thread_local uint8_t* active_ = nullptr;
 };
 
 /// RAII scope that routes rule probes into `map` (kNumGrammarRules bytes)

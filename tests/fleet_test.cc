@@ -34,6 +34,7 @@
 #include "fleet/status_json.h"
 #include "minidb/env.h"
 #include "minidb/eval.h"
+#include "persist/io.h"
 
 namespace lego::fleet {
 namespace {
@@ -364,7 +365,7 @@ TEST_F(FleetTest, FootprintCacheKeepsPoolStepwiseEqual) {
 TEST_F(FleetTest, WorkerKillMidShardRequeuesWithoutLoss) {
   FleetConfig config = BaseConfig();
   config.num_shards = 4;
-  config.shard_budget = 800;  // 13 heartbeats per shard at progress_every=64
+  config.shard_budget = 800;  // 13 heartbeats per shard, one per 64 executions
 
   Reference ref = RunReference(config);
 
@@ -633,6 +634,37 @@ TEST_F(FleetTest, JournalRoundTripsMergedState) {
   EXPECT_EQ(loaded.crash_shards, result.crash_shards);
   EXPECT_EQ(loaded.logic_shards, result.logic_shards);
   EXPECT_EQ(loaded.bug_digest(), result.bug_digest());
+}
+
+TEST_F(FleetTest, OldJournalLayoutIsRefused) {
+  // Version 2 carried the heartbeat cadence in its fingerprint and ten
+  // storage counters; it must be refused with a version error, not misread.
+  FleetConfig config = BaseConfig();
+  const std::string fleet_dir = FreshDir("old_journal");
+  ASSERT_TRUE(minidb::Env::Posix()->CreateDir(fleet_dir).ok());
+  persist::StateWriter w;
+  w.BeginChunk(persist::ChunkTag("FLFP"));
+  w.WriteU32(2);  // layout version
+  w.WriteString(config.profile);
+  w.WriteString(config.fuzzer);
+  w.WriteU64(config.base_seed);
+  w.WriteU32(static_cast<uint32_t>(config.num_shards));
+  w.WriteU32(static_cast<uint32_t>(config.shard_budget));
+  w.WriteString(config.oracle_spec);
+  w.WriteBool(config.rule_coverage);
+  w.WriteString("inproc");
+  w.WriteString("mem");
+  w.WriteU32(64);  // heartbeat cadence (version 2 only)
+  w.WriteU32(static_cast<uint32_t>(config.distill_every));
+  w.EndChunk();
+  ASSERT_TRUE(w.WriteFileAtomic(JournalPath(fleet_dir)).ok());
+
+  FleetResult loaded;
+  Status st = LoadJournal(fleet_dir, config, &loaded);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("layout version 2"), std::string::npos)
+      << st.ToString();
+  (void)minidb::Env::Posix()->RemoveDirRecursive(fleet_dir);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos/failpoint.h"
 #include "fuzz/backend.h"
 #include "fuzz/backend_inproc.h"
 #include "fuzz/campaign.h"
@@ -206,6 +207,32 @@ TEST(PagedCampaignTest, TinyPoolCampaignReportsEvictions) {
   EXPECT_GT(result.storage.pool_hit_rate(), 0.0);
   EXPECT_GT(result.storage.wal_bytes, 0u);
   EXPECT_GT(result.storage.fsyncs, 0u);
+}
+
+// A reset whose ResetFresh fails runs its case unlogged on memory-mode
+// heaps; the campaign counts each one. env.write fails every write until the
+// first progress call, after 64 executions: each of those resets rewrites
+// the MANIFEST, because the reset before it failed, so exactly 64 fail.
+TEST(PagedCampaignTest, FailedResetsAreCounted) {
+  const std::string dir = ::testing::TempDir() + "paged_reset_fail_db";
+  const minidb::DialectProfile* profile =
+      minidb::DialectProfile::ByName("pglite");
+  ASSERT_NE(profile, nullptr);
+  ExecutionHarness harness(*profile,
+                           PagedOptions(BackendKind::kInProcess, dir));
+  ScriptFuzzer fuzzer(WorkloadScripts());
+  CampaignOptions options;
+  options.max_executions = 200;
+  options.snapshot_every = 0;
+  options.on_progress = [](int64_t) { chaos::DisarmAll(); };
+  ASSERT_TRUE(chaos::ArmSpec("env.write=always", /*seed=*/1).ok());
+  CampaignResult result = RunCampaign(&fuzzer, &harness, options);
+  chaos::DisarmAll();
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(result.executions, 200);
+  EXPECT_EQ(result.storage.reset_failures, 64u);
+  EXPECT_GT(result.storage.wal_records, 0u);
 }
 
 /// One rule-weighted lego campaign with the metamorphic oracles armed:

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -8,7 +9,9 @@
 #include "fuzz/checkpoint.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/harness.h"
+#include "fuzz/state.h"
 #include "lego/lego_fuzzer.h"
+#include "minidb/eval.h"
 #include "minidb/profile.h"
 #include "persist/io.h"
 
@@ -234,6 +237,59 @@ TEST(CampaignResultRoundtripTest, SecondSnapshotIsByteIdentical) {
   ASSERT_TRUE(SaveCampaignResult(loaded, &w2).ok());
   EXPECT_EQ(w1.buffer(), w2.buffer());
   EXPECT_EQ(ResultDigest(result), ResultDigest(loaded));
+}
+
+std::vector<std::string> SqlOf(const std::vector<TestCase>& cases) {
+  std::vector<std::string> out;
+  for (const TestCase& tc : cases) out.push_back(tc.ToSql());
+  return out;
+}
+
+std::string StorageBytes(const BackendStorageStats& stats) {
+  persist::StateWriter w;
+  SaveStorageStats(stats, &w);
+  return w.buffer();
+}
+
+// The shard result a worker ships home decodes to the campaign it ran:
+// findings, coverage curve, exported corpus, storage counters and edges.
+TEST(ShardOutcomeRoundtripTest, DecodedOutcomeMatchesShard) {
+  const std::string dir = ::testing::TempDir() + "shard_roundtrip_db";
+  std::filesystem::remove_all(dir);
+  fleet::FleetConfig config;
+  config.profile = "marialite";
+  config.fuzzer = "lego";
+  config.base_seed = 5;
+  config.shard_budget = 600;
+  config.oracle_spec = "tlp";
+  config.backend.storage = StorageKind::kPaged;
+  config.backend.db_dir = dir;
+  // The planted NOT-NULL defect gives the TLP oracle logic findings to ship.
+  minidb::Evaluator::SetNotNullEvalBugForTesting(true);
+  auto outcome = fleet::ExecuteShard(config, 1, {}, nullptr, {});
+  minidb::Evaluator::SetNotNullEvalBugForTesting(false);
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  const CampaignResult& sent = outcome->result;
+  ASSERT_FALSE(sent.captured_cases.empty());
+  ASSERT_FALSE(sent.captured_logic_cases.empty());
+  ASSERT_FALSE(sent.corpus_export.empty());
+  ASSERT_GT(sent.storage.wal_records, 0u);
+
+  auto decoded =
+      fleet::DecodeShardOutcome(fleet::EncodeShardOutcome(*outcome));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const CampaignResult& got = decoded->result;
+  EXPECT_EQ(decoded->shard_id, 1);
+  EXPECT_TRUE(decoded->complete);
+  EXPECT_EQ(ResultDigest(got), ResultDigest(sent));
+  EXPECT_EQ(SqlOf(got.captured_cases), SqlOf(sent.captured_cases));
+  EXPECT_EQ(SqlOf(got.captured_logic_cases), SqlOf(sent.captured_logic_cases));
+  EXPECT_EQ(SqlOf(got.corpus_export), SqlOf(sent.corpus_export));
+  EXPECT_EQ(StorageBytes(got.storage), StorageBytes(sent.storage));
+  EXPECT_EQ(decoded->coverage.CoveredEdges(),
+            outcome->coverage.CoveredEdges());
+  EXPECT_EQ(got.edges, outcome->coverage.CoveredEdges());
 }
 
 }  // namespace
