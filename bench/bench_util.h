@@ -13,7 +13,6 @@
 
 #include "fleet/shard.h"
 #include "fuzz/campaign.h"
-#include "fuzz/harness.h"
 #include "minidb/profile.h"
 
 namespace lego::bench {
@@ -52,19 +51,27 @@ class ScratchDir {
   std::string path_;
 };
 
-/// Runs one serial campaign of `executions` runs. Fuzzer names are the
-/// fleet's ("lego-" is the ablation).
+/// Runs one serial campaign of `executions` runs, built by
+/// fleet::BuildCampaign. Fuzzer names are the fleet's ("lego-" is the
+/// ablation).
 inline fuzz::CampaignResult RunOne(const std::string& fuzzer_name,
                                    const minidb::DialectProfile& profile,
                                    int executions, uint64_t seed,
                                    bool stop_when_all_found = false) {
-  auto fuzzer = fleet::MakeFleetFuzzer(fuzzer_name, profile, seed);
-  fuzz::ExecutionHarness harness(profile);
+  fleet::FleetConfig config;
+  config.profile = profile.name;
+  config.fuzzer = fuzzer_name;
+  auto campaign = fleet::BuildCampaign(config, seed);
+  if (!campaign.ok()) {
+    std::fprintf(stderr, "%s\n", campaign.status().ToString().c_str());
+    std::abort();
+  }
   fuzz::CampaignOptions options;
   options.max_executions = executions;
   options.snapshot_every = std::max(1, executions / 10);
   options.stop_when_all_bugs_found = stop_when_all_found;
-  return fuzz::RunCampaign(fuzzer.get(), &harness, options);
+  return fuzz::RunCampaign(campaign->fuzzer.get(), campaign->harness.get(),
+                           options);
 }
 
 /// Paper target names for each profile, for side-by-side reporting.

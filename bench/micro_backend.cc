@@ -94,7 +94,6 @@ FleetConfig WithSessions(int sessions) {
   FleetConfig config = Campaign("lego", "pglite");
   config.backend.kind = lego::fuzz::BackendKind::kConcurrent;
   config.backend.sessions = sessions;
-  config.backend.concurrency_seed = kSeed;
   return config;
 }
 

@@ -27,11 +27,11 @@
 
 #include "chaos/failpoint.h"
 #include "fleet/fleet.h"
+#include "fleet/shard.h"
 #include "fleet/status_json.h"
 #include "minidb/env.h"
 #include "minidb/eval.h"
 #include "util/flags.h"
-#include "util/string_util.h"
 
 namespace {
 
@@ -85,10 +85,9 @@ int main(int argc, char** argv) {
   bool planted_eval_bug = false;
   fleet::FleetOptions options;
   fleet::FleetConfig& config = options.config;
-  std::vector<std::string> oracles;
   std::vector<std::string> chaos_fps;
 
-  std::vector<flags::Flag> table = fuzz::CampaignBackendFlags(&config.backend);
+  std::vector<flags::Flag> table = fleet::CampaignFlags(&config);
   table.insert(
       table.end(),
       {
@@ -106,11 +105,6 @@ int main(int argc, char** argv) {
            "re-run"},
           {"distill-every", &config.distill_every, "N",
            "corpus sync in generations of N shards (default 0 = off)"},
-          {"oracle", &oracles, "LIST",
-           "logic oracles armed in every worker, as fuzz_campaign_cli --oracle "
-           "(repeatable)"},
-          {"rule-coverage", &config.rule_coverage, "",
-           "grammar-rule feedback inside workers"},
           {"planted-eval-bug", &planted_eval_bug, "",
            "test-only: plant the NOT-NULL evaluator defect in every worker"},
           {"lease-deadline-ms", &options.lease_deadline_ms, "N",
@@ -153,7 +147,6 @@ int main(int argc, char** argv) {
       "lego)",
       std::move(table)};
   const std::vector<std::string> pos = cli.ParseOrExit(argc, argv);
-  config.oracle_spec = Join(oracles, ",");
   if (options.reduce) options.triage = true;
 
   size_t p = 0;

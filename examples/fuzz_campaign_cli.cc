@@ -5,10 +5,13 @@
 //                                [flags]
 //
 // The flag table in main() is the reference for every flag; a malformed or
-// unknown flag prints it as the usage text. The campaign runs in this
-// process, one test case at a time. To spread a campaign over N worker
-// processes, run `fleet_cli run --workers N`, which takes the same backend,
-// storage and oracle flags plus --chaos-fp, --triage and --reduce.
+// unknown flag prints it as the usage text. The positionals and flags fill
+// a fleet::FleetConfig, and fleet::BuildCampaign builds the campaign from
+// it, as it builds every fleet shard. The campaign runs in this process,
+// one test case at a time. To spread a campaign over N worker processes,
+// run `fleet_cli run --workers N`: it takes the same rows from
+// fleet::CampaignFlags (backend, storage, --oracle, --rule-coverage) plus
+// --chaos-fp, --triage and --reduce.
 
 #include <csignal>
 
@@ -24,14 +27,11 @@
 #include "fuzz/checkpoint.h"
 #include "fuzz/corpus_file.h"
 #include "fuzz/harness.h"
-#include "lego/lego_fuzzer.h"
 #include "minidb/database.h"
 #include "minidb/env.h"
 #include "minidb/eval.h"
-#include "triage/oracle_suite.h"
 #include "triage/triage.h"
 #include "util/flags.h"
-#include "util/string_util.h"
 
 namespace {
 
@@ -59,10 +59,8 @@ int main(int argc, char** argv) {
 
   InstallStopHandlers();
 
+  fleet::FleetConfig config;
   bool reduce = false;
-  bool tlp = false;
-  std::vector<std::string> oracles;
-  bool rule_coverage = false;
   bool planted_eval_bug = false;
   std::string repro_dir;
   std::string state_dir;
@@ -70,7 +68,6 @@ int main(int argc, char** argv) {
   bool resume = false;
   std::string import_corpus;
   std::string export_corpus;
-  fuzz::BackendOptions backend;
   bool planted_crash = false;
   bool planted_hang = false;
   bool planted_oom = false;
@@ -80,27 +77,21 @@ int main(int argc, char** argv) {
   bool chaos_seed_set = false;
   std::vector<std::string> chaos_fps;
 
-  std::vector<flags::Flag> table = fuzz::CampaignBackendFlags(&backend);
+  std::vector<flags::Flag> table = fleet::CampaignFlags(&config);
   table.insert(
       table.end(),
       {
-          {"pool-frames", &backend.pool_frames, "N",
+          {"pool-frames", &config.backend.pool_frames, "N",
            "paged only: buffer-pool frame budget (default 64)"},
-          {"max-child-mem-mb", &backend.max_child_mem_mb, "N",
+          {"max-child-mem-mb", &config.backend.max_child_mem_mb, "N",
            "forked only: RLIMIT_AS cap per child, overrun = REAL-OOM "
            "(default 0 = off)"},
-          {"max-child-cpu-s", &backend.max_child_cpu_s, "N",
+          {"max-child-cpu-s", &config.backend.max_child_cpu_s, "N",
            "forked only: RLIMIT_CPU cap per child, overrun = REAL-CPU "
            "(default 0 = off)"},
-          {"max-child-fsize-mb", &backend.max_child_fsize_mb, "N",
+          {"max-child-fsize-mb", &config.backend.max_child_fsize_mb, "N",
            "forked only: RLIMIT_FSIZE cap per child, overrun = REAL-FSIZE "
            "(default 0 = off)"},
-          {"oracle", &oracles, "LIST",
-           "logic oracles from tlp,norec,clause,iso,dur; dur needs forked + "
-           "paged (repeatable)"},
-          {"tlp", &tlp, "", "shorthand for --oracle=tlp"},
-          {"rule-coverage", &rule_coverage, "",
-           "grammar-rule coverage as a secondary feedback signal"},
           {"reduce", &reduce, "",
            "ddmin-minimize each unique bug after the campaign"},
           {"repro-dir",
@@ -142,11 +133,11 @@ int main(int argc, char** argv) {
            "test-only: an unbounded allocation inside minidb"},
           {"planted-eval-bug", &planted_eval_bug, "",
            "test-only: NOT of NULL evaluates TRUE (a logic bug)"},
-          {"planted-lost-update", &backend.planted_lost_update, "",
+          {"planted-lost-update", &config.backend.planted_lost_update, "",
            "test-only: concurrent writes skip X locks"},
-          {"planted-dirty-read", &backend.planted_dirty_read, "",
+          {"planted-dirty-read", &config.backend.planted_dirty_read, "",
            "test-only: concurrent reads skip S locks"},
-          {"planted-skip-fsync", &backend.planted_skip_fsync, "",
+          {"planted-skip-fsync", &config.backend.planted_skip_fsync, "",
            "test-only: the paged engine skips the commit fsync"},
       });
   const flags::CommandLine cli = {
@@ -160,8 +151,8 @@ int main(int argc, char** argv) {
       std::move(table)};
   const std::vector<std::string> pos = cli.ParseOrExit(argc, argv);
 
-  std::string profile_name = pos.size() > 0 ? pos[0] : "pglite";
-  std::string fuzzer_name = pos.size() > 1 ? pos[1] : "lego";
+  if (pos.size() > 0) config.profile = pos[0];
+  if (pos.size() > 1) config.fuzzer = pos[1];
   int executions = 10000;
   uint64_t seed = 1;
   auto check = [&cli](const std::string& what, const Status& st) {
@@ -172,34 +163,18 @@ int main(int argc, char** argv) {
   if (pos.size() > 4) {
     cli.Fail(Status::InvalidArgument("unexpected positional '" + pos[4] + "'"));
   }
-  // Interleavings are part of the campaign's deterministic identity: the
-  // concurrent backend derives each case's scheduler seed from this.
-  backend.concurrency_seed = seed;
-
-  const minidb::DialectProfile* profile =
-      minidb::DialectProfile::ByName(profile_name);
-  if (profile == nullptr) {
-    std::fprintf(stderr, "unknown profile '%s'\n", profile_name.c_str());
+  if (resume && state_dir.empty()) {
+    std::fprintf(stderr, "--resume requires --state-dir\n");
     return 1;
   }
 
-  std::unique_ptr<fuzz::Fuzzer> fuzzer =
-      fleet::MakeFleetFuzzer(fuzzer_name, *profile, seed);
-  if (fuzzer == nullptr) {
-    std::fprintf(stderr, "unknown fuzzer '%s'\n", fuzzer_name.c_str());
-    return 1;
-  }
-  const auto* lego_ptr = dynamic_cast<const core::LegoFuzzer*>(fuzzer.get());
-
-  // Planted defects must be armed before any backend spawns: forked
-  // children inherit the flags at fork time.
+  // Planted defects and chaos must be armed before the campaign is built:
+  // a forked backend forks its child then, and the child inherits both, so
+  // the very first spawn runs the same deterministic fault schedule.
   if (planted_crash) minidb::testing::SetPlantedAbortForTesting(true);
   if (planted_hang) minidb::testing::SetPlantedHangForTesting(true);
   if (planted_oom) minidb::testing::SetPlantedOomForTesting(true);
   if (planted_eval_bug) minidb::Evaluator::SetNotNullEvalBugForTesting(true);
-
-  // Chaos likewise: arm before the harness so the very first spawn and
-  // every forked child run the same deterministic fault schedule.
   if (chaos) {
     chaos::ArmAll(chaos_seed_set ? chaos_seed : seed, chaos_prob);
     std::printf("chaos: all failpoints armed (prob %.3f, seed %llu)\n",
@@ -214,44 +189,23 @@ int main(int argc, char** argv) {
                    armed.ToString().c_str());
       return 1;
     }
+    // The durability oracle stamps its repro messages with the fault
+    // schedule that produced them, so a DUR-* finding is replayable from
+    // its artifact.
+    if (!config.backend.chaos_note.empty()) config.backend.chaos_note += ' ';
+    config.backend.chaos_note += spec;
   }
 
-  if (tlp) oracles.push_back("tlp");
-  const std::string oracle_spec = Join(oracles, ",");
-  std::unique_ptr<triage::OracleSuite> oracle_suite;
-  if (!oracle_spec.empty()) {
-    std::string oracle_error;
-    oracle_suite = triage::OracleSuite::FromSpec(oracle_spec, &oracle_error);
-    if (oracle_suite == nullptr) {
-      std::fprintf(stderr, "bad --oracle '%s': %s\n", oracle_spec.c_str(),
-                   oracle_error.c_str());
-      return 1;
-    }
-  }
-  const bool durability =
-      oracle_suite != nullptr && oracle_suite->durability_requested();
-  Status runnable = fuzz::CheckBackendOptions(backend, durability);
-  if (!runnable.ok()) {
-    std::fprintf(stderr, "%s\n", runnable.message().c_str());
+  auto campaign = fleet::BuildCampaign(config, seed);
+  if (!campaign.ok()) {
+    std::fprintf(stderr, "%s\n", campaign.status().message().c_str());
     return 1;
   }
-  backend.durability_check = durability;
-  // The durability oracle stamps its repro messages with the fault schedule
-  // that produced them, so a DUR-* finding is replayable from its artifact.
-  for (const std::string& spec : chaos_fps) {
-    if (!backend.chaos_note.empty()) backend.chaos_note += ' ';
-    backend.chaos_note += spec;
-  }
-  fuzz::ExecutionHarness harness(*profile, backend);
-  if (oracle_suite != nullptr && !oracle_suite->MemberNames().empty()) {
-    harness.set_logic_oracle(oracle_suite.get());
-  }
-  const bool oracles_armed = oracle_suite != nullptr;
-  harness.set_rule_coverage(rule_coverage);
-  if (resume && state_dir.empty()) {
-    std::fprintf(stderr, "--resume requires --state-dir\n");
-    return 1;
-  }
+  const minidb::DialectProfile& profile = *campaign->profile;
+  fuzz::ExecutionHarness& harness = *campaign->harness;
+  const fuzz::BackendOptions& backend = harness.backend_options();
+  const bool oracles_armed = campaign->suite != nullptr;
+
   fuzz::CampaignOptions options;
   options.max_executions = executions;
   options.stop_flag = &g_stop_requested;
@@ -287,8 +241,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("fuzzing %s with %s for %d executions (seed %llu)\n",
-              profile->name.c_str(), fuzzer->name().c_str(), executions,
-              static_cast<unsigned long long>(seed));
+              profile.name.c_str(), campaign->fuzzer->name().c_str(),
+              executions, static_cast<unsigned long long>(seed));
   // Only announce non-default backends, keeping the default in-process
   // output byte-identical to the historical tool.
   if (backend.storage == fuzz::StorageKind::kPaged) {
@@ -322,7 +276,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   fuzz::CampaignResult result =
-      fuzz::RunCampaign(fuzzer.get(), &harness, options);
+      fuzz::RunCampaign(campaign->fuzzer.get(), &harness, options);
 
   if (result.stopped_early) {
     std::printf("\ncampaign: stop signal received; drained after %d "
@@ -335,7 +289,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nresults:\n");
   std::printf("  branches covered   : %zu\n", result.edges);
-  if (rule_coverage) {
+  if (config.rule_coverage) {
     std::printf("  grammar rules      : %zu / %zu\n", result.rules,
                 cov::RuleMap::size());
   }
@@ -409,7 +363,7 @@ int main(int argc, char** argv) {
     triage_options.backend = backend;
     triage_options.campaign_seed = seed;
     triage::TriageReport report = triage::TriageCampaign(
-        result, *profile, harness.setup_script(), triage_options);
+        result, profile, harness.setup_script(), triage_options);
     std::printf("\ntriage (%d crash + %d logic capture%s, %d replays):\n",
                 report.crash_captures, report.logic_captures,
                 report.crash_captures + report.logic_captures == 1 ? "" : "s",
@@ -429,12 +383,6 @@ int main(int argc, char** argv) {
                   bug.artifact_path.empty() ? "" : "  -> ",
                   bug.artifact_path.c_str());
     }
-  }
-  if (lego_ptr != nullptr) {
-    std::printf("  affinity map       : %zu pairs\n",
-                lego_ptr->affinities().Count());
-    std::printf("  synthesized seqs   : %zu\n",
-                lego_ptr->synthesizer().TotalSequences());
   }
   if (!state_dir.empty()) {
     // The digest folds in everything the bit-identity acceptance bar

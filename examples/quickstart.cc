@@ -5,9 +5,8 @@
 
 #include <cstdio>
 
+#include "fleet/shard.h"
 #include "fuzz/campaign.h"
-#include "fuzz/harness.h"
-#include "lego/lego_fuzzer.h"
 #include "minidb/database.h"
 #include "sql/parser.h"
 
@@ -35,26 +34,28 @@ int main() {
   }
 
   // --- Part 2: a 20-second-scale LEGO campaign ---------------------------
-  const auto& profile = minidb::DialectProfile::MariaLite();
-  fuzz::ExecutionHarness harness(profile);
-  core::LegoOptions options;
-  options.rng_seed = 2024;
-  core::LegoFuzzer lego(profile, options);
+  fleet::FleetConfig config;  // fuzzer: "lego" by default
+  config.profile = "marialite";
+  auto campaign = fleet::BuildCampaign(config, /*seed=*/2024);
+  if (!campaign.ok()) {
+    std::printf("campaign: %s\n", campaign.status().ToString().c_str());
+    return 1;
+  }
 
-  fuzz::CampaignOptions campaign;
-  campaign.max_executions = 5000;
-  campaign.snapshot_every = 1000;
-  fuzz::CampaignResult outcome =
-      fuzz::RunCampaign(&lego, &harness, campaign);
+  fuzz::CampaignOptions options;
+  options.max_executions = 5000;
+  options.snapshot_every = 1000;
+  fuzz::CampaignResult outcome = fuzz::RunCampaign(
+      campaign->fuzzer.get(), campaign->harness.get(), options);
 
-  std::printf("\nLEGO on %s after %d executions:\n", profile.name.c_str(),
-              outcome.executions);
+  const fuzz::FuzzerStats& lego = outcome.fuzzer_stats;
+  std::printf("\nLEGO on %s after %d executions:\n",
+              campaign->profile->name.c_str(), outcome.executions);
   std::printf("  branches covered : %zu\n", outcome.edges);
   std::printf("  type-affinities  : %zu (map: %zu)\n",
-              outcome.affinities.size(), lego.affinities().Count());
-  std::printf("  sequences in S   : %zu\n",
-              lego.synthesizer().TotalSequences());
-  std::printf("  corpus seeds     : %zu\n", lego.corpus_size());
+              outcome.affinities.size(), lego.affinity_pairs);
+  std::printf("  sequences in S   : %zu\n", lego.sequences_total);
+  std::printf("  corpus seeds     : %zu\n", lego.corpus_seeds);
   std::printf("  unique bugs      : %zu\n", outcome.bug_ids.size());
   for (const std::string& bug : outcome.bug_ids) {
     std::printf("    %s\n", bug.c_str());

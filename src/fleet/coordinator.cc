@@ -23,7 +23,6 @@
 #include "fleet/worker.h"
 #include "fuzz/distill.h"
 #include "minidb/env.h"
-#include "triage/oracle_suite.h"
 #include "triage/triage.h"
 #include "util/hash.h"
 
@@ -183,34 +182,15 @@ class Coordinator {
     if (options_.fleet_dir.empty()) {
       return Status::InvalidArgument("fleet: fleet_dir is required");
     }
-    const minidb::DialectProfile* profile =
-        minidb::DialectProfile::ByName(config_.profile);
-    if (profile == nullptr) {
-      return Status::InvalidArgument("fleet: unknown profile '" +
-                                     config_.profile + "'");
-    }
-    if (MakeFleetFuzzer(config_.fuzzer, *profile, 0) == nullptr) {
-      return Status::InvalidArgument("fleet: unknown fuzzer '" +
-                                     config_.fuzzer + "'");
-    }
     if (config_.num_shards <= 0 || config_.shard_budget <= 0 ||
         options_.num_workers <= 0) {
       return Status::InvalidArgument(
           "fleet: shards, budget, and workers must be positive");
     }
-    // Reject what every worker would fail on before one is forked: an
-    // unparseable oracle spec would otherwise burn every slot's strikes.
-    bool durability = false;
-    if (!config_.oracle_spec.empty()) {
-      std::string error;
-      auto suite = triage::OracleSuite::FromSpec(config_.oracle_spec, &error);
-      if (suite == nullptr) {
-        return Status::InvalidArgument("fleet: bad oracle spec: " + error);
-      }
-      durability = suite->durability_requested();
-    }
-    LEGO_RETURN_IF_ERROR(
-        fuzz::CheckBackendOptions(config_.backend, durability));
+    // Reject what every worker would fail on before one is forked: a bad
+    // campaign would otherwise burn every slot's strikes. Only the check:
+    // a forked backend would fork its child while a harness is built.
+    LEGO_RETURN_IF_ERROR(CheckCampaign(config_));
     LEGO_RETURN_IF_ERROR(EnsureDir(options_.fleet_dir));
 
     if (options_.resume) {

@@ -16,8 +16,10 @@ constexpr char kDataChunk[5] = "FLET";
 /// Journal layout version, first in the fingerprint. 2 added the capture
 /// shard of every finding and the held (not yet pooled) shard exports; 3
 /// dropped the heartbeat cadence from the fingerprint and added the failed
-/// reset count to the storage counters.
-constexpr uint32_t kJournalVersion = 3;
+/// reset count to the storage counters; 4 seeds each shard's concurrent
+/// interleavings from its shard seed, so a concurrent fleet's shards from
+/// before it must not merge with shards run since.
+constexpr uint32_t kJournalVersion = 4;
 
 void SaveFingerprint(const FleetConfig& config, persist::StateWriter* w) {
   w->BeginChunk(persist::ChunkTag(kFingerprintChunk));

@@ -6,11 +6,9 @@
 #include "baselines/sqlsmith_like.h"
 #include "baselines/squirrel_like.h"
 #include "fuzz/checkpoint.h"
-#include "fuzz/harness.h"
 #include "fuzz/state.h"
 #include "lego/lego_fuzzer.h"
 #include "persist/io.h"
-#include "triage/oracle_suite.h"
 #include "util/hash.h"
 
 namespace lego::fleet {
@@ -49,37 +47,76 @@ std::unique_ptr<fuzz::Fuzzer> MakeFleetFuzzer(
   return nullptr;
 }
 
+std::vector<flags::Flag> CampaignFlags(FleetConfig* config) {
+  std::vector<flags::Flag> table = fuzz::CampaignBackendFlags(&config->backend);
+  table.insert(
+      table.end(),
+      {
+          {"oracle",
+           [config](std::string_view value) {
+             if (!config->oracle_spec.empty()) config->oracle_spec += ',';
+             config->oracle_spec += value;
+             return Status::OK();
+           },
+           "LIST",
+           "logic oracles from tlp,norec,clause,iso,dur; dur needs forked + "
+           "paged (repeatable)"},
+          {"rule-coverage", &config->rule_coverage, "",
+           "grammar-rule coverage as a secondary feedback signal"},
+      });
+  return table;
+}
+
+Status CheckCampaign(const FleetConfig& config) {
+  const minidb::DialectProfile* profile =
+      minidb::DialectProfile::ByName(config.profile);
+  if (profile == nullptr) {
+    return Status::InvalidArgument("unknown profile '" + config.profile + "'");
+  }
+  if (MakeFleetFuzzer(config.fuzzer, *profile, 0) == nullptr) {
+    return Status::InvalidArgument("unknown fuzzer '" + config.fuzzer + "'");
+  }
+  bool durability = false;
+  if (!config.oracle_spec.empty()) {
+    std::string error;
+    auto suite = triage::OracleSuite::FromSpec(config.oracle_spec, &error);
+    if (suite == nullptr) {
+      return Status::InvalidArgument("bad --oracle '" + config.oracle_spec +
+                                     "': " + error);
+    }
+    durability = suite->durability_requested();
+  }
+  return fuzz::CheckBackendOptions(config.backend, durability);
+}
+
+StatusOr<Campaign> BuildCampaign(const FleetConfig& config, uint64_t seed) {
+  LEGO_RETURN_IF_ERROR(CheckCampaign(config));
+  Campaign campaign;
+  campaign.profile = minidb::DialectProfile::ByName(config.profile);
+  campaign.fuzzer = MakeFleetFuzzer(config.fuzzer, *campaign.profile, seed);
+  fuzz::BackendOptions backend = config.backend;
+  // Interleavings are part of the campaign's deterministic identity: the
+  // concurrent backend derives each case's scheduler seed from this.
+  backend.concurrency_seed = seed;
+  if (!config.oracle_spec.empty()) {
+    campaign.suite = triage::OracleSuite::FromSpec(config.oracle_spec, nullptr);
+    if (campaign.suite->durability_requested()) backend.durability_check = true;
+  }
+  campaign.harness =
+      std::make_unique<fuzz::ExecutionHarness>(*campaign.profile, backend);
+  campaign.harness->set_rule_coverage(config.rule_coverage);
+  if (campaign.suite != nullptr && !campaign.suite->MemberNames().empty()) {
+    campaign.harness->set_logic_oracle(campaign.suite.get());
+  }
+  return campaign;
+}
+
 StatusOr<ShardOutcome> ExecuteShard(
     const FleetConfig& config, int shard_id,
     const std::vector<fuzz::TestCase>& pool, const std::atomic<bool>* stop,
     std::function<void(int64_t)> progress) {
-  const minidb::DialectProfile* profile =
-      minidb::DialectProfile::ByName(config.profile);
-  if (profile == nullptr) {
-    return Status::InvalidArgument("fleet: unknown profile '" +
-                                   config.profile + "'");
-  }
-  auto fuzzer =
-      MakeFleetFuzzer(config.fuzzer, *profile, ShardSeed(config, shard_id));
-  if (fuzzer == nullptr) {
-    return Status::InvalidArgument("fleet: unknown fuzzer '" + config.fuzzer +
-                                   "'");
-  }
-
-  std::unique_ptr<triage::OracleSuite> suite;
-  fuzz::BackendOptions backend = config.backend;
-  if (!config.oracle_spec.empty()) {
-    std::string error;
-    suite = triage::OracleSuite::FromSpec(config.oracle_spec, &error);
-    if (suite == nullptr) {
-      return Status::InvalidArgument("fleet: bad oracle spec: " + error);
-    }
-    if (suite->durability_requested()) backend.durability_check = true;
-  }
-
-  fuzz::ExecutionHarness harness(*profile, backend);
-  harness.set_rule_coverage(config.rule_coverage);
-  if (suite != nullptr) harness.set_logic_oracle(suite.get());
+  auto campaign = BuildCampaign(config, ShardSeed(config, shard_id));
+  if (!campaign.ok()) return campaign.status();
 
   fuzz::CampaignOptions options;
   options.max_executions = config.shard_budget;
@@ -91,10 +128,11 @@ StatusOr<ShardOutcome> ExecuteShard(
 
   ShardOutcome outcome;
   outcome.shard_id = shard_id;
-  outcome.result = fuzz::RunCampaign(fuzzer.get(), &harness, options);
+  outcome.result = fuzz::RunCampaign(campaign->fuzzer.get(),
+                                     campaign->harness.get(), options);
   outcome.complete = !outcome.result.stopped_early &&
                      outcome.result.executions >= config.shard_budget;
-  outcome.coverage = harness.global_coverage();
+  outcome.coverage = campaign->harness->global_coverage();
   if (!outcome.result.state_status.ok()) {
     return outcome.result.state_status;
   }

@@ -11,7 +11,10 @@
 #include "fleet/fleet.h"
 #include "fuzz/campaign.h"
 #include "fuzz/fuzzer.h"
+#include "fuzz/harness.h"
 #include "minidb/profile.h"
+#include "triage/oracle_suite.h"
+#include "util/flags.h"
 
 namespace lego::fleet {
 
@@ -40,6 +43,32 @@ uint64_t ShardSeed(const FleetConfig& config, int shard_id);
 std::unique_ptr<fuzz::Fuzzer> MakeFleetFuzzer(
     const std::string& name, const minidb::DialectProfile& profile,
     uint64_t seed);
+
+/// The rows both campaign CLIs take: fuzz::CampaignBackendFlags, --oracle
+/// and --rule-coverage. A repeated --oracle appends with a comma.
+std::vector<flags::Flag> CampaignFlags(FleetConfig* config);
+
+/// Refuses, before anything is built or forked, an unknown profile or
+/// fuzzer, an unparseable oracle spec, or backend options that
+/// fuzz::CheckBackendOptions refuses for the spec's durability request.
+Status CheckCampaign(const FleetConfig& config);
+
+/// A campaign as RunCampaign takes it.
+struct Campaign {
+  const minidb::DialectProfile* profile = nullptr;
+  std::unique_ptr<fuzz::Fuzzer> fuzzer;
+  /// Null for an empty spec; armed on the harness only with members (a
+  /// "dur"-only suite is the backend's durability check). Declared before
+  /// the harness, which points at it and so must be destroyed first.
+  std::unique_ptr<triage::OracleSuite> suite;
+  std::unique_ptr<fuzz::ExecutionHarness> harness;
+};
+
+/// The one campaign builder: CheckCampaign, then the fuzzer seeded `seed`
+/// and the harness on config.backend with concurrency_seed = `seed`, so
+/// concurrent interleavings follow the campaign seed. A forked backend
+/// forks its child here: arm planted defects and failpoints first.
+StatusOr<Campaign> BuildCampaign(const FleetConfig& config, uint64_t seed);
 
 /// Runs one shard to completion in the calling process: a serial
 /// RunCampaign of config.shard_budget executions seeded ShardSeed(shard_id)

@@ -35,6 +35,7 @@
 #include "minidb/env.h"
 #include "minidb/eval.h"
 #include "persist/io.h"
+#include "util/flags.h"
 
 namespace lego::fleet {
 namespace {
@@ -512,6 +513,84 @@ TEST_F(FleetTest, UnknownOracleIsRefused) {
   ExpectRefusedBeforeSpawn(config, "bogus_oracle");
 }
 
+// --- campaign builder ------------------------------------------------------
+
+TEST_F(FleetTest, CheckCampaignRefusesUnknownNames) {
+  FleetConfig config = BaseConfig();
+  EXPECT_TRUE(CheckCampaign(config).ok());
+  FleetConfig bad_profile = config;
+  bad_profile.profile = "nosuchdb";
+  EXPECT_EQ(CheckCampaign(bad_profile).code(), StatusCode::kInvalidArgument);
+  FleetConfig bad_fuzzer = config;
+  bad_fuzzer.fuzzer = "nosuchfuzzer";
+  EXPECT_EQ(BuildCampaign(bad_fuzzer, 1).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(FleetTest, RepeatedOracleFlagsGiveOneSpec) {
+  auto spec_of = [](std::vector<const char*> argv) {
+    FleetConfig config;
+    const flags::CommandLine cli = {"cli", CampaignFlags(&config)};
+    std::vector<std::string> positionals;
+    Status st = cli.Parse(static_cast<int>(argv.size()), argv.data(),
+                          &positionals);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return config.oracle_spec;
+  };
+  const std::string one_flag = spec_of({"cli", "--oracle=tlp,norec"});
+  EXPECT_EQ(one_flag, "tlp,norec");
+  EXPECT_EQ(spec_of({"cli", "--oracle", "tlp", "--oracle", "norec"}),
+            one_flag);
+}
+
+TEST_F(FleetTest, ConcurrentInterleavingsFollowTheCampaignSeed) {
+  FleetConfig config = BaseConfig();
+  config.oracle_spec.clear();
+  config.backend.kind = fuzz::BackendKind::kConcurrent;
+  config.backend.sessions = 2;
+  auto tc = fuzz::TestCase::FromSql(
+      "CREATE TABLE t (a INT, b INT);"
+      "INSERT INTO t VALUES (1, 10);"
+      "UPDATE t SET b = b + 1 WHERE a = 1;"
+      "UPDATE t SET b = b * 2 WHERE a = 1;"
+      "SELECT b FROM t;");
+  ASSERT_TRUE(tc.ok()) << tc.status().ToString();
+  std::vector<uint64_t> interleave_seeds;
+  for (uint64_t seed : {11, 12}) {
+    auto campaign = BuildCampaign(config, seed);
+    ASSERT_TRUE(campaign.ok()) << campaign.status().ToString();
+    EXPECT_EQ(campaign->harness->backend_options().concurrency_seed, seed);
+    interleave_seeds.push_back(campaign->harness->Run(*tc).interleave_seed);
+  }
+  EXPECT_NE(interleave_seeds[0], interleave_seeds[1]);
+}
+
+TEST_F(FleetTest, BuilderArmsOnlyASuiteWithMembers) {
+  FleetConfig config = BaseConfig();
+  {
+    auto tlp = BuildCampaign(config, 1);
+    ASSERT_TRUE(tlp.ok()) << tlp.status().ToString();
+    ASSERT_NE(tlp->suite, nullptr);
+    EXPECT_EQ(tlp->harness->logic_oracle(), tlp->suite.get());
+    EXPECT_FALSE(tlp->harness->backend_options().durability_check);
+  }
+  // "dur" alone is the backend's crash-recovery check: the harness gets
+  // no per-SELECT oracle, so no statement pays an empty oracle bracket.
+  const std::string db_dir = FreshDir("dur_only");
+  config.oracle_spec = "dur";
+  config.backend.kind = fuzz::BackendKind::kForked;
+  config.backend.storage = fuzz::StorageKind::kPaged;
+  config.backend.db_dir = db_dir;
+  {
+    auto dur = BuildCampaign(config, 1);
+    ASSERT_TRUE(dur.ok()) << dur.status().ToString();
+    ASSERT_NE(dur->suite, nullptr);
+    EXPECT_EQ(dur->harness->logic_oracle(), nullptr);
+    EXPECT_TRUE(dur->harness->backend_options().durability_check);
+  }
+  (void)minidb::Env::Posix()->RemoveDirRecursive(db_dir);
+}
+
 // --- heartbeat loss: lease expiry requeues the shard ----------------------
 
 TEST_F(FleetTest, HeartbeatLossExpiresLeaseAndRequeues) {
@@ -637,14 +716,15 @@ TEST_F(FleetTest, JournalRoundTripsMergedState) {
 }
 
 TEST_F(FleetTest, OldJournalLayoutIsRefused) {
-  // Version 2 carried the heartbeat cadence in its fingerprint and ten
-  // storage counters; it must be refused with a version error, not misread.
+  // Version 3 had the current fingerprint layout, but its concurrent shards
+  // ran every interleaving from one fixed seed; it must be refused with a
+  // version error, not merged with shards run under their shard seeds.
   FleetConfig config = BaseConfig();
   const std::string fleet_dir = FreshDir("old_journal");
   ASSERT_TRUE(minidb::Env::Posix()->CreateDir(fleet_dir).ok());
   persist::StateWriter w;
   w.BeginChunk(persist::ChunkTag("FLFP"));
-  w.WriteU32(2);  // layout version
+  w.WriteU32(3);  // layout version
   w.WriteString(config.profile);
   w.WriteString(config.fuzzer);
   w.WriteU64(config.base_seed);
@@ -654,7 +734,6 @@ TEST_F(FleetTest, OldJournalLayoutIsRefused) {
   w.WriteBool(config.rule_coverage);
   w.WriteString("inproc");
   w.WriteString("mem");
-  w.WriteU32(64);  // heartbeat cadence (version 2 only)
   w.WriteU32(static_cast<uint32_t>(config.distill_every));
   w.EndChunk();
   ASSERT_TRUE(w.WriteFileAtomic(JournalPath(fleet_dir)).ok());
@@ -662,7 +741,7 @@ TEST_F(FleetTest, OldJournalLayoutIsRefused) {
   FleetResult loaded;
   Status st = LoadJournal(fleet_dir, config, &loaded);
   EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("layout version 2"), std::string::npos)
+  EXPECT_NE(st.ToString().find("layout version 3"), std::string::npos)
       << st.ToString();
   (void)minidb::Env::Posix()->RemoveDirRecursive(fleet_dir);
 }
