@@ -1,7 +1,7 @@
 // Microbenchmarks for the minidb substrate: storage, index, executor, the
-// paged engine's cold recovery and scans of a heap larger than its buffer
-// pool, the harness hot loop (executions/second is the fuzzing budget
-// currency), and corpus distillation.
+// paged engine's cold recovery, scans of a heap larger than its buffer pool
+// and statement bracket, the harness hot loop (executions/second is the
+// fuzzing budget currency), and corpus distillation.
 //
 // Every benchmark runs 5 repetitions and reports only their mean, median,
 // stddev and cv (bench_util.h's Repeated).
@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -146,6 +147,12 @@ void BM_HarnessRunTestCase(benchmark::State& state) {
 }
 BENCHMARK(BM_HarnessRunTestCase)->Apply(Repeated);
 
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 StorageEngine::Options PagedOptions(const std::string& dir) {
   StorageEngine::Options options;
   options.dir = dir;
@@ -264,11 +271,96 @@ BENCHMARK(BM_ScanLargerThanPool)
     ->Unit(benchmark::kMillisecond)
     ->Apply(Repeated);
 
-double ThreadCpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+/// Table t<i> of BracketDb.
+std::string TableName(int i) {
+  char name[16];
+  std::snprintf(name, sizeof(name), "t%d", i);
+  return name;
 }
+
+/// `pattern` with each %s replaced by `name` (at most two).
+std::string WithName(const char* pattern, const std::string& name) {
+  char sql[128];
+  std::snprintf(sql, sizeof(sql), pattern, name.c_str(), name.c_str());
+  return sql;
+}
+
+/// A paged database on a MemEnv, kept open, whose catalog is shaped like a
+/// grown fuzzing case: tables t0..t15 (a INT, b INT, c TEXT), each with an
+/// index on a and 8 rows, 4 sequences, a view and a trigger. It checkpoints
+/// every 128 commits, as a campaign's engine does, which also keeps the
+/// MemEnv log short. Built once per process.
+struct BracketDb {
+  static constexpr int kTables = 16;
+  BracketDb() : engine([this] {
+          StorageEngine::Options options;
+          options.env = &env;
+          options.dir = "bracket";
+          return options;
+        }()) {
+    if (!engine.ResetFresh(&db).ok()) std::abort();
+    for (int t = 0; t < kTables; ++t) {
+      const std::string name = TableName(t);
+      RunSql(&db, WithName("CREATE TABLE %s (a INT, b INT, c TEXT)", name));
+      RunSql(&db, WithName("CREATE INDEX %s_a ON %s (a)", name));
+      for (int i = 0; i < 8; ++i) {
+        RunSql(&db, WithName("INSERT INTO %s VALUES (", name) +
+                        std::to_string(i) + ", 0, 'row')");
+      }
+    }
+    for (const char* seq : {"s0", "s1", "s2", "s3"}) {
+      RunSql(&db, WithName("CREATE SEQUENCE %s", seq));
+    }
+    RunSql(&db, "CREATE VIEW v AS SELECT a, b FROM t0 WHERE b > 0");
+    RunSql(&db, "CREATE TRIGGER tg AFTER UPDATE ON t15 FOR EACH ROW "
+                "UPDATE t14 SET b = b + 1 WHERE a = 0");
+  }
+  lego::minidb::MemEnv env;
+  StorageEngine engine;
+  Database db{&lego::minidb::DialectProfile::PgLite()};
+};
+
+/// The paged engine's per-statement cost on statements that change no
+/// schema: one autocommit statement per iteration, cycling INSERT, UPDATE,
+/// SELECT and DELETE over the tables of BracketDb (the DELETE removes the
+/// INSERT's row, so the tables keep their size). `cpu_us_per_stmt` is
+/// thread CPU per statement; `fingerprints_per_stmt` counts the schema
+/// fingerprints the statement bracket took.
+void BM_StatementBracket(benchmark::State& state) {
+  static BracketDb bracket;
+  std::vector<lego::sql::StmtPtr> cycle;
+  for (int t = 0; t < BracketDb::kTables; ++t) {
+    const std::string name = TableName(t);
+    for (const char* pattern :
+         {"INSERT INTO %s VALUES (100, 1, 'new')",
+          "UPDATE %s SET b = b + 1 WHERE a = 3", "SELECT b FROM %s WHERE a = 3",
+          "DELETE FROM %s WHERE a = 100"}) {
+      auto stmt = lego::sql::Parser::ParseStatement(WithName(pattern, name));
+      if (!stmt.ok()) std::abort();
+      cycle.push_back(std::move(stmt).ValueOrDie());
+    }
+  }
+  const uint64_t fingerprints = bracket.engine.stats().schema_fingerprints;
+  size_t next = 0;
+  const double cpu_start = ThreadCpuSeconds();
+  for (auto _ : state) {
+    auto result = bracket.db.Execute(*cycle[next]);
+    benchmark::DoNotOptimize(result);
+    next = (next + 1) % cycle.size();
+  }
+  const double statements = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+  state.counters["cpu_us_per_stmt"] =
+      statements > 0 ? (ThreadCpuSeconds() - cpu_start) * 1e6 / statements
+                     : 0.0;
+  state.counters["fingerprints_per_stmt"] =
+      statements > 0
+          ? static_cast<double>(bracket.engine.stats().schema_fingerprints -
+                                fingerprints) /
+                statements
+          : 0.0;
+}
+BENCHMARK(BM_StatementBracket)->Apply(Repeated);
 
 /// A fixed donor corpus, shaped like one fleet generation: the exports of
 /// four 1500-execution pglite LEGO campaigns (seeds 1-4), concatenated, so
