@@ -582,7 +582,7 @@ StatusOr<ResultSet> Executor::ExecAlterTable(const sql::AlterTableStmt& stmt) {
         return StatusOr<ResultSet>(Status::SemanticError(
             "cannot add NOT NULL column without default to non-empty table"));
       }
-      table->schema.columns.push_back(col);
+      LEGO_RETURN_IF_ERROR(db_->catalog().AddColumn(stmt.table, col));
       std::vector<std::pair<RowId, Row>> updates;
       table->heap.Scan([&](RowId rid, const Row& row) {
         Row wider = row;
@@ -614,7 +614,7 @@ StatusOr<ResultSet> Executor::ExecAlterTable(const sql::AlterTableStmt& stmt) {
       for (const std::string& name : doomed) {
         LEGO_RETURN_IF_ERROR(db_->catalog().DropIndex(name));
       }
-      table->schema.columns.erase(table->schema.columns.begin() + idx);
+      LEGO_RETURN_IF_ERROR(db_->catalog().DropColumn(stmt.table, idx));
       std::vector<std::pair<RowId, Row>> updates;
       table->heap.Scan([&](RowId rid, const Row& row) {
         Row narrower = row;
@@ -636,12 +636,12 @@ StatusOr<ResultSet> Executor::ExecAlterTable(const sql::AlterTableStmt& stmt) {
         return StatusOr<ResultSet>(Status::AlreadyExists(
             "column '" + stmt.new_name + "' already exists"));
       }
-      table->schema.columns[static_cast<size_t>(idx)].name = stmt.new_name;
-      for (IndexInfo* index : db_->catalog().IndexesOf(stmt.table)) {
-        for (std::string& c : index->columns) {
-          if (c == stmt.old_name) c = stmt.new_name;
-        }
-      }
+      // The catalog renames the column in the table's schema and in the
+      // column list of each of its indexes, which must keep finding their
+      // key column.
+      LEGO_RETURN_IF_ERROR(db_->catalog().RenameColumn(
+          stmt.table, stmt.old_name, stmt.new_name));
+
       return ResultSet{};
     }
     case sql::AlterAction::kRenameTable: {
@@ -2428,8 +2428,8 @@ StatusOr<ResultSet> Executor::ExecMaintenance(
       for (const std::string& name : targets) {
         LEGO_ASSIGN_OR_RETURN(TableInfo * table,
                               db_->catalog().GetTable(name));
-        table->analyzed_row_count =
-            static_cast<int64_t>(table->heap.LiveRowCount());
+        LEGO_RETURN_IF_ERROR(db_->catalog().SetAnalyzedRowCount(
+            name, static_cast<int64_t>(table->heap.LiveRowCount())));
       }
       result.notes.push_back("analyzed " + std::to_string(targets.size()) +
                              " table(s)");
@@ -2520,9 +2520,9 @@ StatusOr<ResultSet> Executor::ExecNotify(const sql::NotifyStmt& stmt) {
 }
 
 StatusOr<ResultSet> Executor::ExecComment(const sql::CommentStmt& stmt) {
-  LEGO_ASSIGN_OR_RETURN(TableInfo * table, db_->catalog().GetTable(stmt.table));
+  LEGO_RETURN_IF_ERROR(db_->catalog().GetTable(stmt.table).status());
   LEGO_COV();
-  table->comment = stmt.text;
+  LEGO_RETURN_IF_ERROR(db_->catalog().SetComment(stmt.table, stmt.text));
   return ResultSet{};
 }
 
@@ -2579,18 +2579,15 @@ Value Executor::GetSessionVar(const std::string& name) {
 }
 
 StatusOr<int64_t> Executor::SequenceNextVal(const std::string& name) {
-  LEGO_ASSIGN_OR_RETURN(SequenceInfo * seq, db_->catalog().GetSequence(name));
-  if (!seq->started) {
-    seq->current = seq->start;
-    seq->started = true;
-  } else {
-    seq->current += seq->increment;
-  }
-  return seq->current;
+  return db_->catalog().NextVal(name);
 }
 
 StatusOr<int64_t> Executor::SequenceCurrVal(const std::string& name) {
-  LEGO_ASSIGN_OR_RETURN(SequenceInfo * seq, db_->catalog().GetSequence(name));
+  const SequenceInfo* seq = db_->catalog().FindSequence(name);
+  if (seq == nullptr) {
+    return StatusOr<int64_t>(
+        Status::NotFound("sequence '" + name + "' does not exist"));
+  }
   if (!seq->started) {
     return StatusOr<int64_t>(Status::ExecutionError(
         "currval of sequence '" + name + "' is not yet defined"));

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "minidb/database.h"
+#include "minidb/storage_serde.h"
+#include "sql/parser.h"
+
 namespace lego::minidb {
 namespace {
 
@@ -217,6 +226,160 @@ TEST(CatalogTest, DropTemporaryTables) {
   catalog.DropTemporaryTables();
   EXPECT_FALSE(catalog.HasTable("tmp"));
   EXPECT_TRUE(catalog.HasTable("keep"));
+}
+
+// --- change epochs ---------------------------------------------------------
+
+// Runs one statement, which must succeed.
+void Exec(Database* db, const std::string& sql) {
+  auto stmt = sql::Parser::ParseStatement(sql);
+  ASSERT_TRUE(stmt.ok()) << sql;
+  auto result = db->Execute(*stmt.value());
+  ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+}
+
+// Every statement that writes what SchemaFingerprint covers moves the
+// schema epoch (and the fingerprint), whichever executor path writes it:
+// catalog object DDL, in-place ALTER TABLE, COMMENT ON, ANALYZE, users and
+// privileges, and DISCARD TEMP.
+TEST(CatalogEpochTest, EverySchemaMutatorMovesTheSchemaEpoch) {
+  Database db;
+  for (const char* sql : {
+           "CREATE TABLE t (a INT, b TEXT)",
+           "CREATE TEMPORARY TABLE tmp (x INT)",
+           "ALTER TABLE t ADD COLUMN c INT",
+           "ALTER TABLE t RENAME COLUMN c TO d",
+           "ALTER TABLE t DROP COLUMN d",
+           "ALTER TABLE t RENAME TO u",
+           "COMMENT ON TABLE u IS 'doc'",
+           "ANALYZE u",
+           "CREATE INDEX ix ON u (a)",
+           "ALTER TABLE u RENAME COLUMN a TO k",
+           "DROP INDEX ix",
+           "CREATE VIEW v AS SELECT b FROM u",
+           "CREATE OR REPLACE VIEW v AS SELECT k FROM u",
+           "DROP VIEW v",
+           "CREATE TRIGGER tg AFTER INSERT ON u FOR EACH ROW "
+           "INSERT INTO tmp VALUES (1)",
+           "DROP TRIGGER tg",
+           "CREATE RULE r AS ON DELETE TO u DO INSTEAD NOTHING",
+           "DROP RULE r",
+           "CREATE SEQUENCE sq",
+           "DROP SEQUENCE sq",
+           "CREATE USER alice",
+           "GRANT SELECT ON u TO alice",
+           "REVOKE SELECT ON u FROM alice",
+           "DROP USER alice",
+           "DISCARD TEMP",
+           "DROP TABLE u",
+       }) {
+    const uint64_t epoch = db.catalog().schema_epoch();
+    const uint64_t fingerprint = SchemaFingerprint(db.catalog());
+    Exec(&db, sql);
+    EXPECT_GT(db.catalog().schema_epoch(), epoch) << sql;
+    EXPECT_NE(SchemaFingerprint(db.catalog()), fingerprint) << sql;
+  }
+}
+
+// nextval and the WAL's sequence replay move only the sequence epoch.
+TEST(CatalogEpochTest, SequencePositionsMoveOnlyTheSequenceEpoch) {
+  Database db;
+  Exec(&db, "CREATE SEQUENCE sq START 5");
+  for (int i = 0; i < 2; ++i) {
+    const uint64_t schema = db.catalog().schema_epoch();
+    const uint64_t sequence = db.catalog().sequence_epoch();
+    Exec(&db, "SELECT NEXTVAL('sq')");
+    EXPECT_EQ(db.catalog().schema_epoch(), schema);
+    EXPECT_GT(db.catalog().sequence_epoch(), sequence);
+  }
+  const uint64_t schema = db.catalog().schema_epoch();
+  const uint64_t sequence = db.catalog().sequence_epoch();
+  Exec(&db, "SELECT CURRVAL('sq')");
+  EXPECT_EQ(db.catalog().sequence_epoch(), sequence);
+  ASSERT_TRUE(db.catalog().SetSequencePosition("sq", 40, true).ok());
+  EXPECT_EQ(db.catalog().schema_epoch(), schema);
+  EXPECT_GT(db.catalog().sequence_epoch(), sequence);
+  EXPECT_EQ(db.catalog().FindSequence("sq")->current, 40);
+  EXPECT_EQ(db.catalog().NextVal("missing").status().code(),
+            StatusCode::kNotFound);
+}
+
+// Row-level statements move neither epoch, also where an index, a view, a
+// sequence and a trigger that writes rows are around.
+TEST(CatalogEpochTest, RowStatementsMoveNeitherEpoch) {
+  Database db;
+  Exec(&db, "CREATE TABLE t (a INT, b TEXT)");
+  Exec(&db, "CREATE TABLE audit (n INT)");
+  Exec(&db, "CREATE TRIGGER tg AFTER INSERT ON t FOR EACH ROW "
+            "INSERT INTO audit VALUES (1)");
+  Exec(&db, "CREATE INDEX ta ON t (a)");
+  Exec(&db, "CREATE VIEW v AS SELECT a FROM t WHERE a > 1");
+  Exec(&db, "CREATE SEQUENCE sq");
+  Exec(&db, "INSERT INTO t VALUES (1, 'x'), (2, 'y')");
+  for (const char* sql : {
+           "INSERT INTO t VALUES (3, 'z')",
+           "UPDATE t SET b = 'w' WHERE a = 2",
+           "DELETE FROM t WHERE a = 1",
+           "SELECT a, b FROM t WHERE a = 3",
+           "SELECT a FROM v",
+       }) {
+    const uint64_t schema = db.catalog().schema_epoch();
+    const uint64_t sequence = db.catalog().sequence_epoch();
+    Exec(&db, sql);
+    EXPECT_EQ(db.catalog().schema_epoch(), schema) << sql;
+    EXPECT_EQ(db.catalog().sequence_epoch(), sequence) << sql;
+  }
+}
+
+// Assigning a catalog (ROLLBACK, ROLLBACK TO, ResetAll) moves both epochs
+// to values the object never held before, though the schema it restores
+// is one seen earlier: equal epochs can only mean "not touched".
+TEST(CatalogEpochTest, RestoringACatalogNeverRepeatsAnEpoch) {
+  Database db;
+  std::set<uint64_t> seen;
+  auto expect_new = [&](const std::string& step) {
+    EXPECT_TRUE(seen.insert(db.catalog().schema_epoch()).second) << step;
+    EXPECT_TRUE(seen.insert(db.catalog().sequence_epoch()).second) << step;
+  };
+  Exec(&db, "CREATE TABLE t (a INT)");
+  Exec(&db, "CREATE SEQUENCE sq");
+  expect_new("setup");
+  Exec(&db, "BEGIN");
+  Exec(&db, "SELECT NEXTVAL('sq')");
+  Exec(&db, "CREATE TABLE u (b INT)");
+  expect_new("in transaction");
+  Exec(&db, "ROLLBACK");
+  expect_new("ROLLBACK");
+  Exec(&db, "BEGIN");
+  Exec(&db, "SAVEPOINT sp");
+  Exec(&db, "ROLLBACK TO SAVEPOINT sp");
+  expect_new("ROLLBACK TO an untouched savepoint");
+  Exec(&db, "SELECT NEXTVAL('sq')");
+  Exec(&db, "DROP TABLE t");
+  expect_new("after the savepoint");
+  Exec(&db, "ROLLBACK TO SAVEPOINT sp");
+  expect_new("ROLLBACK TO");
+  EXPECT_TRUE(db.catalog().HasTable("t"));
+  Exec(&db, "COMMIT");
+  db.ResetAll();
+  expect_new("ResetAll");
+}
+
+// A copy or move carries no epoch value along: the destination and the
+// moved-from source both draw new ones.
+TEST(CatalogEpochTest, CopiesAndMovesDrawNewEpochs) {
+  Catalog a;
+  ASSERT_TRUE(a.CreateTable(MakeTable("t")).ok());
+  const uint64_t before = a.schema_epoch();
+  Catalog b = a;
+  EXPECT_NE(b.schema_epoch(), before);
+  EXPECT_EQ(a.schema_epoch(), before);
+  Catalog c = std::move(a);
+  EXPECT_NE(c.schema_epoch(), before);
+  EXPECT_GT(a.schema_epoch(), before);  // NOLINT(bugprone-use-after-move)
+  const uint64_t b_epoch = b.schema_epoch();
+  b = c;
+  EXPECT_GT(b.schema_epoch(), b_epoch);
 }
 
 }  // namespace
