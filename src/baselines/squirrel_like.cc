@@ -31,7 +31,7 @@ fuzz::TestCase SquirrelLikeFuzzer::Next() {
     replay_queue_.pop_front();
     return tc;
   }
-  fuzz::Seed* seed = corpus_.Select(&rng_);
+  const fuzz::Seed* seed = corpus_.Select(&rng_);
   if (seed == nullptr) {
     // Degenerate cold start (no seeds parsed): a trivial probe.
     auto tc = fuzz::TestCase::FromSql("SELECT 1;");
@@ -47,7 +47,7 @@ void SquirrelLikeFuzzer::OnResult(const fuzz::TestCase& tc,
   corpus_.Add(tc.Clone(),
               result.hit_rules ? &*result.hit_rules : nullptr);
   library_.AddTestCase(tc);
-  if (current_seed_ != nullptr) ++current_seed_->discoveries;
+  if (current_seed_ != nullptr) corpus_.Credit(current_seed_);
 }
 
 void SquirrelLikeFuzzer::ImportSeed(const fuzz::TestCase& tc) {

@@ -59,7 +59,7 @@ class SquirrelLikeFuzzer : public fuzz::Fuzzer {
   core::SequenceMutator mutator_;
   fuzz::Corpus corpus_;
   std::deque<fuzz::TestCase> replay_queue_;
-  fuzz::Seed* current_seed_ = nullptr;
+  const fuzz::Seed* current_seed_ = nullptr;
 };
 
 }  // namespace lego::baselines

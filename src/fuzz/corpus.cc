@@ -50,9 +50,22 @@ void Corpus::set_rule_weighting(bool enabled) {
   if (enabled) {
     for (Seed& seed : seeds_) ComputeRules(&seed);
   }
+  ReweighAll();
 }
 
-Seed* Corpus::Add(TestCase tc, const cov::RuleSet* rules) {
+double Corpus::Weight(const Seed& seed) const {
+  double w = 1.0 + 2.0 * seed.discoveries;
+  w /= 1.0 + 0.25 * seed.times_selected;
+  if (rule_weighting_) w *= 1.0 + seed.rarity;
+  return w;
+}
+
+void Corpus::ReweighAll() {
+  weights_.resize(seeds_.size());
+  for (size_t i = 0; i < seeds_.size(); ++i) weights_[i] = Weight(seeds_[i]);
+}
+
+const Seed* Corpus::Add(TestCase tc, const cov::RuleSet* rules) {
   DebugCheckContract();
   Seed seed;
   seed.test_case = std::move(tc);
@@ -61,13 +74,14 @@ Seed* Corpus::Add(TestCase tc, const cov::RuleSet* rules) {
   seeds_.push_back(std::move(seed));
   Seed* added = &seeds_.back();
   if (rule_weighting_) ComputeRules(added, rules);
+  weights_.push_back(Weight(*added));
 #ifndef NDEBUG
   handed_out_.emplace_back(added, added->id);
 #endif
   return added;
 }
 
-Seed* Corpus::Select(Rng* rng) {
+const Seed* Corpus::Select(Rng* rng) {
   DebugCheckContract();
   if (seeds_.empty()) return nullptr;
   // Favored (never-picked) seeds first, oldest first.
@@ -76,9 +90,10 @@ Seed* Corpus::Select(Rng* rng) {
     ++favored_cursor_;
   }
   if (favored_cursor_ < seeds_.size()) {
-    Seed& seed = seeds_[favored_cursor_++];
+    Seed& seed = seeds_[favored_cursor_];
     seed.favored = false;
     ++seed.times_selected;
+    weights_[favored_cursor_++] = Weight(seed);
     return &seed;
   }
   if (rule_weighting_ && rarity_stale_) {
@@ -95,28 +110,31 @@ Seed* Corpus::Select(Rng* rng) {
       s.rarity = rarity;
     }
     rarity_stale_ = false;
+    ReweighAll();
   }
-  // Weighted pick: productive seeds weigh more, over-fuzzed ones less.
-  weights_.resize(seeds_.size());
   double total = 0.0;
-  for (size_t i = 0; i < seeds_.size(); ++i) {
-    const Seed& s = seeds_[i];
-    double w = 1.0 + 2.0 * s.discoveries;
-    w /= 1.0 + 0.25 * s.times_selected;
-    if (rule_weighting_) w *= 1.0 + s.rarity;
-    weights_[i] = w;
-    total += w;
-  }
+  for (double w : weights_) total += w;
   double pick = rng->NextDouble() * total;
+  size_t chosen = seeds_.size() - 1;
   for (size_t i = 0; i < seeds_.size(); ++i) {
     pick -= weights_[i];
     if (pick <= 0.0) {
-      ++seeds_[i].times_selected;
-      return &seeds_[i];
+      chosen = i;
+      break;
     }
   }
-  ++seeds_.back().times_selected;
-  return &seeds_.back();
+  Seed& seed = seeds_[chosen];
+  ++seed.times_selected;
+  weights_[chosen] = Weight(seed);
+  return &seed;
+}
+
+void Corpus::Credit(const Seed* seed) {
+  const size_t i = static_cast<size_t>(seed->id);
+  assert(i < seeds_.size() && &seeds_[i] == seed &&
+         "Credit() of a seed this corpus did not hand out");
+  ++seeds_[i].discoveries;
+  weights_[i] = Weight(seeds_[i]);
 }
 
 int Corpus::IndexOf(const Seed* seed) const {
@@ -155,9 +173,16 @@ Status Corpus::LoadState(persist::StateReader* r) {
     seed.times_selected = static_cast<int>(r->ReadI64());
     seed.discoveries = static_cast<int>(r->ReadI64());
     seed.favored = r->ReadBool();
+    if (!r->ok()) return r->status();
+    if (seed.id != static_cast<int>(i)) {
+      return Status::InvalidArgument("corpus seed id is not its position");
+    }
     seeds.push_back(std::move(seed));
   }
   LEGO_RETURN_IF_ERROR(r->ExitChunk());
+  if (next_id != static_cast<int>(n)) {
+    return Status::InvalidArgument("corpus id allocator is not its size");
+  }
   seeds_ = std::move(seeds);
   next_id_ = next_id;
   favored_cursor_ = 0;
@@ -167,6 +192,7 @@ Status Corpus::LoadState(persist::StateReader* r) {
   if (rule_weighting_) {
     for (Seed& seed : seeds_) ComputeRules(&seed);
   }
+  ReweighAll();
 #ifndef NDEBUG
   // The pool was replaced wholesale: old Seed* are dead, and the corpus may
   // now be adopted by whichever thread resumes the campaign.

@@ -36,7 +36,12 @@ struct Seed {
 /// Pointer-stability contract: every `Seed*` returned by Add()/Select()
 /// stays valid for the lifetime of the Corpus, across any number of later
 /// Add() calls — seeds live in a deque, whose push_back never relocates
-/// existing elements. Debug builds verify this on every Add().
+/// existing elements. Debug builds verify this on every Add(). A seed's
+/// `test_case` never changes after Add(), so owners may also hold pointers
+/// to it (LEGO's deferred mutants do) until LoadState() replaces the pool.
+/// Its scheduling fields change only through the corpus: Select() counts
+/// picks and Credit() counts discoveries, which keeps the cached weights
+/// exact.
 ///
 /// Threading contract: a Corpus belongs to exactly ONE worker thread; none
 /// of its methods are thread-safe, and handed-out `Seed*` must not be
@@ -49,10 +54,19 @@ class Corpus {
   /// `rules`, when given, must be the seed's rule set as
   /// cov::CollectRules(tc.ToSql()) records it (ExecResult::hit_rules); under
   /// rule weighting it saves parsing the seed again.
-  Seed* Add(TestCase tc, const cov::RuleSet* rules = nullptr);
+  const Seed* Add(TestCase tc, const cov::RuleSet* rules = nullptr);
 
-  /// Picks the next seed to mutate. Returns nullptr when empty.
-  Seed* Select(Rng* rng);
+  /// Picks the next seed to mutate. Returns nullptr when empty. Each seed's
+  /// weight is cached and recomputed only when its pick or discovery count
+  /// changed, or for every seed after a rarity refresh, set_rule_weighting()
+  /// or LoadState(); the total is still summed left to right and the pick
+  /// found by the same subtraction scan, so every pick is the one a
+  /// recomputation of all weights would give.
+  const Seed* Select(Rng* rng);
+
+  /// Records that a mutant of `seed` (a pointer this corpus handed out)
+  /// found new coverage; productive seeds weigh more in Select().
+  void Credit(const Seed* seed);
 
   /// Rarity-weighted scheduling on the grammar-rule signal: when enabled,
   /// Select() multiplies each seed's energy by (1 + sum over its rules of
@@ -76,15 +90,15 @@ class Corpus {
   /// checkpoint "which seed is in flight" as an index and rehydrate the
   /// pointer after LoadState.
   int IndexOf(const Seed* seed) const;
-  /// Owners may update `discoveries` through this pointer; `favored` is
-  /// the corpus's own (see favored_cursor_).
-  Seed* at(size_t index) { return &seeds_[index]; }
+  const Seed* at(size_t index) const { return &seeds_[index]; }
 
   /// Checkpointing: test cases plus all scheduling bookkeeping (ids,
   /// selection counts, discoveries, favored flags) and the id allocator —
   /// everything Select() consults, so a resumed schedule is identical.
   /// LoadState replaces the whole pool; previously handed-out Seed*
-  /// pointers are invalidated (debug tracking is reset accordingly).
+  /// pointers are invalidated (debug tracking is reset accordingly). It
+  /// rejects a pool whose ids are not the positions 0..n-1, which Add()
+  /// always assigns and Credit() relies on.
   Status SaveState(persist::StateWriter* w) const;
   Status LoadState(persist::StateReader* r);
 
@@ -95,6 +109,12 @@ class Corpus {
   /// Fills `seed->rules` from `known` or, when null, by parsing its SQL, and
   /// bumps the per-rule holder counts.
   void ComputeRules(Seed* seed, const cov::RuleSet* known = nullptr);
+
+  /// Select()'s energy for one seed: productive seeds weigh more,
+  /// over-fuzzed ones less, rare-rule ones more under rule weighting.
+  double Weight(const Seed& seed) const;
+  /// Recomputes every cached weight.
+  void ReweighAll();
 
   std::deque<Seed> seeds_;
   int next_id_ = 0;
@@ -107,7 +127,9 @@ class Corpus {
   /// when appended (or loaded, which rewinds the cursor) and stay so until
   /// their first pick.
   size_t favored_cursor_ = 0;
-  /// Select()'s weight per seed, kept to reuse its allocation.
+  /// Weight() of each seed, in pool order. Exact except while rule
+  /// weighting is on and rarity_stale_ is set: the next weighted pick then
+  /// refreshes the rarities and every weight before it reads them.
   std::vector<double> weights_;
 #ifndef NDEBUG
   /// Every pointer ever handed out by Add(), with the id it pointed at.

@@ -79,7 +79,7 @@ fuzz::TestCase LegoFuzzer::Next() {
   if (!queue_.empty() && (corpus_.empty() || rng_.NextBool(0.6))) {
     return PopQueue();
   }
-  fuzz::Seed* seed = corpus_.Select(&rng_);
+  const fuzz::Seed* seed = corpus_.Select(&rng_);
   if (seed == nullptr) {
     // Cold start: instantiate a short random sequence.
     std::vector<sql::StatementType> seq = {
@@ -263,7 +263,7 @@ void LegoFuzzer::OnResult(const fuzz::TestCase& tc,
   corpus_.Add(tc.Clone(),
               result.hit_rules ? &*result.hit_rules : nullptr);
   library_.AddTestCase(tc);
-  if (current_seed_ != nullptr) ++current_seed_->discoveries;
+  if (current_seed_ != nullptr) corpus_.Credit(current_seed_);
 
   if (!options_.sequence_algorithms_enabled) return;
 

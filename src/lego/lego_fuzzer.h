@@ -97,7 +97,7 @@ class LegoFuzzer : public fuzz::Fuzzer {
   std::deque<std::pair<sql::StatementType, sql::StatementType>>
       pending_foreign_affinities_;
   /// Seed whose mutants are in flight (attribution for scheduling).
-  fuzz::Seed* current_seed_ = nullptr;
+  const fuzz::Seed* current_seed_ = nullptr;
   size_t mutation_cursor_ = 0;
 };
 

@@ -8,6 +8,7 @@
 #include "fuzz/campaign.h"
 #include "fuzz/corpus.h"
 #include "fuzz/harness.h"
+#include "fuzz/state.h"
 #include "fuzz/testcase.h"
 #include "minidb/profile.h"
 
@@ -55,8 +56,8 @@ TEST(CorpusTest, AddAndFavoredSelection) {
   corpus.Add(std::move(*TestCase::FromSql("SELECT 1;")));
   corpus.Add(std::move(*TestCase::FromSql("SELECT 2;")));
   // Fresh seeds are served first, oldest first.
-  Seed* first = corpus.Select(&rng);
-  Seed* second = corpus.Select(&rng);
+  const Seed* first = corpus.Select(&rng);
+  const Seed* second = corpus.Select(&rng);
   EXPECT_EQ(first->id, 0);
   EXPECT_EQ(second->id, 1);
   EXPECT_FALSE(first->favored);
@@ -67,11 +68,11 @@ TEST(CorpusTest, AddAndFavoredSelection) {
 TEST(CorpusTest, ProductiveSeedsPreferred) {
   Corpus corpus;
   Rng rng(2);
-  Seed* dull = corpus.Add(std::move(*TestCase::FromSql("SELECT 1;")));
-  Seed* star = corpus.Add(std::move(*TestCase::FromSql("SELECT 2;")));
+  const Seed* dull = corpus.Add(std::move(*TestCase::FromSql("SELECT 1;")));
+  const Seed* star = corpus.Add(std::move(*TestCase::FromSql("SELECT 2;")));
   corpus.Select(&rng);  // clear favored flags
   corpus.Select(&rng);
-  star->discoveries = 50;
+  for (int i = 0; i < 50; ++i) corpus.Credit(star);
   int star_picks = 0;
   for (int i = 0; i < 400; ++i) {
     if (corpus.Select(&rng) == star) ++star_picks;
@@ -82,7 +83,7 @@ TEST(CorpusTest, ProductiveSeedsPreferred) {
 
 TEST(CorpusTest, PointersSurviveGrowth) {
   Corpus corpus;
-  Seed* first = corpus.Add(std::move(*TestCase::FromSql("SELECT 1;")));
+  const Seed* first = corpus.Add(std::move(*TestCase::FromSql("SELECT 1;")));
   std::string before = first->test_case.ToSql();
   for (int i = 0; i < 500; ++i) {
     corpus.Add(std::move(*TestCase::FromSql("SELECT " + std::to_string(i) + ";")));
@@ -94,7 +95,7 @@ TEST(CorpusTest, PointersSurviveGrowth) {
 }
 
 /// The scheduler as it was before rarity caching, the favored cursor and
-/// the reused weights buffer: a favored scan from the front and every
+/// the cached weights: a favored scan from the front and every
 /// weight, rarity included, recomputed on every pick.
 struct ReferenceCorpus {
   struct Entry {
@@ -212,7 +213,7 @@ TEST(CorpusTest, SelectMatchesTheUncachedScheduler) {
       } else if (op < 93) {
         if (ref.seeds.empty()) continue;
         const size_t i = steps.NextBelow(ref.seeds.size());
-        ++corpus.at(i)->discoveries;
+        corpus.Credit(corpus.at(i));
         ++ref.seeds[i].discoveries;
       } else if (op < 96) {
         const bool on = !corpus.rule_weighting();
@@ -233,6 +234,34 @@ TEST(CorpusTest, SelectMatchesTheUncachedScheduler) {
       }
     }
     EXPECT_GT(corpus.size(), 100u);
+  }
+}
+
+TEST(CorpusTest, LoadRejectsIdsThatAreNotPositions) {
+  // Credit() finds a seed by its id, so a pool whose ids are not its
+  // positions (a corrupt or foreign state) must not load.
+  auto corpus_state = [](int64_t next_id, int64_t seed_id) {
+    persist::StateWriter w;
+    w.BeginChunk(persist::ChunkTag("CORP"));
+    w.WriteI64(next_id);
+    w.WriteU64(1);
+    SaveTestCase(*TestCase::FromSql("SELECT 1;"), &w);
+    w.WriteI64(seed_id);
+    w.WriteI64(0);  // times_selected
+    w.WriteI64(0);  // discoveries
+    w.WriteBool(true);
+    w.EndChunk();
+    return w.buffer();
+  };
+  Corpus corpus;
+  persist::StateReader good =
+      persist::StateReader::FromPayload(corpus_state(1, 0));
+  ASSERT_TRUE(corpus.LoadState(&good).ok());
+  EXPECT_EQ(corpus.size(), 1u);
+  for (auto [next_id, seed_id] : {std::pair<int64_t, int64_t>{1, 3}, {2, 0}}) {
+    persist::StateReader bad =
+        persist::StateReader::FromPayload(corpus_state(next_id, seed_id));
+    EXPECT_FALSE(corpus.LoadState(&bad).ok()) << next_id << " " << seed_id;
   }
 }
 
