@@ -77,6 +77,7 @@ Status SquirrelLikeFuzzer::LoadState(persist::StateReader* r) {
   }
   LEGO_RETURN_IF_ERROR(fuzz::LoadRng(r, &rng_));
   LEGO_RETURN_IF_ERROR(library_.LoadState(r));
+  current_seed_ = nullptr;  // points into the corpus about to be replaced
   LEGO_RETURN_IF_ERROR(corpus_.LoadState(r));
   LEGO_RETURN_IF_ERROR(fuzz::LoadTestCaseQueue(r, &replay_queue_));
   int64_t seed_index = r->ReadI64();

@@ -208,10 +208,14 @@ Status LegoFuzzer::LoadState(persist::StateReader* r) {
   LEGO_RETURN_IF_ERROR(library_.LoadState(r));
   LEGO_RETURN_IF_ERROR(affinity_map_.LoadState(r));
   LEGO_RETURN_IF_ERROR(synthesizer_.LoadState(r));
+  // The in-flight seed points into the corpus about to be replaced: drop
+  // it, and the queue with it, before the corpus goes, so a load that fails
+  // after the corpus chunk leaves no dangling pointer behind.
+  queue_.clear();
+  current_seed_ = nullptr;
   LEGO_RETURN_IF_ERROR(corpus_.LoadState(r));
   std::deque<fuzz::TestCase> queued;
   LEGO_RETURN_IF_ERROR(fuzz::LoadTestCaseQueue(r, &queued));
-  queue_.clear();
   for (fuzz::TestCase& tc : queued) queue_.emplace_back(std::move(tc));
   uint64_t pending = r->ReadU64();
   if (!r->CheckCount(pending, 2)) return r->status();

@@ -65,6 +65,10 @@ class LegoFuzzer : public fuzz::Fuzzer {
   const TypeAffinityMap& affinities() const { return affinity_map_; }
   const SequenceSynthesizer& synthesizer() const { return synthesizer_; }
   size_t corpus_size() const { return corpus_.size(); }
+  /// Queued test cases, deferred or built.
+  size_t queue_size() const { return queue_.size(); }
+  /// The seed whose mutants are in flight, nullptr before the first pick.
+  const fuzz::Seed* current_seed() const { return current_seed_; }
   /// Queued synthesized sequences not yet instantiated.
   size_t deferred_in_queue() const;
 

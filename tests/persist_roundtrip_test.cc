@@ -218,6 +218,48 @@ TEST(FuzzerStateRoundtripTest, DeferredQueueResumesIdentically) {
   }
 }
 
+TEST(FuzzerStateRoundtripTest, LoadFailingAfterTheCorpusDropsItsPointers) {
+  // A state that ends right after the corpus chunk replaces the corpus and
+  // then fails. The queue and the in-flight seed pointed into the old
+  // corpus, so the failed load must leave neither behind.
+  const minidb::DialectProfile& profile = minidb::DialectProfile::PgLite();
+  core::LegoOptions options;
+  options.rng_seed = 9;
+  core::LegoFuzzer a(profile, options);
+  ExecutionHarness ha(profile);
+  FuzzFor(&a, &ha, 150);
+  persist::StateWriter w;
+  ASSERT_TRUE(a.SaveState(&w).ok());
+
+  // Walk the LEGF chunk: its 12-byte header, the 17-byte configuration
+  // fingerprint, then the RNG, library, affinity, synthesizer and corpus
+  // chunks. Cut there and shorten LEGF's length to match.
+  std::string bytes = w.buffer();
+  size_t end = 12 + 17;
+  uint32_t tag = 0;
+  for (int chunk = 0; chunk < 5; ++chunk) {
+    ASSERT_LE(end + 12, bytes.size());
+    tag = persist::LoadU32(bytes.data() + end);
+    end += 12 + persist::LoadU64(bytes.data() + end + 4);
+  }
+  ASSERT_EQ(tag, persist::ChunkTag("CORP"));
+  ASSERT_LT(end, bytes.size());
+  bytes.resize(end);
+  std::string length;
+  persist::AppendU64(&length, end - 12);
+  bytes.replace(4, 8, length);
+
+  core::LegoFuzzer b(profile, options);
+  ExecutionHarness hb(profile);
+  FuzzFor(&b, &hb, 40);
+  ASSERT_GT(b.queue_size(), 0u);
+  ASSERT_NE(b.current_seed(), nullptr);
+  persist::StateReader r = persist::StateReader::FromPayload(bytes);
+  EXPECT_FALSE(b.LoadState(&r).ok());
+  EXPECT_EQ(b.queue_size(), 0u);
+  EXPECT_EQ(b.current_seed(), nullptr);
+}
+
 TEST(CampaignResultRoundtripTest, SecondSnapshotIsByteIdentical) {
   auto fuzzer =
       fleet::MakeFleetFuzzer("lego", minidb::DialectProfile::PgLite(), 11);
