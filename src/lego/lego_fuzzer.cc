@@ -14,8 +14,8 @@ namespace {
 constexpr int kInstantiationsPerSequence = 2;
 /// Per-affinity cap on sequences consumed from the synthesizer.
 constexpr int kMaxSequencesPerAffinity = 96;
-/// Bound on queued entries, counting deferred instantiations and
-/// materialized cases alike. Synthesis stops enqueueing at the bound.
+/// Bound on queued entries, counting deferred and materialized entries
+/// alike. Synthesis stops enqueueing at the bound.
 constexpr size_t kMaxQueue = 16384;
 
 }  // namespace
@@ -47,19 +47,28 @@ void LegoFuzzer::Prepare(fuzz::ExecutionHarness* harness) {
   }
 }
 
-fuzz::TestCase LegoFuzzer::PopQueue() {
-  QueueEntry entry = std::move(queue_.front());
-  queue_.pop_front();
+fuzz::TestCase LegoFuzzer::Build(const QueueEntry& entry) const {
   if (const auto* deferred = std::get_if<DeferredInstantiation>(&entry)) {
     return deferred->Instantiate(profile_);
   }
-  return std::move(std::get<fuzz::TestCase>(entry));
+  return std::get<DeferredMutation>(entry).Build(profile_);
 }
 
-size_t LegoFuzzer::deferred_in_queue() const {
-  return std::count_if(queue_.begin(), queue_.end(), [](const QueueEntry& e) {
-    return std::holds_alternative<DeferredInstantiation>(e);
-  });
+fuzz::TestCase LegoFuzzer::PopQueue() {
+  QueueEntry entry = std::move(queue_.front());
+  queue_.pop_front();
+  if (auto* tc = std::get_if<fuzz::TestCase>(&entry)) return std::move(*tc);
+  return Build(entry);
+}
+
+LegoFuzzer::DeferredCounts LegoFuzzer::deferred_in_queue() const {
+  DeferredCounts counts;
+  for (const QueueEntry& entry : queue_) {
+    counts.instantiations +=
+        std::holds_alternative<DeferredInstantiation>(entry);
+    counts.mutations += std::holds_alternative<DeferredMutation>(entry);
+  }
+  return counts;
 }
 
 fuzz::TestCase LegoFuzzer::Next() {
@@ -92,10 +101,14 @@ fuzz::TestCase LegoFuzzer::Next() {
   if (options_.sequence_algorithms_enabled && rng_.NextBool(0.5)) {
     // Step 1 (Fig. 4): proactive sequence-oriented mutation over one
     // statement position (Algorithm 1 produces the sub/ins/del probes).
-    size_t position = mutation_cursor_++ % std::max<size_t>(1, seed->test_case.size());
-    auto mutants =
-        mutator_.SequenceOrientedMutants(seed->test_case, position);
-    for (auto& m : mutants) queue_.emplace_back(std::move(m));
+    // The probes queue as deferred mutants and are built when dequeued;
+    // they point at the seed's test case, which the corpus never changes.
+    size_t position =
+        mutation_cursor_++ % std::max<size_t>(1, seed->test_case.size());
+    for (const DeferredMutation& mutant :
+         mutator_.SequenceOrientedMutants(seed->test_case, position)) {
+      queue_.emplace_back(mutant);
+    }
     if (!queue_.empty()) return PopQueue();
   }
   // Conventional syntax-preserving mutation on top of sequences (paper §II:
@@ -174,10 +187,10 @@ Status LegoFuzzer::SaveState(persist::StateWriter* w) const {
   // Same layout as fuzz::SaveTestCaseQueue.
   w->WriteU64(queue_.size());
   for (const QueueEntry& entry : queue_) {
-    if (const auto* deferred = std::get_if<DeferredInstantiation>(&entry)) {
-      fuzz::SaveTestCase(deferred->Instantiate(profile_), w);
+    if (const auto* tc = std::get_if<fuzz::TestCase>(&entry)) {
+      fuzz::SaveTestCase(*tc, w);
     } else {
-      fuzz::SaveTestCase(std::get<fuzz::TestCase>(entry), w);
+      fuzz::SaveTestCase(Build(entry), w);
     }
   }
   w->WriteU64(pending_foreign_affinities_.size());
@@ -208,8 +221,8 @@ Status LegoFuzzer::LoadState(persist::StateReader* r) {
   LEGO_RETURN_IF_ERROR(library_.LoadState(r));
   LEGO_RETURN_IF_ERROR(affinity_map_.LoadState(r));
   LEGO_RETURN_IF_ERROR(synthesizer_.LoadState(r));
-  // The in-flight seed points into the corpus about to be replaced: drop
-  // it, and the queue with it, before the corpus goes, so a load that fails
+  // Deferred mutants and the in-flight seed point into the corpus about to
+  // be replaced: drop them before the corpus goes, so a load that fails
   // after the corpus chunk leaves no dangling pointer behind.
   queue_.clear();
   current_seed_ = nullptr;

@@ -54,9 +54,9 @@ class LegoFuzzer : public fuzz::Fuzzer {
   /// campaign must be constructed with the same options.
   ///
   /// Deferred queue entries are written as the test cases they materialize
-  /// to. Instantiation is a pure function of the entry, so the loaded queue
-  /// yields exactly what the uninterrupted one would have, and the queue
-  /// layout is the one of a fully materialized queue.
+  /// to. Instantiating or building one is a pure function of the entry, so
+  /// the loaded queue yields exactly what the uninterrupted one would have,
+  /// and the queue layout is the one of a fully materialized queue.
   Status SaveState(persist::StateWriter* w) const override;
   Status LoadState(persist::StateReader* r) override;
   fuzz::FuzzerStats stats() const override;
@@ -69,18 +69,31 @@ class LegoFuzzer : public fuzz::Fuzzer {
   size_t queue_size() const { return queue_.size(); }
   /// The seed whose mutants are in flight, nullptr before the first pick.
   const fuzz::Seed* current_seed() const { return current_seed_; }
-  /// Queued synthesized sequences not yet instantiated.
-  size_t deferred_in_queue() const;
+  /// Queued entries not yet materialized: synthesized sequences awaiting
+  /// instantiation, and sequence-oriented mutants awaiting their build.
+  struct DeferredCounts {
+    size_t instantiations = 0;
+    size_t mutations = 0;
+  };
+  DeferredCounts deferred_in_queue() const;
 
  private:
-  /// A queued test case. Seed scripts and mutants are stored materialized.
-  /// A synthesized sequence is stored as its type sequence, one seed drawn
-  /// from rng_ when it is enqueued, and the library snapshot of its
-  /// EnqueueSynthesized() call; Next() instantiates it when it is dequeued.
-  using QueueEntry = std::variant<fuzz::TestCase, DeferredInstantiation>;
+  /// A queued test case. Seed scripts and the entries of a loaded state are
+  /// stored materialized. A synthesized sequence is stored as its type
+  /// sequence, one seed drawn from rng_ when it is enqueued, and the library
+  /// snapshot of its EnqueueSynthesized() call. A sequence-oriented mutant
+  /// is stored as a pointer to its corpus seed's test case, the position,
+  /// the kind, the substitution's replacement type and one seed, all drawn
+  /// from rng_ when it is enqueued. PopQueue() materializes either kind
+  /// when it reaches the entry, so the many entries a campaign never
+  /// reaches cost a few words each.
+  using QueueEntry =
+      std::variant<fuzz::TestCase, DeferredInstantiation, DeferredMutation>;
 
   void EnqueueSynthesized(sql::StatementType t1, sql::StatementType t2);
   fuzz::TestCase PopQueue();
+  /// The test case a deferred entry materializes to.
+  fuzz::TestCase Build(const QueueEntry& entry) const;
 
   const minidb::DialectProfile& profile_;
   LegoOptions options_;

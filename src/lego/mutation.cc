@@ -6,75 +6,90 @@ namespace {
 
 using sql::StatementType;
 
-}  // namespace
-
-sql::StatementType SequenceMutator::RandomType() {
-  const auto types = profile_->EnabledTypes();
-  return types[rng_->NextBelow(types.size())];
+/// A random statement type enabled by the profile.
+StatementType RandomType(const minidb::DialectProfile& profile, Rng* rng) {
+  const auto types = profile.EnabledTypes();
+  return types[rng->NextBelow(types.size())];
 }
 
-void SequenceMutator::Refix(fuzz::TestCase* tc) {
+/// Re-runs dependency analysis over all statements (fresh schema context).
+void Refix(Instantiator* instantiator, fuzz::TestCase* tc) {
   SchemaContext ctx;
   for (auto& stmt : *tc->mutable_statements()) {
-    instantiator_->FixStatement(stmt.get(), &ctx);
+    instantiator->FixStatement(stmt.get(), &ctx);
     ctx.Apply(*stmt);
   }
 }
 
-std::vector<fuzz::TestCase> SequenceMutator::SequenceOrientedMutants(
-    const fuzz::TestCase& seed, size_t position) {
-  std::vector<fuzz::TestCase> mutants;
-  if (seed.empty() || position >= seed.size()) return mutants;
+/// The schema context of `tc`'s first `end` statements, against which a
+/// replacement or insertion is generated.
+SchemaContext ContextBefore(const fuzz::TestCase& tc, size_t end) {
+  SchemaContext ctx;
+  for (size_t i = 0; i < end; ++i) ctx.Apply(*tc.statements()[i]);
+  return ctx;
+}
 
-  // Build the schema context up to (but excluding) the mutated statement so
-  // the replacement/insertion is generated against live dependencies.
-  auto context_at = [&](size_t end) {
-    SchemaContext ctx;
-    for (size_t i = 0; i < end; ++i) ctx.Apply(*seed.statements()[i]);
-    return ctx;
+}  // namespace
+
+fuzz::TestCase DeferredMutation::Build(
+    const minidb::DialectProfile& profile) const {
+  Rng rng(seed);
+  StatementGenerator generator(&profile, &rng);
+  generator.set_fancy_selects(fancy_selects);
+  fuzz::TestCase mutant = parent->Clone();
+  auto* stmts = mutant.mutable_statements();
+  const auto at = stmts->begin() + static_cast<long>(position);
+  switch (kind) {
+    case MutationKind::kSubstitute: {
+      SchemaContext ctx = ContextBefore(*parent, position);
+      *at = generator.Generate(replacement, &ctx);
+      break;
+    }
+    case MutationKind::kInsert: {
+      SchemaContext ctx = ContextBefore(*parent, position + 1);
+      sql::StmtPtr inserted =
+          generator.Generate(RandomType(profile, &rng), &ctx);
+      stmts->insert(at + 1, std::move(inserted));
+      break;
+    }
+    case MutationKind::kDelete:
+      stmts->erase(at);
+      break;
+  }
+  // FixStatement never reads the library, so none is needed.
+  Instantiator fixer(&profile, /*library=*/nullptr, &rng);
+  Refix(&fixer, &mutant);
+  return mutant;
+}
+
+std::vector<DeferredMutation> SequenceMutator::SequenceOrientedMutants(
+    const fuzz::TestCase& seed, size_t position) {
+  std::vector<DeferredMutation> mutants;
+  if (seed.empty() || position >= seed.size()) return mutants;
+  DeferredMutation mutant;
+  mutant.parent = &seed;
+  mutant.position = position;
+  mutant.fancy_selects = fancy_selects_;
+  auto plan = [&](MutationKind kind) {
+    mutant.kind = kind;
+    mutant.seed = rng_->Next();
+    mutants.push_back(mutant);
   };
 
-  StatementGenerator generator(profile_, rng_);
-  generator.set_fancy_selects(fancy_selects_);
-
   // 1) Substitution: change the statement's type.
-  {
-    StatementType current = seed.statements()[position]->type();
-    StatementType replacement = RandomType();
-    for (int tries = 0; replacement == current && tries < 4; ++tries) {
-      replacement = RandomType();
-    }
-    if (replacement != current) {
-      fuzz::TestCase mutant = seed.Clone();
-      SchemaContext ctx = context_at(position);
-      (*mutant.mutable_statements())[position] =
-          generator.Generate(replacement, &ctx);
-      Refix(&mutant);
-      mutants.push_back(std::move(mutant));
-    }
+  const StatementType current = seed.statements()[position]->type();
+  StatementType replacement = RandomType(*profile_, rng_);
+  for (int tries = 0; replacement == current && tries < 4; ++tries) {
+    replacement = RandomType(*profile_, rng_);
   }
-
+  if (replacement != current) {
+    mutant.replacement = replacement;
+    plan(MutationKind::kSubstitute);
+  }
   // 2) Insertion: add a random statement after the current one.
-  {
-    fuzz::TestCase mutant = seed.Clone();
-    SchemaContext ctx = context_at(position + 1);
-    sql::StmtPtr inserted = generator.Generate(RandomType(), &ctx);
-    auto* stmts = mutant.mutable_statements();
-    stmts->insert(stmts->begin() + static_cast<long>(position) + 1,
-                  std::move(inserted));
-    Refix(&mutant);
-    mutants.push_back(std::move(mutant));
-  }
-
+  plan(MutationKind::kInsert);
   // 3) Deletion: remove the current statement.
-  if (seed.size() > 1) {
-    fuzz::TestCase mutant = seed.Clone();
-    auto* stmts = mutant.mutable_statements();
-    stmts->erase(stmts->begin() + static_cast<long>(position));
-    Refix(&mutant);
-    mutants.push_back(std::move(mutant));
-  }
-
+  if (seed.size() > 1) plan(MutationKind::kDelete);
   return mutants;
 }
 
@@ -123,7 +138,7 @@ fuzz::TestCase SequenceMutator::ConventionalMutate(
     generator.set_fancy_selects(fancy_selects_);
     (*stmts)[position] = generator.Generate(stmt->type(), &ctx);
   }
-  Refix(&mutant);
+  Refix(instantiator_, &mutant);
   return mutant;
 }
 

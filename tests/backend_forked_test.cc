@@ -273,10 +273,10 @@ TEST(GoldenCampaignTest, SerialInProcessLegoPglite) {
   options.snapshot_every = 200;
 
   CampaignResult result = RunCampaign(&fuzzer, &harness, options);
-  EXPECT_EQ(result.edges, 493u);
-  EXPECT_EQ(result.affinities.size(), 164u);
-  EXPECT_EQ(result.statements_executed, 5314);
-  EXPECT_EQ(result.statement_errors, 3151);
+  EXPECT_EQ(result.edges, 389u);
+  EXPECT_EQ(result.affinities.size(), 104u);
+  EXPECT_EQ(result.statements_executed, 4820);
+  EXPECT_EQ(result.statement_errors, 3882);
   EXPECT_EQ(result.crashes_total, 0);
 }
 
@@ -338,11 +338,11 @@ TEST(GoldenCampaignTest, ForkedPagedLegoPglite) {
   }
   std::filesystem::remove_all(dir);
 
-  EXPECT_EQ(ResultDigest(result), 0x0e8f39bebc0b49efULL);
-  EXPECT_EQ(result.storage.wal_records, 6761u);
-  EXPECT_EQ(result.storage.wal_bytes, 402226u);
-  EXPECT_EQ(result.storage.fsyncs, 2758u);
-  EXPECT_EQ(result.storage.commits, 2758u);
+  EXPECT_EQ(ResultDigest(result), 0xa02a135007f3757eULL);
+  EXPECT_EQ(result.storage.wal_records, 6633u);
+  EXPECT_EQ(result.storage.wal_bytes, 419255u);
+  EXPECT_EQ(result.storage.fsyncs, 2519u);
+  EXPECT_EQ(result.storage.commits, 2519u);
 }
 
 }  // namespace

@@ -225,12 +225,12 @@ TEST(ConcurrentCampaignTest, GoldenDigestsPinTheInterleavings) {
   BackendOptions iso3 = ConcurrentOptions(7);
   iso3.sessions = 3;
   EXPECT_EQ(ConcurrentCampaignDigest(iso3, 7, 2000),
-            0x05572e149edc654aull);
+            0xc01f71f8e77a68b4ull);
 
   BackendOptions lost_update = ConcurrentOptions(1);
   lost_update.planted_lost_update = true;
   EXPECT_EQ(ConcurrentCampaignDigest(lost_update, 1, 2000),
-            0x98a63c49cc0f0bacull);
+            0x8dea14679f5b3b63ull);
 
   const std::string dir = ScratchDir("golden_paged");
   BackendOptions paged4 = ConcurrentOptions(5);
@@ -239,7 +239,7 @@ TEST(ConcurrentCampaignTest, GoldenDigestsPinTheInterleavings) {
   paged4.db_dir = dir;
   paged4.pool_frames = 16;
   EXPECT_EQ(ConcurrentCampaignDigest(paged4, 5, 1000),
-            0x3810bc46cd47f15dull);
+            0xbab3784db956272aull);
   std::filesystem::remove_all(dir);
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz/corpus.h"
 #include "fuzz/testcase.h"
 #include "lego/affinity.h"
 #include "lego/ast_library.h"
@@ -512,6 +513,17 @@ class MutationTest : public ::testing::Test {
     return std::move(*tc);
   }
 
+  /// Algorithm 1's mutants of `seed` at `position`, built.
+  std::vector<fuzz::TestCase> Mutants(const fuzz::TestCase& seed,
+                                      size_t position) {
+    std::vector<fuzz::TestCase> built;
+    for (const DeferredMutation& m :
+         mutator_.SequenceOrientedMutants(seed, position)) {
+      built.push_back(m.Build(minidb::DialectProfile::PgLite()));
+    }
+    return built;
+  }
+
   Rng rng_;
   AstLibrary library_;
   Instantiator instantiator_;
@@ -520,7 +532,12 @@ class MutationTest : public ::testing::Test {
 
 TEST_F(MutationTest, ProducesSubstitutionInsertionDeletion) {
   fuzz::TestCase seed = Seed();
-  auto mutants = mutator_.SequenceOrientedMutants(seed, 3);
+  auto planned = mutator_.SequenceOrientedMutants(seed, 3);
+  ASSERT_EQ(planned.size(), 3u);
+  EXPECT_EQ(planned[0].kind, MutationKind::kSubstitute);
+  EXPECT_EQ(planned[1].kind, MutationKind::kInsert);
+  EXPECT_EQ(planned[2].kind, MutationKind::kDelete);
+  auto mutants = Mutants(seed, 3);
   ASSERT_EQ(mutants.size(), 3u);
   // Substitution keeps length, changes the type at position 3.
   EXPECT_EQ(mutants[0].size(), seed.size());
@@ -537,7 +554,7 @@ TEST_F(MutationTest, ProducesSubstitutionInsertionDeletion) {
 TEST_F(MutationTest, MutantsRemainParseable) {
   fuzz::TestCase seed = Seed();
   for (size_t pos = 0; pos < seed.size(); ++pos) {
-    for (auto& mutant : mutator_.SequenceOrientedMutants(seed, pos)) {
+    for (auto& mutant : Mutants(seed, pos)) {
       auto reparsed = fuzz::TestCase::FromSql(mutant.ToSql());
       EXPECT_TRUE(reparsed.ok()) << mutant.ToSql();
     }
@@ -563,9 +580,43 @@ TEST_F(MutationTest, ConventionalMutationPreservesTypeSequence) {
 TEST_F(MutationTest, DeletionOfOnlyStatementIsSkipped) {
   auto tc = fuzz::TestCase::FromSql("SELECT 1;");
   ASSERT_TRUE(tc.ok());
-  auto mutants = mutator_.SequenceOrientedMutants(*tc, 0);
+  auto mutants = Mutants(*tc, 0);
   // Substitution + insertion, but no deletion of the only statement.
   EXPECT_EQ(mutants.size(), 2u);
+}
+
+TEST_F(MutationTest, DeferredMutantIsAPureFunctionOfTheEntry) {
+  // A queued mutant of a corpus seed builds the same case each time it is
+  // built, for every kind, however much the corpus and the library grew and
+  // however many draws the mutator took in between: LEGO builds it when it
+  // is dequeued, or at a checkpoint, and both must give the same case.
+  const minidb::DialectProfile& profile = minidb::DialectProfile::PgLite();
+  fuzz::Corpus corpus;
+  const fuzz::Seed* parent = corpus.Add(Seed());
+  std::vector<DeferredMutation> planned;
+  for (size_t pos = 0; pos < parent->test_case.size(); ++pos) {
+    for (const DeferredMutation& m :
+         mutator_.SequenceOrientedMutants(parent->test_case, pos)) {
+      planned.push_back(m);
+    }
+  }
+  std::set<MutationKind> kinds;
+  std::vector<std::string> first;
+  for (const DeferredMutation& m : planned) {
+    kinds.insert(m.kind);
+    first.push_back(m.Build(profile).ToSql());
+    EXPECT_EQ(m.Build(profile).ToSql(), first.back());
+  }
+  EXPECT_EQ(kinds.size(), 3u);
+
+  for (int i = 0; i < 300; ++i) {
+    fuzz::TestCase admitted = mutator_.ConventionalMutate(parent->test_case);
+    library_.AddTestCase(admitted);
+    corpus.Add(std::move(admitted));
+  }
+  for (size_t i = 0; i < planned.size(); ++i) {
+    EXPECT_EQ(planned[i].Build(profile).ToSql(), first[i]) << i;
+  }
 }
 
 }  // namespace

@@ -311,11 +311,11 @@ void ExpectRuleWeightedGoldens(const std::vector<RuleWeightedGolden>& goldens) {
 // feed these numbers. The digest is the one the CLI prints for the same
 // settings. Re-capture only for an intended change of fuzzing behaviour.
 TEST(GoldenCampaignTest, RuleWeightedLegoPgliteMemAndPaged) {
-  // Seed 1 never checkpoints; seed 5 checkpoints often, so most of its
-  // per-case resets follow a checkpoint.
+  // Seed 1 checkpoints often, so most of its per-case resets follow a
+  // checkpoint; seed 5 checkpoints rarely. (comdlite never does.)
   ExpectRuleWeightedGoldens({
-      {"pglite", 1, 0x36f87e36d5647d63ULL, 126, 312, 6355, 372547, 2681, 0},
-      {"pglite", 5, 0x75ee0c346e4f9ea3ULL, 126, 270, 6537, 390886, 2724, 192},
+      {"pglite", 1, 0x902321e42208bf7dULL, 128, 283, 6472, 404891, 2581, 175},
+      {"pglite", 5, 0x8c5998cabce3ad5eULL, 135, 257, 6150, 371101, 2600, 5},
   });
 }
 
@@ -326,10 +326,10 @@ TEST(GoldenCampaignTest, RuleWeightedLegoPgliteMemAndPaged) {
 // counters.
 TEST(GoldenCampaignTest, RuleWeightedLegoOtherProfilesMemAndPaged) {
   ExpectRuleWeightedGoldens({
-      {"mylite", 1, 0xeac513eb266d8faaULL, 115, 242, 6605, 399484, 2836, 123},
-      {"marialite", 1, 0xa2cb49947eda7952ULL, 138, 371, 6830, 408017, 2867,
-       5},
-      {"comdlite", 1, 0x087559cb9d9aeb61ULL, 99, 273, 6712, 407860, 2711, 0},
+      {"mylite", 1, 0x60136859d9be8819ULL, 118, 282, 6143, 367780, 2591, 2},
+      {"marialite", 1, 0x4daf445fb6a8813dULL, 138, 384, 7266, 424973, 3055,
+       11},
+      {"comdlite", 1, 0x2df9c727f718b58fULL, 97, 287, 7643, 454555, 3202, 0},
   });
 }
 
@@ -444,7 +444,10 @@ sql::StmtPtr Parse(const std::string& sql) {
 // fuzzers get their usual feedback. Every other case runs inside a
 // transaction that moves a sequence, undoes the case with ROLLBACK TO a
 // savepoint, runs it again and commits or rolls back, so the generated
-// schema changes also meet the catalog restores.
+// schema changes also meet the catalog restores. Each fuzzer runs at three
+// seeds: a 300-case lego run executes an ANALYZE in only about a third of
+// runs, so one seed would make the final reach check a coin toss on the
+// fuzzer's trajectory.
 TEST(CheckedBracketTest, UnmovedEpochsMeanUnchangedSchemaAndSequences) {
   constexpr int kCases = 300;
   const sql::StmtPtr create_seq = Parse("CREATE SEQUENCE chk");
@@ -457,46 +460,49 @@ TEST(CheckedBracketTest, UnmovedEpochsMeanUnchangedSchemaAndSequences) {
   std::map<sql::StatementType, int64_t> executed;
   for (const minidb::DialectProfile* profile : minidb::DialectProfile::All()) {
     for (const char* name : {"lego", "squirrel", "sqlancer", "sqlsmith"}) {
-      SCOPED_TRACE(profile->name + "/" + name);
-      std::unique_ptr<Fuzzer> fuzzer = MakeFuzzer(name, *profile, 3);
-      ExecutionHarness harness(*profile);
-      fuzzer->Prepare(&harness);
+      for (uint64_t seed : {3, 4, 5}) {
+        SCOPED_TRACE(profile->name + "/" + name + " seed " +
+                     std::to_string(seed));
+        std::unique_ptr<Fuzzer> fuzzer = MakeFuzzer(name, *profile, seed);
+        ExecutionHarness harness(*profile);
+        fuzzer->Prepare(&harness);
 
-      minidb::MemEnv env;
-      minidb::StorageEngine::Options options;
-      options.env = &env;
-      options.dir = "db";
-      minidb::StorageEngine engine(options);
-      minidb::Database db(profile);
-      CheckedBracket checked(&engine);
-      for (int i = 0; i < kCases; ++i) {
-        TestCase tc = fuzzer->Next();
-        fuzzer->OnResult(tc, harness.Run(tc));
-        ASSERT_TRUE(engine.ResetFresh(&db).ok());
-        db.set_storage_hook(&checked);
-        std::vector<const sql::Statement*> script;
-        for (const sql::StmtPtr& stmt : tc.statements()) {
-          script.push_back(stmt.get());
+        minidb::MemEnv env;
+        minidb::StorageEngine::Options options;
+        options.env = &env;
+        options.dir = "db";
+        minidb::StorageEngine engine(options);
+        minidb::Database db(profile);
+        CheckedBracket checked(&engine);
+        for (int i = 0; i < kCases; ++i) {
+          TestCase tc = fuzzer->Next();
+          fuzzer->OnResult(tc, harness.Run(tc));
+          ASSERT_TRUE(engine.ResetFresh(&db).ok());
+          db.set_storage_hook(&checked);
+          std::vector<const sql::Statement*> script;
+          for (const sql::StmtPtr& stmt : tc.statements()) {
+            script.push_back(stmt.get());
+          }
+          if (i % 2 == 1) {
+            std::vector<const sql::Statement*> wrapped = {
+                create_seq.get(), begin.get(), nextval.get(), savepoint.get()};
+            wrapped.insert(wrapped.end(), script.begin(), script.end());
+            wrapped.push_back(rollback_to.get());
+            wrapped.insert(wrapped.end(), script.begin(), script.end());
+            wrapped.push_back(nextval.get());
+            wrapped.push_back(i % 4 == 1 ? commit.get() : rollback.get());
+            script = std::move(wrapped);
+          }
+          for (const sql::Statement* stmt : script) (void)db.Execute(*stmt);
         }
-        if (i % 2 == 1) {
-          std::vector<const sql::Statement*> wrapped = {
-              create_seq.get(), begin.get(), nextval.get(), savepoint.get()};
-          wrapped.insert(wrapped.end(), script.begin(), script.end());
-          wrapped.push_back(rollback_to.get());
-          wrapped.insert(wrapped.end(), script.begin(), script.end());
-          wrapped.push_back(nextval.get());
-          wrapped.push_back(i % 4 == 1 ? commit.get() : rollback.get());
-          script = std::move(wrapped);
+        EXPECT_TRUE(checked.violations.empty())
+            << checked.violations.size() << " violations, first: "
+            << checked.violations.front();
+        EXPECT_GT(checked.schema_unmoved, 0);
+        EXPECT_GT(checked.sequences_unmoved, 0);
+        for (const auto& [type, count] : checked.executed) {
+          executed[type] += count;
         }
-        for (const sql::Statement* stmt : script) (void)db.Execute(*stmt);
-      }
-      EXPECT_TRUE(checked.violations.empty())
-          << checked.violations.size() << " violations, first: "
-          << checked.violations.front();
-      EXPECT_GT(checked.schema_unmoved, 0);
-      EXPECT_GT(checked.sequences_unmoved, 0);
-      for (const auto& [type, count] : checked.executed) {
-        executed[type] += count;
       }
     }
   }

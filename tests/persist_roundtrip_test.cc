@@ -184,17 +184,19 @@ TEST(FuzzerStateRoundtripTest, RestoredFuzzerContinuesIdentically) {
 }
 
 TEST(FuzzerStateRoundtripTest, DeferredQueueResumesIdentically) {
-  // Saved while synthesized sequences are still queued uninstantiated, a
-  // LEGO fuzzer loaded into a fresh instance must produce the next 200
-  // cases of the uninterrupted one: SaveState writes each deferred entry as
-  // the test case it materializes to.
+  // Saved while synthesized sequences are still queued uninstantiated and
+  // sequence-oriented mutants unbuilt, a LEGO fuzzer loaded into a fresh
+  // instance must produce the next 200 cases of the uninterrupted one:
+  // SaveState writes each deferred entry as the test case it materializes
+  // to.
   const minidb::DialectProfile& profile = minidb::DialectProfile::PgLite();
   core::LegoOptions options;
   options.rng_seed = 9;
   core::LegoFuzzer a(profile, options);
   ExecutionHarness ha(profile);
   FuzzFor(&a, &ha, 150);
-  ASSERT_GT(a.deferred_in_queue(), 0u);
+  ASSERT_GT(a.deferred_in_queue().instantiations, 0u);
+  ASSERT_GT(a.deferred_in_queue().mutations, 0u);
   persist::StateWriter w;
   ASSERT_TRUE(a.SaveState(&w).ok());
   ASSERT_TRUE(ha.SaveState(&w).ok());
@@ -205,7 +207,9 @@ TEST(FuzzerStateRoundtripTest, DeferredQueueResumesIdentically) {
   persist::StateReader r = persist::StateReader::FromPayload(w.buffer());
   ASSERT_TRUE(b.LoadState(&r).ok());
   ASSERT_TRUE(hb.LoadState(&r).ok());
-  EXPECT_EQ(b.deferred_in_queue(), 0u);
+  EXPECT_EQ(b.deferred_in_queue().instantiations, 0u);
+  EXPECT_EQ(b.deferred_in_queue().mutations, 0u);
+  EXPECT_EQ(b.queue_size(), a.queue_size());
 
   for (int i = 0; i < 200; ++i) {
     TestCase ta = a.Next();
