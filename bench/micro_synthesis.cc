@@ -66,7 +66,7 @@ void BM_ProgressiveSynthesis(benchmark::State& state) {
     size_t produced = 0;
     for (const auto& [t1, t2] : affinities) {
       if (!map.Add(t1, t2)) continue;
-      produced += synthesizer.OnNewAffinity(t1, t2, map).size();
+      produced += synthesizer.OnNewAffinity(t1, t2, map);
     }
     benchmark::DoNotOptimize(produced);
   }
@@ -91,7 +91,7 @@ void BM_FullReenumeration(benchmark::State& state) {
       TypeAffinityMap rebuild;
       for (const auto& [a, b] : map.All()) {
         if (rebuild.Add(a, b)) {
-          produced += fresh.OnNewAffinity(a, b, rebuild).size();
+          produced += fresh.OnNewAffinity(a, b, rebuild);
         }
       }
     }

@@ -7,6 +7,7 @@
 //
 //   ./examples/sequence_synthesis_demo
 
+#include <algorithm>
 #include <cstdio>
 
 #include "fuzz/testcase.h"
@@ -52,17 +53,17 @@ int main() {
   // containing the new affinity are enumerated.
   affinities.Add(StatementType::kInsert, StatementType::kDelete);
   synthesizer.AddStartType(StatementType::kDelete);
-  auto fresh = synthesizer.OnNewAffinity(StatementType::kInsert,
-                                         StatementType::kDelete, affinities);
+  size_t fresh = synthesizer.OnNewAffinity(StatementType::kInsert,
+                                           StatementType::kDelete, affinities);
   std::printf(
       "\nNew affinity INSERT -> DELETE: %zu new sequences "
       "(S grew %zu -> %zu):\n",
-      fresh.size(), before, synthesizer.TotalSequences());
-  size_t shown = 0;
-  for (const auto& seq : fresh) {
-    if (shown++ >= 6) break;
+      fresh, before, synthesizer.TotalSequences());
+  // The new sequences are the last `fresh` of S.
+  const size_t first = synthesizer.TotalSequences() - fresh;
+  for (size_t i = first; i < first + std::min<size_t>(fresh, 6); ++i) {
     std::printf("  ");
-    for (auto t : seq) {
+    for (auto t : synthesizer.sequence(i)) {
       std::printf("[%s] ", std::string(sql::StatementTypeName(t)).c_str());
     }
     std::printf("\n");

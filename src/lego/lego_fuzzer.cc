@@ -118,27 +118,31 @@ fuzz::TestCase LegoFuzzer::Next() {
 
 void LegoFuzzer::EnqueueSynthesized(sql::StatementType t1,
                                     sql::StatementType t2) {
-  auto sequences = synthesizer_.OnNewAffinity(t1, t2, affinity_map_);
-  // Enqueue breadth-first: short sequences first. The depth-first
-  // enumeration order of Algorithm 3 would otherwise spend the whole
-  // consumption cap on deep expansions of the first few successors.
-  std::stable_sort(sequences.begin(), sequences.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.size() < b.size();
-                   });
+  const size_t added = synthesizer_.OnNewAffinity(t1, t2, affinity_map_);
+  const size_t end = synthesizer_.TotalSequences();
   // Instantiation waits until Next() dequeues the entry, so the many entries
   // a campaign never reaches cost a seed and a few pointers each. The
   // snapshot lets every entry of this call sample the library as it stands
   // now, as instantiating here would have.
   std::shared_ptr<const AstLibrary> snapshot;
   int consumed = 0;
-  for (const auto& seq : sequences) {
-    if (consumed >= kMaxSequencesPerAffinity) break;
-    ++consumed;
-    for (int k = 0; k < kInstantiationsPerSequence; ++k) {
-      if (queue_.size() >= kMaxQueue) return;
-      if (snapshot == nullptr) snapshot = library_.Snapshot();
-      queue_.emplace_back(DeferredInstantiation{seq, rng_.Next(), snapshot});
+  // Enqueue breadth-first: short sequences first, each length in synthesis
+  // order (a stable sort by length, read in place from S). The depth-first
+  // enumeration order of Algorithm 3 would otherwise spend the whole
+  // consumption cap on deep expansions of the first few successors.
+  for (size_t len = 2; len <= static_cast<size_t>(synthesizer_.max_len());
+       ++len) {
+    for (size_t i = end - added; i < end; ++i) {
+      const auto seq = synthesizer_.sequence(i);
+      if (seq.size() != len) continue;
+      if (consumed >= kMaxSequencesPerAffinity) return;
+      ++consumed;
+      for (int k = 0; k < kInstantiationsPerSequence; ++k) {
+        if (queue_.size() >= kMaxQueue) return;
+        if (snapshot == nullptr) snapshot = library_.Snapshot();
+        queue_.emplace_back(DeferredInstantiation{
+            {seq.begin(), seq.end()}, rng_.Next(), snapshot});
+      }
     }
   }
 }

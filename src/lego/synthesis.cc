@@ -1,5 +1,8 @@
 #include "lego/synthesis.h"
 
+#include <algorithm>
+#include <string>
+
 namespace lego::core {
 
 void SequenceSynthesizer::AddStartType(sql::StatementType t) {
@@ -8,55 +11,55 @@ void SequenceSynthesizer::AddStartType(sql::StatementType t) {
   Record({t});
 }
 
+// Indexes into S are stored as uint32_t.
+static_assert(SequenceSynthesizer::kMaxSequences <= UINT32_MAX);
+
 bool SequenceSynthesizer::Record(
     const std::vector<sql::StatementType>& seq) {
-  if (sequences_.size() >= kMaxSequences) {
+  if (ends_.size() >= kMaxSequences) {
     ++dropped_;
     return false;
   }
-  sequences_.push_back(seq);
   prefix_[{seq.back(), static_cast<int>(seq.size())}].push_back(
-      sequences_.size() - 1);
+      static_cast<uint32_t>(ends_.size()));
+  types_.insert(types_.end(), seq.begin(), seq.end());
+  ends_.push_back(static_cast<uint32_t>(types_.size()));
   return true;
 }
 
-std::vector<std::vector<sql::StatementType>>
-SequenceSynthesizer::OnNewAffinity(sql::StatementType t1,
-                                   sql::StatementType t2,
-                                   const TypeAffinityMap& affinities) {
-  std::vector<std::vector<sql::StatementType>> out;
-  size_t first_new = sequences_.size();
-
+size_t SequenceSynthesizer::OnNewAffinity(sql::StatementType t1,
+                                          sql::StatementType t2,
+                                          const TypeAffinityMap& affinities) {
+  const size_t first_new = ends_.size();
   for (int level = 1; level <= max_len_ - 1; ++level) {
     auto it = prefix_.find({t1, level});
     if (it == prefix_.end() || it->second.empty()) continue;
     // Copy: Record() appends to PS entries while we iterate.
-    std::vector<size_t> prefix_indexes = it->second;
-    for (size_t seq_index : prefix_indexes) {
+    std::vector<uint32_t> prefix_indexes = it->second;
+    for (uint32_t seq_index : prefix_indexes) {
       // Only extend prefixes that existed before this call — new sequences
       // already contain t1 -> t2.
       if (seq_index >= first_new) continue;
-      std::vector<sql::StatementType> seq = sequences_[seq_index];
+      const auto prefix = sequence(seq_index);
+      std::vector<sql::StatementType> seq(prefix.begin(), prefix.end());
       seq.push_back(t2);
-      if (!Record(seq)) return out;
-      out.push_back(seq);
-      ListSeq(level + 1, t2, &seq, affinities, &out);
-      if (sequences_.size() >= kMaxSequences) return out;
+      if (!Record(seq)) return ends_.size() - first_new;
+      ListSeq(level + 1, t2, &seq, affinities);
+      if (ends_.size() >= kMaxSequences) return ends_.size() - first_new;
     }
   }
-  return out;
+  return ends_.size() - first_new;
 }
 
-void SequenceSynthesizer::ListSeq(
-    int level, sql::StatementType node_type,
-    std::vector<sql::StatementType>* seq, const TypeAffinityMap& affinities,
-    std::vector<std::vector<sql::StatementType>>* out) {
+void SequenceSynthesizer::ListSeq(int level, sql::StatementType node_type,
+                                  std::vector<sql::StatementType>* seq,
+                                  const TypeAffinityMap& affinities) {
   if (level >= max_len_) return;
   for (sql::StatementType next : affinities.SuccessorsOf(node_type)) {
-    if (sequences_.size() >= kMaxSequences) return;
+    if (ends_.size() >= kMaxSequences) return;
     seq->push_back(next);
-    ListSeq(level + 1, next, seq, affinities, out);
-    if (Record(*seq)) out->push_back(*seq);
+    ListSeq(level + 1, next, seq, affinities);
+    Record(*seq);
     seq->pop_back();
   }
 }
@@ -69,8 +72,9 @@ Status SequenceSynthesizer::SaveState(persist::StateWriter* w) const {
   w->BeginChunk(kSynthTag);
   w->WriteI64(max_len_);
   w->WriteU64(dropped_);
-  w->WriteU64(sequences_.size());
-  for (const auto& seq : sequences_) {
+  w->WriteU64(ends_.size());
+  for (size_t i = 0; i < ends_.size(); ++i) {
+    const auto seq = sequence(i);
     w->WriteU64(seq.size());
     for (sql::StatementType t : seq) w->WriteU8(static_cast<uint8_t>(t));
   }
@@ -89,37 +93,50 @@ Status SequenceSynthesizer::LoadState(persist::StateReader* r) {
   uint64_t dropped = r->ReadU64();
   uint64_t n = r->ReadU64();
   if (!r->CheckCount(n, 8)) return r->status();
-  std::vector<std::vector<sql::StatementType>> sequences;
-  sequences.reserve(n);
+  if (n > kMaxSequences) {
+    return Status::InvalidArgument("synthesizer state holds " +
+                                   std::to_string(n) + " sequences, over " +
+                                   std::to_string(kMaxSequences));
+  }
+  // Roots have length 1 and synthesized sequences at most LEN.
+  const uint64_t max_len_stored =
+      static_cast<uint64_t>(std::max(1, max_len_));
+  std::vector<sql::StatementType> types;
+  std::vector<uint32_t> ends;
+  ends.reserve(n);
   constexpr uint8_t kNum = static_cast<uint8_t>(sql::StatementType::kNumTypes);
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t len = r->ReadU64();
     if (!r->CheckCount(len, 1)) return r->status();
-    std::vector<sql::StatementType> seq;
-    seq.reserve(len);
+    if (len == 0) {
+      return Status::InvalidArgument("empty sequence in synthesizer state");
+    }
+    if (len > max_len_stored) {
+      return Status::InvalidArgument("sequence longer than max_len in "
+                                     "synthesizer state");
+    }
     for (uint64_t j = 0; j < len; ++j) {
       uint8_t t = r->ReadU8();
       if (!r->ok()) return r->status();
       if (t >= kNum) {
         return Status::InvalidArgument("sequence with invalid type tag");
       }
-      seq.push_back(static_cast<sql::StatementType>(t));
+      types.push_back(static_cast<sql::StatementType>(t));
     }
-    if (seq.empty()) {
-      return Status::InvalidArgument("empty sequence in synthesizer state");
-    }
-    sequences.push_back(std::move(seq));
+    ends.push_back(static_cast<uint32_t>(types.size()));
   }
   LEGO_RETURN_IF_ERROR(r->ExitChunk());
   // Rebuild PS from S exactly as Record() built it: index i is appended to
   // prefix_[(S[i].back, |S[i]|)] in increasing i, so the rebuilt index lists
   // match the original insertion order and future synthesis walks them in
   // the same order.
-  sequences_ = std::move(sequences);
+  types_ = std::move(types);
+  ends_ = std::move(ends);
   prefix_.clear();
-  for (size_t i = 0; i < sequences_.size(); ++i) {
-    const auto& seq = sequences_[i];
-    prefix_[{seq.back(), static_cast<int>(seq.size())}].push_back(i);
+  for (size_t i = 0; i < ends_.size(); ++i) {
+    const auto seq = sequence(i);
+    prefix_[{seq.back(), static_cast<int>(seq.size())}].push_back(
+        static_cast<uint32_t>(i));
   }
   dropped_ = dropped;
   return Status::OK();

@@ -1,7 +1,9 @@
 #ifndef LEGO_LEGO_SYNTHESIS_H_
 #define LEGO_LEGO_SYNTHESIS_H_
 
+#include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,13 @@ namespace lego::core {
 /// When a new affinity t1 -> t2 is discovered, only the *new* sequences that
 /// contain it are enumerated: every known prefix ending in t1 is extended
 /// with t2 and then expanded with all known affinities up to LEN.
+///
+/// S is stored flat, every sequence's types back to back, so a sequence
+/// costs its length in bytes plus one end offset and one PS index: at the
+/// kMaxSequences cap with LEN 5, S and PS hold about 1.4 MB where a vector
+/// per sequence held about 8.8 MB. OnNewAffinity() hands back a count, not
+/// copies, so a call that synthesizes many sequences allocates nothing
+/// beyond S itself.
 class SequenceSynthesizer {
  public:
   /// Hard cap on |S|; prevents the combinatorial blow-up the paper's C1
@@ -33,14 +42,22 @@ class SequenceSynthesizer {
   /// sequence [t] so prefixes ending in t exist.
   void AddStartType(sql::StatementType t);
 
-  /// Algorithm 3. Returns the sequences newly synthesized for affinity
-  /// t1 -> t2 (each has length in [2, LEN]). `affinities` is the paper's T.
-  std::vector<std::vector<sql::StatementType>> OnNewAffinity(
-      sql::StatementType t1, sql::StatementType t2,
-      const TypeAffinityMap& affinities);
+  /// Algorithm 3. Appends the sequences newly synthesized for affinity
+  /// t1 -> t2 (each has length in [2, LEN]) to S and returns how many there
+  /// are: they are the last that many of S, in synthesis order.
+  /// `affinities` is the paper's T.
+  size_t OnNewAffinity(sql::StatementType t1, sql::StatementType t2,
+                       const TypeAffinityMap& affinities);
 
   /// Total sequences synthesized so far (including length-1 roots).
-  size_t TotalSequences() const { return sequences_.size(); }
+  size_t TotalSequences() const { return ends_.size(); }
+
+  /// Sequence `i` of S, in synthesis order; valid until the next call that
+  /// adds to S.
+  std::span<const sql::StatementType> sequence(size_t i) const {
+    const uint32_t begin = i == 0 ? 0 : ends_[i - 1];
+    return {types_.data() + begin, ends_[i] - begin};
+  }
 
   /// Sequences discarded at the kMaxSequences cap. A nonzero value means S
   /// is saturated and further affinities synthesize nothing — previously
@@ -48,11 +65,6 @@ class SequenceSynthesizer {
   size_t dropped_sequences() const { return dropped_; }
 
   int max_len() const { return max_len_; }
-
-  /// Read-only view of S (tests).
-  const std::vector<std::vector<sql::StatementType>>& sequences() const {
-    return sequences_;
-  }
 
   /// Checkpointing: S and the drop counter round-trip; PS is derived state,
   /// rebuilt from S in the same insertion order Record() used. max_len is
@@ -68,14 +80,15 @@ class SequenceSynthesizer {
   /// length `level`) with every known affinity, recording each extension.
   void ListSeq(int level, sql::StatementType node_type,
                std::vector<sql::StatementType>* seq,
-               const TypeAffinityMap& affinities,
-               std::vector<std::vector<sql::StatementType>>* out);
+               const TypeAffinityMap& affinities);
 
   int max_len_;
   size_t dropped_ = 0;  // sequences refused at kMaxSequences
-  std::vector<std::vector<sql::StatementType>> sequences_;  // S
+  // S: sequence i is types_[ends_[i - 1], ends_[i]) (from 0 when i == 0).
+  std::vector<sql::StatementType> types_;
+  std::vector<uint32_t> ends_;
   // PS: (type, length) -> indexes into S.
-  std::map<std::pair<sql::StatementType, int>, std::vector<size_t>> prefix_;
+  std::map<std::pair<sql::StatementType, int>, std::vector<uint32_t>> prefix_;
 };
 
 }  // namespace lego::core

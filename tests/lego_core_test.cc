@@ -14,6 +14,7 @@
 #include "lego/mutation.h"
 #include "lego/synthesis.h"
 #include "minidb/database.h"
+#include "persist/io.h"
 #include "sql/parser.h"
 
 namespace lego::core {
@@ -78,6 +79,18 @@ TEST(AffinityTest, AllReturnsEveryPair) {
 // Algorithm 3: progressive sequence synthesis
 // ---------------------------------------------------------------------------
 
+/// The last `n` sequences of S, copied out in synthesis order.
+std::vector<std::vector<StatementType>> NewSequences(
+    const SequenceSynthesizer& synth, size_t n) {
+  std::vector<std::vector<StatementType>> out;
+  for (size_t i = synth.TotalSequences() - n; i < synth.TotalSequences();
+       ++i) {
+    const auto seq = synth.sequence(i);
+    out.emplace_back(seq.begin(), seq.end());
+  }
+  return out;
+}
+
 TEST(SynthesisTest, PaperExampleLengthTwo) {
   // Paper §III-B: target length 2, current "CREATE TABLE", affinity
   // CREATE TABLE -> {INSERT, SELECT} yields both length-2 sequences.
@@ -86,16 +99,18 @@ TEST(SynthesisTest, PaperExampleLengthTwo) {
   synth.AddStartType(StatementType::kCreateTable);
 
   map.Add(StatementType::kCreateTable, StatementType::kInsert);
-  auto first = synth.OnNewAffinity(StatementType::kCreateTable,
-                                   StatementType::kInsert, map);
+  auto first = NewSequences(
+      synth, synth.OnNewAffinity(StatementType::kCreateTable,
+                                 StatementType::kInsert, map));
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0],
             (std::vector<StatementType>{StatementType::kCreateTable,
                                         StatementType::kInsert}));
 
   map.Add(StatementType::kCreateTable, StatementType::kSelect);
-  auto second = synth.OnNewAffinity(StatementType::kCreateTable,
-                                    StatementType::kSelect, map);
+  auto second = NewSequences(
+      synth, synth.OnNewAffinity(StatementType::kCreateTable,
+                                 StatementType::kSelect, map));
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second[0],
             (std::vector<StatementType>{StatementType::kCreateTable,
@@ -118,8 +133,9 @@ TEST(SynthesisTest, OnlyNewSequencesAreGenerated) {
   synth.OnNewAffinity(StatementType::kInsert, StatementType::kSelect, map);
 
   map.Add(StatementType::kSelect, StatementType::kUpdate);
-  auto fresh = synth.OnNewAffinity(StatementType::kSelect,
-                                   StatementType::kUpdate, map);
+  auto fresh = NewSequences(
+      synth, synth.OnNewAffinity(StatementType::kSelect,
+                                 StatementType::kUpdate, map));
   ASSERT_FALSE(fresh.empty());
   for (const auto& seq : fresh) {
     bool contains = false;
@@ -146,8 +162,9 @@ TEST(SynthesisTest, TransitiveExpansionReachesMaxLen) {
   synth.OnNewAffinity(StatementType::kCreateTable, StatementType::kInsert,
                       map);
   map.Add(StatementType::kInsert, StatementType::kSelect);
-  auto fresh = synth.OnNewAffinity(StatementType::kInsert,
-                                   StatementType::kSelect, map);
+  auto fresh = NewSequences(
+      synth, synth.OnNewAffinity(StatementType::kInsert,
+                                 StatementType::kSelect, map));
   std::vector<StatementType> want = {StatementType::kCreateTable,
                                      StatementType::kInsert,
                                      StatementType::kSelect};
@@ -168,9 +185,9 @@ TEST(SynthesisTest, NoDuplicateSequences) {
       if (map.Add(t1, t2)) synth.OnNewAffinity(t1, t2, map);
     }
   }
-  std::set<std::vector<StatementType>> unique(synth.sequences().begin(),
-                                              synth.sequences().end());
-  EXPECT_EQ(unique.size(), synth.sequences().size())
+  auto all = NewSequences(synth, synth.TotalSequences());
+  std::set<std::vector<StatementType>> unique(all.begin(), all.end());
+  EXPECT_EQ(unique.size(), all.size())
       << "synthesizer produced duplicate sequences";
 }
 
@@ -189,7 +206,7 @@ TEST(SynthesisTest, EverySequenceRespectsAffinities) {
   map.Add(StatementType::kSelect, StatementType::kUpdate);
   synth.OnNewAffinity(StatementType::kSelect, StatementType::kUpdate, map);
 
-  for (const auto& seq : synth.sequences()) {
+  for (const auto& seq : NewSequences(synth, synth.TotalSequences())) {
     for (size_t i = 0; i + 1 < seq.size(); ++i) {
       EXPECT_TRUE(map.Contains(seq[i], seq[i + 1]))
           << "adjacent pair not licensed by an affinity";
@@ -212,6 +229,42 @@ TEST(SynthesisTest, CapBoundsTotalSequences) {
     }
   }
   EXPECT_LE(synth.TotalSequences(), SequenceSynthesizer::kMaxSequences);
+}
+
+TEST(SynthesisTest, StateRoundTripsAndRejectsOverlongSequences) {
+  TypeAffinityMap map;
+  SequenceSynthesizer synth(/*max_len=*/3);
+  synth.AddStartType(StatementType::kCreateTable);
+  synth.AddStartType(StatementType::kInsert);
+  map.Add(StatementType::kCreateTable, StatementType::kInsert);
+  synth.OnNewAffinity(StatementType::kCreateTable, StatementType::kInsert,
+                      map);
+  map.Add(StatementType::kInsert, StatementType::kSelect);
+  synth.OnNewAffinity(StatementType::kInsert, StatementType::kSelect, map);
+
+  persist::StateWriter saved;
+  ASSERT_TRUE(synth.SaveState(&saved).ok());
+  SequenceSynthesizer loaded(/*max_len=*/3);
+  auto reader = persist::StateReader::FromPayload(saved.buffer());
+  ASSERT_TRUE(loaded.LoadState(&reader).ok());
+  EXPECT_EQ(NewSequences(loaded, loaded.TotalSequences()),
+            NewSequences(synth, synth.TotalSequences()));
+  persist::StateWriter again;
+  ASSERT_TRUE(loaded.SaveState(&again).ok());
+  EXPECT_EQ(again.buffer(), saved.buffer());
+
+  // One stored sequence of length 3 where max_len is 2.
+  persist::StateWriter bad;
+  bad.BeginChunk(persist::ChunkTag("SYNT"));
+  bad.WriteI64(2);  // max_len
+  bad.WriteU64(0);  // dropped
+  bad.WriteU64(1);  // sequences
+  bad.WriteU64(3);
+  for (int i = 0; i < 3; ++i) bad.WriteU8(0);
+  bad.EndChunk();
+  SequenceSynthesizer short_synth(/*max_len=*/2);
+  auto bad_reader = persist::StateReader::FromPayload(bad.buffer());
+  EXPECT_FALSE(short_synth.LoadState(&bad_reader).ok());
 }
 
 // ---------------------------------------------------------------------------
