@@ -1,7 +1,8 @@
 // Microbenchmarks for the minidb substrate: storage, index, executor, the
 // paged engine's cold recovery, scans of a heap larger than its buffer pool
 // and statement bracket, the harness hot loop (executions/second is the
-// fuzzing budget currency), and corpus distillation.
+// fuzzing budget currency), corpus distillation, and the session fiber
+// switch the concurrent backend makes at every scheduler hand-off.
 //
 // Every benchmark runs 5 repetitions and reports only their mean, median,
 // stddev and cv (bench_util.h's Repeated).
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "concurrency/fiber.h"
 #include "fleet/shard.h"
 #include "fuzz/campaign.h"
 #include "fuzz/distill.h"
@@ -32,6 +34,8 @@ namespace {
 
 using lego::bench::Repeated;
 using lego::bench::ScratchDir;
+using lego::concurrency::Fiber;
+using lego::concurrency::FiberStacks;
 using lego::minidb::BTreeIndex;
 using lego::minidb::Database;
 using lego::minidb::RowId;
@@ -409,6 +413,44 @@ void BM_DistillCorpus(benchmark::State& state) {
   state.counters["kept_cases"] = static_cast<double>(stats.kept_cases);
 }
 BENCHMARK(BM_DistillCorpus)->Unit(benchmark::kMillisecond)->Apply(Repeated);
+
+struct Pinger {
+  Fiber fiber;
+  bool stop = false;
+};
+
+void YieldUntilStopped(void* arg) {
+  auto* p = static_cast<Pinger*>(arg);
+  while (!p->stop) p->fiber.Yield();
+}
+
+/// One scheduler hand-off's switches: Resume into a parked fiber, Yield
+/// back to the driver.
+void BM_FiberRoundTrip(benchmark::State& state) {
+  FiberStacks stacks;
+  Pinger p;
+  p.fiber.Start(stacks.Get(0), &YieldUntilStopped, &p);
+  for (auto _ : state) p.fiber.Resume();
+  state.SetItemsProcessed(state.iterations());
+  p.stop = true;
+  p.fiber.Resume();  // let the run finish before its stack goes
+}
+BENCHMARK(BM_FiberRoundTrip)->Apply(Repeated);
+
+void ReturnAtOnce(void*) {}
+
+/// A session's life without its statements: Start on a reused stack slot,
+/// the first switch in, the entry function, and the last switch out.
+void BM_FiberStartFinish(benchmark::State& state) {
+  FiberStacks stacks;
+  Fiber fiber;
+  for (auto _ : state) {
+    fiber.Start(stacks.Get(0), &ReturnAtOnce, nullptr);
+    fiber.Resume();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FiberStartFinish)->Apply(Repeated);
 
 }  // namespace
 

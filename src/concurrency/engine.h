@@ -32,9 +32,9 @@ struct TxnAbortException {};
 /// Run() is the driver: it starts one fiber per session, then resumes
 /// whichever session holds the token until every session has finished. A
 /// session parks by switching back to the driver from inside the scheduler
-/// (at a schedule point or a contended lock), so a park is a user-space
-/// context switch, not a kernel hand-off. Fiber stacks come from the
-/// caller's FiberStacks and are reused across runs.
+/// (at a schedule point or a contended lock), so a park is a stack switch in
+/// user space: on x86-64 it makes no system call (see Fiber). Fiber stacks
+/// come from the caller's FiberStacks and are reused across runs.
 ///
 /// The engine hooks the storage layer twice:
 ///  - as minidb::RowObserver (installed for the whole run): every row

@@ -1,10 +1,12 @@
 #ifndef LEGO_CONCURRENCY_FIBER_H_
 #define LEGO_CONCURRENCY_FIBER_H_
 
-#include <ucontext.h>
-
 #include <cstddef>
 #include <vector>
+
+#if !defined(__x86_64__)
+#include <ucontext.h>
+#endif
 
 namespace lego::concurrency {
 
@@ -43,7 +45,19 @@ class FiberStacks {
 ///
 /// The driver calls Resume(); the fiber runs until it calls Yield() (or its
 /// entry function returns) and control comes back to the driver's Resume().
-/// Switches go through glibc swapcontext and carry the AddressSanitizer
+///
+/// On x86-64 a switch is a few instructions in user space, with no system
+/// call: it pushes the callee-saved registers (rbx, rbp, r12-r15), MXCSR and
+/// the x87 control word, swaps the stack pointer, and pops the other side's.
+/// So each fiber keeps its own rounding mode and exception masks. It saves
+/// nothing else: not the signal mask (nothing in this project changes it,
+/// so every fiber runs with the thread's) and not a CET shadow stack, so
+/// fiber.cc is built with -fcf-protection=none where the compiler accepts
+/// it and the binaries that link it never claim shadow-stack support.
+/// Other targets switch with glibc getcontext/makecontext/swapcontext,
+/// which also save and restore the signal mask, at one system call each.
+///
+/// Every switch carries the AddressSanitizer
 /// (`__sanitizer_start/finish_switch_fiber`) and ThreadSanitizer
 /// (`__tsan_switch_to_fiber`) annotations, so both sanitizers follow the
 /// stack changes. Exceptions must not escape the entry function.
@@ -58,7 +72,8 @@ class Fiber {
   Fiber& operator=(const Fiber&) = delete;
 
   /// Prepares `entry(arg)` to run on `stack` from the next Resume(). The
-  /// previous run, if any, must have finished.
+  /// previous run, if any, must have finished: restarting a live fiber
+  /// would drop its frames without running their destructors.
   void Start(FiberStacks::Stack stack, Entry entry, void* arg);
 
   /// Driver side: runs the fiber until it yields or finishes.
@@ -70,12 +85,24 @@ class Fiber {
   bool finished() const { return finished_; }
 
  private:
-  static void Trampoline(unsigned hi, unsigned lo);
+  /// The first frame of every run: runs the entry function, then leaves
+  /// for the driver for good.
+  [[noreturn]] static void Trampoline(Fiber* fiber);
   /// Runs on the fiber's stack after every switch into it.
   void Landed();
 
-  ucontext_t self_{};
-  ucontext_t driver_{};
+#if defined(__x86_64__)
+  using Context = void*;  // the parked side's stack pointer
+#else
+  using Context = ucontext_t;
+  /// makecontext passes int arguments: the Fiber* comes in two halves.
+  static void TrampolineHalves(unsigned hi, unsigned lo);
+#endif
+  /// Saves the running side in `save` and continues the one in `load`.
+  static void Switch(Context* save, Context* load);
+
+  Context self_{};    // the fiber while it is parked
+  Context driver_{};  // the driver while the fiber runs
   FiberStacks::Stack stack_;
   Entry entry_ = nullptr;
   void* arg_ = nullptr;
