@@ -1,8 +1,9 @@
 // Microbenchmarks for the minidb substrate: storage, index, executor, the
 // paged engine's cold recovery, scans of a heap larger than its buffer pool
 // and statement bracket, the harness hot loop (executions/second is the
-// fuzzing budget currency), corpus distillation, and the session fiber
-// switch the concurrent backend makes at every scheduler hand-off.
+// fuzzing budget currency), corpus distillation, seed selection, and the
+// session fiber switch the concurrent backend makes at every scheduler
+// hand-off.
 //
 // Every benchmark runs 5 repetitions and reports only their mean, median,
 // stddev and cv (bench_util.h's Repeated).
@@ -22,6 +23,7 @@
 #include "concurrency/fiber.h"
 #include "fleet/shard.h"
 #include "fuzz/campaign.h"
+#include "fuzz/corpus.h"
 #include "fuzz/distill.h"
 #include "fuzz/harness.h"
 #include "minidb/btree.h"
@@ -413,6 +415,24 @@ void BM_DistillCorpus(benchmark::State& state) {
   state.counters["kept_cases"] = static_cast<double>(stats.kept_cases);
 }
 BENCHMARK(BM_DistillCorpus)->Unit(benchmark::kMillisecond)->Apply(Repeated);
+
+/// One weighted Corpus::Select among range(0) seeds, after every seed has
+/// had its favored first pick: the cost of a pick as the corpus grows.
+/// Every seventh seed is credited with a discovery, so weights differ.
+void BM_CorpusSelect(benchmark::State& state) {
+  using namespace lego;  // NOLINT(build/namespaces)
+  const int seeds = static_cast<int>(state.range(0));
+  fuzz::Corpus corpus;
+  Rng rng(1);
+  for (int i = 0; i < seeds; ++i) corpus.Add(fuzz::TestCase());
+  for (int i = 0; i < seeds; ++i) {
+    const fuzz::Seed* seed = corpus.Select(&rng);
+    if (i % 7 == 0) corpus.Credit(seed);
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(corpus.Select(&rng));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CorpusSelect)->Arg(500)->Arg(2000)->Arg(8000)->Apply(Repeated);
 
 struct Pinger {
   Fiber fiber;

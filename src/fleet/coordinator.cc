@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
@@ -213,8 +214,9 @@ class Coordinator {
     pool_bytes_ = EncodePool(result_.corpus);
 
     // Durable zero-state marker: after this, *every* coordinator state on
-    // disk — including "nothing accepted yet" — is a valid resume point.
-    Journal();
+    // disk — including "nothing accepted yet" — is a valid resume point. On
+    // a resume it also folds the replayed records into one snapshot.
+    Wrote(Snapshot());
     return Status::OK();
   }
 
@@ -228,21 +230,40 @@ class Coordinator {
     va_end(ap);
   }
 
-  void Journal() {
-    Status st = SaveJournal(options_.fleet_dir, config_, result_);
-    if (!st.ok()) {
-      ++result_.journal_failures;
-      std::fprintf(stderr, "fleet: journal write failed (continuing): %s\n",
-                   st.ToString().c_str());
+  /// The journaled state as of now, for telling whether the last
+  /// successful write still holds it: an acceptance grows shards_done, and
+  /// the other journaled counters change only through these.
+  std::array<int64_t, 5> JournalMark() const {
+    return {static_cast<int64_t>(result_.shards_done.size()),
+            result_.shards_requeued, result_.leases_expired,
+            result_.results_rejected, result_.duplicate_results};
+  }
+
+  /// Rewrites the whole journal as one snapshot.
+  Status Snapshot() {
+    return SaveJournal(options_.fleet_dir, config_, result_);
+  }
+
+  /// Books a journal write. A failed write may leave a torn record behind,
+  /// so the next write must be a snapshot, which replaces the file.
+  void Wrote(const Status& st) {
+    snapshot_due_ = !st.ok();
+    if (st.ok()) {
+      journaled_ = JournalMark();
+      return;
     }
+    ++result_.journal_failures;
+    std::fprintf(stderr, "fleet: journal write failed (continuing): %s\n",
+                 st.ToString().c_str());
   }
 
   void FinalJournal() {
+    if (!snapshot_due_ && journaled_ == JournalMark()) return;  // on disk
     // Mirror the campaign's end-of-run persistence contract: the final
     // journal retries through transient (chaos-injected) failures.
     constexpr int kAttempts = 8;
     for (int attempt = 0; attempt < kAttempts; ++attempt) {
-      Status st = SaveJournal(options_.fleet_dir, config_, result_);
+      Status st = Snapshot();
       if (st.ok()) return;
       if (attempt + 1 == kAttempts) {
         ++result_.journal_failures;
@@ -409,19 +430,12 @@ class Coordinator {
     }
   }
 
-  /// Shards whose exports have entered the pool: always the prefix
-  /// [0, n) of shard ids, because exports enter UpdatePool in shard order.
-  int AbsorbedShards() const {
-    return static_cast<int>(result_.shards_done.size() -
-                            result_.held_exports.size());
-  }
-
   /// The lease gate: shard s imports the pool distilled from every shard of
   /// the generations before s / distill_every, so it may be leased only once
   /// all of those shards are absorbed.
   bool PoolReadyFor(int shard) const {
     const int every = config_.distill_every;
-    return every <= 0 || shard / every * every <= AbsorbedShards();
+    return every <= 0 || shard / every * every <= result_.absorbed_shards();
   }
 
   void GrantLeases() {
@@ -583,37 +597,24 @@ class Coordinator {
 
     // The slot is idle again: hand it (and any other idle slot) its next
     // lease before the bookkeeping below, which footprints the exports and
-    // rewrites the journal. The result is not in shards_done yet, so
+    // journals the result. The result is not in shards_done yet, so
     // PoolReadyFor still judges by the pool as it was. The origin is taken
     // first because a failed grant strikes the slot and clears its pid.
     const std::string origin = WorkerOrigin(s, slot.pid, config_.backend);
     GrantLeases();
-    MergeOutcome(*outcome, origin);
-    result_.shards_done.insert(shard);
-    result_.held_exports[shard] = std::move(outcome->result.corpus_export);
-    Log("shard %d done by w%d: %d execs, %zu edges total, %zu crashes", shard,
-        s, outcome->result.executions, result_.edges(),
-        result_.crashes.size());
-
-    // Exports enter the pool in shard-id order, whatever order shards
-    // complete in: absorb the held prefix that is now contiguous.
-    while (!result_.held_exports.empty() &&
-           result_.held_exports.begin()->first == AbsorbedShards()) {
-      auto next = result_.held_exports.begin();
-      const int absorbed = next->first + 1;
-      std::vector<fuzz::TestCase> exports = std::move(next->second);
-      result_.held_exports.erase(next);
-      Status pool_st = UpdatePool(config_, absorbed, std::move(exports),
-                                  &result_.corpus, &result_.corpus_pending,
-                                  &result_.distill_cycles,
-                                  &result_.distill_seconds, &footprints_);
-      if (!pool_st.ok()) {
-        std::fprintf(stderr, "fleet: distill failed (pool unchanged): %s\n",
-                     pool_st.ToString().c_str());
-      }
+    const int execs = outcome->result.executions;
+    const int cycles = result_.distill_cycles;
+    Status pool_st = AcceptShard(config_, std::move(*outcome), origin,
+                                 &result_, &footprints_);
+    if (!pool_st.ok()) {
+      std::fprintf(stderr, "fleet: distill failed (pool unchanged): %s\n",
+                   pool_st.ToString().c_str());
     }
-    if (pool_was_distilled_at_ != result_.distill_cycles) {
-      pool_was_distilled_at_ = result_.distill_cycles;
+    Log("shard %d done by w%d: %d execs, %zu edges total, %zu crashes", shard,
+        s, execs, result_.edges(), result_.crashes.size());
+
+    const bool distilled = result_.distill_cycles != cycles;
+    if (distilled) {
       pool_bytes_ = EncodePool(result_.corpus);
       // The distill blocked the loop; forgive every in-flight lease's
       // heartbeat deadline for the time we stole.
@@ -626,44 +627,12 @@ class Coordinator {
           result_.corpus.size());
     }
 
-    Journal();
-  }
-
-  void MergeOutcome(const ShardOutcome& outcome, const std::string& origin) {
-    const fuzz::CampaignResult& r = outcome.result;
-    const int shard = outcome.shard_id;
-    result_.executions += r.executions;
-    result_.statements_executed += r.statements_executed;
-    result_.statement_errors += r.statement_errors;
-    result_.crashes_total += r.crashes_total;
-    result_.logic_bugs_total += r.logic_bugs_total;
-    result_.rules = std::max(result_.rules, r.rules);
-    result_.coverage.MergeFrom(outcome.coverage);
-    result_.storage.Add(r.storage);
-    // The capture for a finding is the lowest shard id's, so it does not
-    // depend on which shard completed first.
-    for (size_t i = 0; i < r.captured_crashes.size(); ++i) {
-      const uint64_t hash = r.captured_crashes[i].stack_hash;
-      auto held = result_.crash_shards.find(hash);
-      if (held != result_.crash_shards.end() && held->second <= shard) {
-        continue;
-      }
-      result_.crashes[hash] = r.captured_crashes[i];
-      result_.crash_cases.insert_or_assign(hash, r.captured_cases[i].Clone());
-      result_.crash_origins[hash] = origin;
-      result_.crash_shards[hash] = shard;
-    }
-    for (size_t i = 0; i < r.captured_logic_bugs.size(); ++i) {
-      const uint64_t fp = r.captured_logic_bugs[i].fingerprint;
-      auto held = result_.logic_shards.find(fp);
-      if (held != result_.logic_shards.end() && held->second <= shard) {
-        continue;
-      }
-      result_.logic[fp] = r.captured_logic_bugs[i];
-      result_.logic_cases.insert_or_assign(fp,
-                                           r.captured_logic_cases[i].Clone());
-      result_.logic_origins[fp] = origin;
-      result_.logic_shards[fp] = shard;
+    // A record never spans a distill, so replaying one runs no case.
+    if (distilled || snapshot_due_) {
+      Wrote(Snapshot());
+    } else {
+      Wrote(AppendJournal(options_.fleet_dir, shard, envelope, origin,
+                          result_));
     }
   }
 
@@ -819,7 +788,9 @@ class Coordinator {
   std::vector<PendingShard> queue_;
   std::string pool_bytes_;
   PoolFootprints footprints_;  // of result_.corpus and corpus_pending
-  int pool_was_distilled_at_ = 0;
+  /// JournalMark() at the last successful journal write.
+  std::array<int64_t, 5> journaled_{};
+  bool snapshot_due_ = true;
   bool draining_ = false;
   Clock::time_point start_;
   Clock::time_point drain_deadline_;
@@ -888,6 +859,62 @@ Status UpdatePool(const FleetConfig& config, int completed_shards,
   }
   *distill_seconds += SecondsSince(t0);
   return Status::OK();
+}
+
+Status AcceptShard(const FleetConfig& config, ShardOutcome outcome,
+                   const std::string& origin, FleetResult* result,
+                   PoolFootprints* footprints) {
+  fuzz::CampaignResult& r = outcome.result;
+  const int shard = outcome.shard_id;
+  result->executions += r.executions;
+  result->statements_executed += r.statements_executed;
+  result->statement_errors += r.statement_errors;
+  result->crashes_total += r.crashes_total;
+  result->logic_bugs_total += r.logic_bugs_total;
+  result->rules = std::max(result->rules, r.rules);
+  result->coverage.MergeFrom(outcome.coverage);
+  result->storage.Add(r.storage);
+  // The capture for a finding is the lowest shard id's, so it does not
+  // depend on which shard completed first.
+  for (size_t i = 0; i < r.captured_crashes.size(); ++i) {
+    const uint64_t hash = r.captured_crashes[i].stack_hash;
+    auto held = result->crash_shards.find(hash);
+    if (held != result->crash_shards.end() && held->second <= shard) continue;
+    result->crashes[hash] = r.captured_crashes[i];
+    result->crash_cases.insert_or_assign(hash,
+                                         std::move(r.captured_cases[i]));
+    result->crash_origins[hash] = origin;
+    result->crash_shards[hash] = shard;
+  }
+  for (size_t i = 0; i < r.captured_logic_bugs.size(); ++i) {
+    const uint64_t fp = r.captured_logic_bugs[i].fingerprint;
+    auto held = result->logic_shards.find(fp);
+    if (held != result->logic_shards.end() && held->second <= shard) continue;
+    result->logic[fp] = r.captured_logic_bugs[i];
+    result->logic_cases.insert_or_assign(fp,
+                                         std::move(r.captured_logic_cases[i]));
+    result->logic_origins[fp] = origin;
+    result->logic_shards[fp] = shard;
+  }
+  result->shards_done.insert(shard);
+  result->held_exports[shard] = std::move(r.corpus_export);
+
+  // Exports enter the pool in shard-id order, whatever order shards
+  // complete in: absorb the held prefix that is now contiguous.
+  Status status;
+  while (!result->held_exports.empty() &&
+         result->held_exports.begin()->first == result->absorbed_shards()) {
+    auto next = result->held_exports.begin();
+    const int absorbed = next->first + 1;
+    std::vector<fuzz::TestCase> exports = std::move(next->second);
+    result->held_exports.erase(next);
+    Status st = UpdatePool(config, absorbed, std::move(exports),
+                           &result->corpus, &result->corpus_pending,
+                           &result->distill_cycles, &result->distill_seconds,
+                           footprints);
+    if (status.ok()) status = st;
+  }
+  return status;
 }
 
 uint64_t BugDigest(const std::set<uint64_t>& crash_hashes,

@@ -155,6 +155,11 @@ struct FleetResult {
   bool degraded = false;
   Status status = Status::OK();
 
+  /// Shards whose exports have entered the pool: always the prefix
+  /// [0, n) of shard ids, because exports enter UpdatePool in shard order.
+  int absorbed_shards() const {
+    return static_cast<int>(shards_done.size() - held_exports.size());
+  }
   size_t edges() const { return coverage.CoveredEdges(); }
   std::set<uint64_t> crash_hashes() const {
     std::set<uint64_t> out;
@@ -225,7 +230,7 @@ Status UpdatePool(const FleetConfig& config, int completed_shards,
 /// Runs the fleet: forks options.num_workers worker processes, shards the
 /// campaign across them via leased shards renewed by heartbeat, survives
 /// worker crashes/hangs/poisoned results (requeue + backoff + per-slot
-/// circuit breaker), journals coordinator state atomically (kill -9 safe),
+/// circuit breaker), journals every accepted shard (kill -9 safe),
 /// periodically distills/redistributes the corpus, and serves status.json.
 /// Fatal setup errors surface in FleetResult::status; fault-induced
 /// degradation surfaces in the counters, never as a hang.

@@ -1,11 +1,16 @@
 #include "fleet/journal.h"
 
+#include <errno.h>
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <utility>
 
 #include "chaos/failpoint.h"
+#include "fleet/shard.h"
 #include "fuzz/state.h"
+#include "minidb/env.h"
 #include "persist/io.h"
 
 namespace lego::fleet {
@@ -13,13 +18,53 @@ namespace {
 
 constexpr char kFingerprintChunk[5] = "FLFP";
 constexpr char kDataChunk[5] = "FLET";
+constexpr char kRecordChunk[5] = "FLRC";
 /// Journal layout version, first in the fingerprint. 2 added the capture
 /// shard of every finding and the held (not yet pooled) shard exports; 3
 /// dropped the heartbeat cadence from the fingerprint and added the failed
 /// reset count to the storage counters; 4 seeds each shard's concurrent
 /// interleavings from its shard seed, so a concurrent fleet's shards from
-/// before it must not merge with shards run since.
-constexpr uint32_t kJournalVersion = 4;
+/// before it must not merge with shards run since; 5 appends a record per
+/// accepted shard after the snapshot.
+constexpr uint32_t kJournalVersion = 5;
+
+/// The journaled coordinator counters that no shard outcome carries: the
+/// snapshot holds them, and each record holds them as of its acceptance.
+struct Counters {
+  int requeued = 0;
+  int expired = 0;
+  int rejected = 0;
+  int duplicates = 0;
+  int distill_cycles = 0;
+  double distill_seconds = 0.0;
+
+  static Counters Of(const FleetResult& result) {
+    return {result.shards_requeued,   result.leases_expired,
+            result.results_rejected,  result.duplicate_results,
+            result.distill_cycles,    result.distill_seconds};
+  }
+  void ApplyTo(FleetResult* result) const {
+    result->shards_requeued = requeued;
+    result->leases_expired = expired;
+    result->results_rejected = rejected;
+    result->duplicate_results = duplicates;
+    result->distill_cycles = distill_cycles;
+    result->distill_seconds = distill_seconds;
+  }
+  void Save(persist::StateWriter* w) const {
+    for (int v : {requeued, expired, rejected, duplicates, distill_cycles}) {
+      w->WriteU32(static_cast<uint32_t>(v));
+    }
+    w->WriteDouble(distill_seconds);
+  }
+  void Load(persist::StateReader* r) {
+    for (int* v : {&requeued, &expired, &rejected, &duplicates,
+                   &distill_cycles}) {
+      *v = static_cast<int>(r->ReadU32());
+    }
+    distill_seconds = r->ReadDouble();
+  }
+};
 
 void SaveFingerprint(const FleetConfig& config, persist::StateWriter* w) {
   w->BeginChunk(persist::ChunkTag(kFingerprintChunk));
@@ -124,6 +169,66 @@ Status LoadFindings(persist::StateReader* r,
   return Status::OK();
 }
 
+/// One record's header: the FLRC chunk AppendJournal writes.
+struct RecordHeader {
+  int shard = 0;
+  std::string origin;
+  Counters counters;
+};
+
+bool ReadRecordHeader(std::string_view envelope, RecordHeader* header) {
+  auto reader = persist::StateReader::FromEnvelope(std::string(envelope));
+  if (!reader.ok()) return false;
+  persist::StateReader& r = *reader;
+  if (!r.EnterChunk(persist::ChunkTag(kRecordChunk)).ok()) return false;
+  header->shard = static_cast<int>(r.ReadU32());
+  header->origin = r.ReadString();
+  header->counters.Load(&r);
+  return r.ExitChunk().ok() && r.ok();
+}
+
+/// Replays the records after the snapshot through the live path's merge.
+/// The log ends at the first record that is torn, fails its checksum, or
+/// claims a distill cycle, which no appended record may hold.
+void ReplayRecords(const FleetConfig& config, std::string_view log,
+                   FleetResult* result) {
+  while (!log.empty()) {
+    const size_t header_size = persist::LeadingEnvelopeSize(log);
+    RecordHeader header;
+    if (header_size == 0 ||
+        !ReadRecordHeader(log.substr(0, header_size), &header)) {
+      return;
+    }
+    const std::string_view rest = log.substr(header_size);
+    const size_t outcome_size = persist::LeadingEnvelopeSize(rest);
+    if (outcome_size == 0) return;
+    auto outcome =
+        DecodeShardOutcome(std::string(rest.substr(0, outcome_size)));
+    if (!outcome.ok() || outcome->shard_id != header.shard ||
+        !outcome->complete) {
+      return;
+    }
+    log = rest.substr(outcome_size);
+    if (result->shards_done.count(header.shard) != 0) continue;
+    if (header.counters.distill_cycles != result->distill_cycles) return;
+    (void)AcceptShard(config, std::move(*outcome), header.origin, result);
+    header.counters.ApplyTo(result);
+  }
+}
+
+Status WriteAll(int fd, std::string_view bytes, const std::string& path) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::Internal("fleet journal: write " + path + ": " +
+                              std::strerror(errno));
+    }
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string JournalPath(const std::string& fleet_dir) {
@@ -150,12 +255,7 @@ Status SaveJournal(const std::string& fleet_dir, const FleetConfig& config,
   w.WriteI64(static_cast<int64_t>(result.crashes_total));
   w.WriteI64(static_cast<int64_t>(result.logic_bugs_total));
   w.WriteU64(result.rules);
-  w.WriteU32(static_cast<uint32_t>(result.shards_requeued));
-  w.WriteU32(static_cast<uint32_t>(result.leases_expired));
-  w.WriteU32(static_cast<uint32_t>(result.results_rejected));
-  w.WriteU32(static_cast<uint32_t>(result.duplicate_results));
-  w.WriteU32(static_cast<uint32_t>(result.distill_cycles));
-  w.WriteDouble(result.distill_seconds);
+  Counters::Of(result).Save(&w);
   SaveFindings(result.crashes, result.crash_cases, result.crash_origins,
                result.crash_shards, fuzz::SaveCrashInfo, &w);
   SaveFindings(result.logic, result.logic_cases, result.logic_origins,
@@ -173,13 +273,49 @@ Status SaveJournal(const std::string& fleet_dir, const FleetConfig& config,
   return w.WriteFileAtomic(JournalPath(fleet_dir));
 }
 
+Status AppendJournal(const std::string& fleet_dir, int shard,
+                     std::string_view outcome_envelope,
+                     const std::string& origin, const FleetResult& result) {
+  if (LEGO_FAILPOINT("fleet.journal_write")) {
+    return Status::Internal("fleet journal: injected write failure");
+  }
+  persist::StateWriter w;
+  w.BeginChunk(persist::ChunkTag(kRecordChunk));
+  w.WriteU32(static_cast<uint32_t>(shard));
+  w.WriteString(origin);
+  Counters::Of(result).Save(&w);
+  w.EndChunk();
+  const std::string path = JournalPath(fleet_dir);
+  // No O_CREAT: a record means nothing without the snapshot before it.
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+  if (fd < 0) {
+    return Status::Internal("fleet journal: open " + path + ": " +
+                            std::strerror(errno));
+  }
+  Status st = WriteAll(fd, w.EnvelopedBytes(), path);
+  if (st.ok()) st = WriteAll(fd, outcome_envelope, path);
+  if (st.ok() && ::fsync(fd) != 0) {
+    st = Status::Internal("fleet journal: fsync " + path + ": " +
+                          std::strerror(errno));
+  }
+  ::close(fd);
+  return st;
+}
+
 Status LoadJournal(const std::string& fleet_dir, const FleetConfig& config,
                    FleetResult* result) {
   const std::string path = JournalPath(fleet_dir);
   if (::access(path.c_str(), F_OK) != 0) {
     return Status::NotFound("fleet journal: no " + path);
   }
-  auto reader = persist::StateReader::FromFile(path);
+  auto bytes = minidb::Env::Posix()->ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  const std::string_view file = *bytes;
+  // A snapshot that is not whole is refused like any corrupt state file.
+  size_t snapshot_size = persist::LeadingEnvelopeSize(file);
+  if (snapshot_size == 0) snapshot_size = file.size();
+  auto reader = persist::StateReader::FromEnvelope(
+      std::string(file.substr(0, snapshot_size)));
   if (!reader.ok()) return reader.status();
   persist::StateReader& r = *reader;
   LEGO_RETURN_IF_ERROR(CheckFingerprint(config, &r));
@@ -197,12 +333,9 @@ Status LoadJournal(const std::string& fleet_dir, const FleetConfig& config,
   result->crashes_total = static_cast<int>(r.ReadI64());
   result->logic_bugs_total = static_cast<int>(r.ReadI64());
   result->rules = r.ReadU64();
-  result->shards_requeued = static_cast<int>(r.ReadU32());
-  result->leases_expired = static_cast<int>(r.ReadU32());
-  result->results_rejected = static_cast<int>(r.ReadU32());
-  result->duplicate_results = static_cast<int>(r.ReadU32());
-  result->distill_cycles = static_cast<int>(r.ReadU32());
-  result->distill_seconds = r.ReadDouble();
+  Counters counters;
+  counters.Load(&r);
+  counters.ApplyTo(result);
   LEGO_RETURN_IF_ERROR(LoadFindings(&r, fuzz::LoadCrashInfo, &result->crashes,
                                    &result->crash_cases,
                                    &result->crash_origins,
@@ -226,6 +359,7 @@ Status LoadJournal(const std::string& fleet_dir, const FleetConfig& config,
   LEGO_RETURN_IF_ERROR(r.ExitChunk());
   LEGO_RETURN_IF_ERROR(result->coverage.LoadState(&r));
   if (!r.ok()) return r.status();
+  ReplayRecords(config, file.substr(snapshot_size), result);
   return Status::OK();
 }
 

@@ -82,6 +82,19 @@ StatusOr<ShardOutcome> ExecuteShard(
     const std::vector<fuzz::TestCase>& pool, const std::atomic<bool>* stop,
     std::function<void(int64_t)> progress);
 
+/// Folds one complete shard outcome into *result: the one merge that the
+/// coordinator's live path and the journal replay share, so a resumed
+/// fleet cannot drift from the one that ran. Counters, coverage and
+/// storage stats add up; each finding keeps the capture of the lowest shard
+/// id that found it, stamped `origin`; the shard joins shards_done; and its
+/// exports wait in held_exports until every lower shard is done, then enter
+/// UpdatePool in shard-id order with `footprints`. The caller refuses a
+/// shard that is already done. Returns the first UpdatePool error; the rest
+/// of the merge happens either way.
+Status AcceptShard(const FleetConfig& config, ShardOutcome outcome,
+                   const std::string& origin, FleetResult* result,
+                   PoolFootprints* footprints = nullptr);
+
 /// Serializes an outcome into persist-enveloped bytes (magic + version +
 /// checksum), so the coordinator can ProbeEnvelope() a result frame and
 /// reject torn/poisoned payloads before parsing: the CampaignResult in the

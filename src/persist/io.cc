@@ -224,6 +224,16 @@ Status ProbeEnvelope(std::string_view bytes, uint32_t* version) {
   return Status::OK();
 }
 
+size_t LeadingEnvelopeSize(std::string_view bytes) {
+  if (bytes.size() < kHeaderSize + kTrailerSize ||
+      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+    return 0;
+  }
+  const uint64_t payload_size = LoadU64(bytes.data() + 8);
+  if (payload_size > bytes.size() - kHeaderSize - kTrailerSize) return 0;
+  return kHeaderSize + static_cast<size_t>(payload_size) + kTrailerSize;
+}
+
 StatusOr<StateReader> StateReader::FromEnvelope(std::string bytes) {
   if (bytes.size() < kHeaderSize + kTrailerSize) {
     return Status::InvalidArgument("state file truncated: " +

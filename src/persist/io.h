@@ -83,6 +83,13 @@ Status WriteTextFileAtomic(const std::string& path, std::string_view content);
 /// reason — before any payload byte is parsed.
 Status ProbeEnvelope(std::string_view bytes, uint32_t* version = nullptr);
 
+/// Size of the envelope at the front of `bytes` as its header declares it,
+/// or 0 when `bytes` does not start with a whole one (too short for the
+/// header or for the declared size, or bad magic). Splits a file of
+/// envelopes laid end to end; each still needs ProbeEnvelope or
+/// FromEnvelope for its version and checksum.
+size_t LeadingEnvelopeSize(std::string_view bytes);
+
 /// Deserializer over a validated payload. All reads are bounds-checked
 /// against the innermost open chunk; any overrun, tag mismatch, or envelope
 /// corruption surfaces as a non-OK status() rather than UB. After a failed

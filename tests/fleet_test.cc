@@ -1,7 +1,8 @@
 // Fleet coordinator robustness tests: shard purity against an in-process
 // reference, corpus distill/redistribute equivalence, worker kills mid-shard,
 // coordinator SIGKILL + resume, poisoned-result quarantine, heartbeat-loss
-// lease expiry, and graceful drain + resume.
+// lease expiry, graceful drain + resume, and the journal's snapshot plus
+// appended records (replay, torn records, failed appends).
 //
 // Every fleet config arms the TLP oracle against the planted NOT-NULL
 // evaluator defect: logic bugs then surface within a few hundred executions,
@@ -18,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -32,6 +34,7 @@
 #include "fleet/protocol.h"
 #include "fleet/shard.h"
 #include "fleet/status_json.h"
+#include "fuzz/state.h"
 #include "minidb/env.h"
 #include "minidb/eval.h"
 #include "persist/io.h"
@@ -158,6 +161,141 @@ void ExpectPoolMatchesReference(const FleetResult& result,
   EXPECT_EQ(result.distill_cycles, ref.distill_cycles);
   EXPECT_EQ(SqlOf(result.corpus), SqlOf(ref.pool));
   EXPECT_EQ(SqlOf(result.corpus_pending), SqlOf(ref.pending));
+}
+
+/// A journaled part of a result as bytes, for field-for-field equality.
+std::string StorageBytes(const fuzz::BackendStorageStats& stats) {
+  persist::StateWriter w;
+  fuzz::SaveStorageStats(stats, &w);
+  return w.buffer();
+}
+std::string CoverageBytes(const cov::GlobalCoverage& coverage) {
+  persist::StateWriter w;
+  EXPECT_TRUE(coverage.SaveState(&w).ok());
+  return w.buffer();
+}
+
+/// Every journaled field of two results is equal.
+void ExpectSameJournaledState(const FleetResult& a, const FleetResult& b) {
+  EXPECT_EQ(a.shards_done, b.shards_done);
+  EXPECT_EQ(a.executions, b.executions);
+  EXPECT_EQ(a.statements_executed, b.statements_executed);
+  EXPECT_EQ(a.statement_errors, b.statement_errors);
+  EXPECT_EQ(a.crashes_total, b.crashes_total);
+  EXPECT_EQ(a.logic_bugs_total, b.logic_bugs_total);
+  EXPECT_EQ(a.rules, b.rules);
+  EXPECT_EQ(a.shards_requeued, b.shards_requeued);
+  EXPECT_EQ(a.leases_expired, b.leases_expired);
+  EXPECT_EQ(a.results_rejected, b.results_rejected);
+  EXPECT_EQ(a.duplicate_results, b.duplicate_results);
+  EXPECT_EQ(a.distill_cycles, b.distill_cycles);
+  EXPECT_EQ(a.distill_seconds, b.distill_seconds);
+  EXPECT_EQ(a.crash_hashes(), b.crash_hashes());
+  EXPECT_EQ(a.logic_fingerprints(), b.logic_fingerprints());
+  EXPECT_EQ(a.crash_origins, b.crash_origins);
+  EXPECT_EQ(a.logic_origins, b.logic_origins);
+  EXPECT_EQ(a.crash_shards, b.crash_shards);
+  EXPECT_EQ(a.logic_shards, b.logic_shards);
+  for (const auto& [hash, tc] : a.crash_cases) {
+    auto it = b.crash_cases.find(hash);
+    ASSERT_NE(it, b.crash_cases.end()) << hash;
+    EXPECT_EQ(tc.ToSql(), it->second.ToSql()) << hash;
+  }
+  for (const auto& [fp, tc] : a.logic_cases) {
+    auto it = b.logic_cases.find(fp);
+    ASSERT_NE(it, b.logic_cases.end()) << fp;
+    EXPECT_EQ(tc.ToSql(), it->second.ToSql()) << fp;
+  }
+  EXPECT_EQ(a.corpus_digest(), b.corpus_digest());
+  EXPECT_EQ(SqlOf(a.corpus), SqlOf(b.corpus));
+  EXPECT_EQ(SqlOf(a.corpus_pending), SqlOf(b.corpus_pending));
+  ASSERT_EQ(a.held_exports.size(), b.held_exports.size());
+  for (const auto& [shard, cases] : a.held_exports) {
+    ASSERT_EQ(b.held_exports.count(shard), 1u) << shard;
+    EXPECT_EQ(SqlOf(cases), SqlOf(b.held_exports.at(shard))) << shard;
+  }
+  EXPECT_EQ(StorageBytes(a.storage), StorageBytes(b.storage));
+  EXPECT_EQ(CoverageBytes(a.coverage), CoverageBytes(b.coverage));
+}
+
+/// Journals shards the way the coordinator does, in this process: a
+/// snapshot of *live, then per shard of `order` an ExecuteShard on the
+/// current pool and an AcceptShard, followed by a record, or by a snapshot
+/// when the acceptance ran a distill cycle. Returns the journal's size
+/// after each write.
+std::vector<size_t> JournalInProcess(const FleetConfig& config,
+                                     const std::vector<int>& order,
+                                     const std::string& fleet_dir,
+                                     FleetResult* live) {
+  EXPECT_TRUE(minidb::Env::Posix()->CreateDir(fleet_dir).ok());
+  const std::string path = JournalPath(fleet_dir);
+  std::vector<size_t> sizes;
+  EXPECT_TRUE(SaveJournal(fleet_dir, config, *live).ok());
+  sizes.push_back(std::filesystem::file_size(path));
+  for (int shard : order) {
+    auto outcome = ExecuteShard(config, shard, live->corpus, nullptr, {});
+    EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+    if (!outcome.ok()) break;
+    const std::string envelope = EncodeShardOutcome(*outcome);
+    const std::string origin = shard % 2 == 0 ? "w0@test" : "w1@test";
+    const int cycles = live->distill_cycles;
+    EXPECT_TRUE(
+        AcceptShard(config, std::move(*outcome), origin, live).ok());
+    Status st = live->distill_cycles != cycles
+                    ? SaveJournal(fleet_dir, config, *live)
+                    : AppendJournal(fleet_dir, shard, envelope, origin, *live);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    sizes.push_back(std::filesystem::file_size(path));
+  }
+  return sizes;
+}
+
+/// Writes the first `size` bytes of `from`'s journal, with the byte at
+/// `flip` (if any) inverted, as the journal of a fresh fleet dir `to`.
+void CopyJournal(const std::string& from, const std::string& to, size_t size,
+                 size_t flip = std::string::npos) {
+  auto bytes = minidb::Env::Posix()->ReadFile(JournalPath(from));
+  ASSERT_TRUE(bytes.ok());
+  std::string cut = bytes->substr(0, size);
+  if (flip < cut.size()) cut[flip] = static_cast<char>(~cut[flip]);
+  (void)minidb::Env::Posix()->RemoveDirRecursive(to);
+  ASSERT_TRUE(minidb::Env::Posix()->CreateDir(to).ok());
+  ASSERT_TRUE(persist::WriteTextFileAtomic(JournalPath(to), cut).ok());
+}
+
+/// Runs a coordinator in a child process with `spec` armed, and expects the
+/// failpoint to SIGKILL it.
+void RunKilledFleet(const FleetConfig& config, const std::string& fleet_dir,
+                    int workers, const std::string& spec) {
+  pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    (void)chaos::ArmSpec(spec, config.base_seed);
+    FleetOptions options;
+    options.config = config;
+    options.num_workers = workers;
+    options.fleet_dir = fleet_dir;
+    (void)RunFleet(options);
+    _exit(7);  // unreachable when the failpoint fires
+  }
+  int wait_status = 0;
+  ASSERT_EQ(::waitpid(child, &wait_status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(wait_status));
+  EXPECT_EQ(WTERMSIG(wait_status), SIGKILL);
+}
+
+FleetResult ResumeFleet(const FleetConfig& config,
+                        const std::string& fleet_dir, int workers) {
+  FleetOptions options;
+  options.config = config;
+  options.num_workers = workers;
+  options.fleet_dir = fleet_dir;
+  options.resume = true;
+  FleetResult result = RunFleet(options);
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_TRUE(result.resumed);
+  EXPECT_EQ(result.shards_done.size(), static_cast<size_t>(config.num_shards));
+  return result;
 }
 
 class FleetTest : public ::testing::Test {
@@ -717,33 +855,174 @@ TEST_F(FleetTest, JournalRoundTripsMergedState) {
 
 TEST_F(FleetTest, OldJournalLayoutIsRefused) {
   // Version 3 had the current fingerprint layout, but its concurrent shards
-  // ran every interleaving from one fixed seed; it must be refused with a
-  // version error, not merged with shards run under their shard seeds.
+  // ran every interleaving from one fixed seed; version 4 had no records
+  // after its snapshot. Both must be refused with a version error, not
+  // merged with shards run since.
   FleetConfig config = BaseConfig();
   const std::string fleet_dir = FreshDir("old_journal");
   ASSERT_TRUE(minidb::Env::Posix()->CreateDir(fleet_dir).ok());
-  persist::StateWriter w;
-  w.BeginChunk(persist::ChunkTag("FLFP"));
-  w.WriteU32(3);  // layout version
-  w.WriteString(config.profile);
-  w.WriteString(config.fuzzer);
-  w.WriteU64(config.base_seed);
-  w.WriteU32(static_cast<uint32_t>(config.num_shards));
-  w.WriteU32(static_cast<uint32_t>(config.shard_budget));
-  w.WriteString(config.oracle_spec);
-  w.WriteBool(config.rule_coverage);
-  w.WriteString("inproc");
-  w.WriteString("mem");
-  w.WriteU32(static_cast<uint32_t>(config.distill_every));
-  w.EndChunk();
-  ASSERT_TRUE(w.WriteFileAtomic(JournalPath(fleet_dir)).ok());
+  for (uint32_t version : {3u, 4u}) {
+    persist::StateWriter w;
+    w.BeginChunk(persist::ChunkTag("FLFP"));
+    w.WriteU32(version);  // layout version
+    w.WriteString(config.profile);
+    w.WriteString(config.fuzzer);
+    w.WriteU64(config.base_seed);
+    w.WriteU32(static_cast<uint32_t>(config.num_shards));
+    w.WriteU32(static_cast<uint32_t>(config.shard_budget));
+    w.WriteString(config.oracle_spec);
+    w.WriteBool(config.rule_coverage);
+    w.WriteString("inproc");
+    w.WriteString("mem");
+    w.WriteU32(static_cast<uint32_t>(config.distill_every));
+    w.EndChunk();
+    ASSERT_TRUE(w.WriteFileAtomic(JournalPath(fleet_dir)).ok());
 
-  FleetResult loaded;
-  Status st = LoadJournal(fleet_dir, config, &loaded);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("layout version 3"), std::string::npos)
-      << st.ToString();
+    FleetResult loaded;
+    Status st = LoadJournal(fleet_dir, config, &loaded);
+    EXPECT_FALSE(st.ok());
+    EXPECT_NE(st.ToString().find("layout version " + std::to_string(version)),
+              std::string::npos)
+        << st.ToString();
+  }
   (void)minidb::Env::Posix()->RemoveDirRecursive(fleet_dir);
+}
+
+// --- snapshot + appended records -------------------------------------------
+
+TEST_F(FleetTest, ReplayedRecordsMatchTheSnapshot) {
+  // Generations of three: shards 0-2 end in a distill snapshot, shard 3
+  // lands in the pending exports and shard 5 is held for shard 4. The log
+  // after the snapshot must rebuild every journaled field that a snapshot
+  // of the same in-memory state holds.
+  FleetConfig config = BaseConfig();
+  config.num_shards = 9;
+  config.shard_budget = 300;
+  config.distill_every = 3;
+  const std::string fleet_dir = FreshDir("replay");
+  FleetResult live;
+  std::vector<size_t> sizes =
+      JournalInProcess(config, {0, 1, 2, 3}, fleet_dir, &live);
+  ASSERT_EQ(live.distill_cycles, 1);
+  // Counters that no outcome carries travel in the records.
+  live.shards_requeued = 2;
+  live.duplicate_results = 1;
+  auto outcome = ExecuteShard(config, 5, live.corpus, nullptr, {});
+  ASSERT_TRUE(outcome.ok());
+  const std::string envelope = EncodeShardOutcome(*outcome);
+  ASSERT_TRUE(AcceptShard(config, std::move(*outcome), "w1@test", &live).ok());
+  ASSERT_TRUE(AppendJournal(fleet_dir, 5, envelope, "w1@test", live).ok());
+  ASSERT_FALSE(live.corpus.empty());
+  ASSERT_FALSE(live.corpus_pending.empty());
+  ASSERT_EQ(live.held_exports.size(), 1u);
+  // A record of a shard the state already holds changes nothing.
+  ASSERT_TRUE(AppendJournal(fleet_dir, 5, envelope, "w1@test", live).ok());
+
+  FleetResult replayed;
+  ASSERT_TRUE(LoadJournal(fleet_dir, config, &replayed).ok());
+  const std::string snap_dir = FreshDir("replay_snapshot");
+  ASSERT_TRUE(minidb::Env::Posix()->CreateDir(snap_dir).ok());
+  ASSERT_TRUE(SaveJournal(snap_dir, config, live).ok());
+  FleetResult snapshot;
+  ASSERT_TRUE(LoadJournal(snap_dir, config, &snapshot).ok());
+  ExpectSameJournaledState(replayed, snapshot);
+  EXPECT_EQ(replayed.shards_done, (std::set<int>{0, 1, 2, 3, 5}));
+  // The distill snapshot is the file's third write: records follow it.
+  EXPECT_LT(sizes[3], std::filesystem::file_size(JournalPath(fleet_dir)));
+  (void)minidb::Env::Posix()->RemoveDirRecursive(fleet_dir);
+  (void)minidb::Env::Posix()->RemoveDirRecursive(snap_dir);
+}
+
+TEST_F(FleetTest, ReplayStopsAtATornOrCorruptRecord) {
+  FleetConfig config = BaseConfig();
+  Reference ref = RunReference(config);
+  const std::string fleet_dir = FreshDir("torn");
+  FleetResult live;
+  // sizes[j] is where record j starts.
+  std::vector<size_t> sizes =
+      JournalInProcess(config, {0, 1, 2, 3}, fleet_dir, &live);
+  ASSERT_EQ(sizes.size(), 5u);
+
+  // What the journal holds with records 0 and 1 only.
+  const std::string whole_dir = FreshDir("torn_whole");
+  CopyJournal(fleet_dir, whole_dir, sizes[2]);
+  FleetResult two;
+  ASSERT_TRUE(LoadJournal(whole_dir, config, &two).ok());
+  ASSERT_EQ(two.shards_done, (std::set<int>{0, 1}));
+
+  // Record 2 cut in half, or with one byte flipped: replay keeps the
+  // records before it, and drops record 3 after it.
+  const size_t middle = (sizes[2] + sizes[3]) / 2;
+  const std::string cut_dir = FreshDir("torn_cut");
+  const std::string flip_dir = FreshDir("torn_flip");
+  CopyJournal(fleet_dir, cut_dir, middle);
+  CopyJournal(fleet_dir, flip_dir, sizes[4], middle);
+  for (const std::string& dir : {cut_dir, flip_dir}) {
+    SCOPED_TRACE(dir);
+    FleetResult loaded;
+    ASSERT_TRUE(LoadJournal(dir, config, &loaded).ok());
+    ExpectSameJournaledState(loaded, two);
+    FleetResult resumed = ResumeFleet(config, dir, 2);
+    ExpectMatchesReference(resumed, ref);
+  }
+  for (const std::string& dir : {fleet_dir, whole_dir, cut_dir, flip_dir}) {
+    (void)minidb::Env::Posix()->RemoveDirRecursive(dir);
+  }
+}
+
+TEST_F(FleetTest, KillAtAnAppendAfterADistillSnapshotResumes) {
+  // Generations of two over four shards: write 3 is the distill snapshot of
+  // shards 0-1, write 4 appends the first shard of generation 1, and
+  // write 5 is the second distill snapshot. Killed at 4, the journal is
+  // that snapshot alone; killed at 5, it is the snapshot and one record.
+  FleetConfig config = BaseConfig();
+  config.distill_every = 2;
+  Reference ref = RunReference(config);
+  for (int kill : {4, 5}) {
+    SCOPED_TRACE("kill:" + std::to_string(kill));
+    const std::string fleet_dir = FreshDir("distill_append");
+    RunKilledFleet(config, fleet_dir, 2,
+                   "fleet.journal_write=kill:" + std::to_string(kill));
+    FleetResult journaled;
+    ASSERT_TRUE(LoadJournal(fleet_dir, config, &journaled).ok());
+    EXPECT_EQ(journaled.shards_done.size(), static_cast<size_t>(kill - 2));
+    EXPECT_EQ(journaled.distill_cycles, 1);
+    FleetResult result = ResumeFleet(config, fleet_dir, 2);
+    ExpectPoolMatchesReference(result, ref);
+    (void)minidb::Env::Posix()->RemoveDirRecursive(fleet_dir);
+  }
+}
+
+TEST_F(FleetTest, FailedAppendIsFollowedByASnapshot) {
+  // One worker accepts shards in id order. Write 2, shard 0's record,
+  // fails; write 3 must then be a snapshot holding shards 0 and 1, or the
+  // records after the gap would journal a fleet without shard 0.
+  FleetConfig config = BaseConfig();
+  Reference ref = RunReference(config);
+  ASSERT_TRUE(chaos::ArmSpec("fleet.journal_write=nth:2", 1).ok());
+  FleetOptions options;
+  options.config = config;
+  options.num_workers = 1;
+  options.fleet_dir = FreshDir("failed_append");
+  FleetResult result = RunFleet(options);
+  chaos::DisarmAll();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.journal_failures, 1);
+  ExpectMatchesReference(result, ref);
+
+  FleetResult journaled;
+  ASSERT_TRUE(LoadJournal(options.fleet_dir, config, &journaled).ok());
+  ExpectSameJournaledState(journaled, result);
+  auto bytes = minidb::Env::Posix()->ReadFile(JournalPath(options.fleet_dir));
+  ASSERT_TRUE(bytes.ok());
+  const std::string snap_dir = FreshDir("failed_append_snapshot");
+  CopyJournal(options.fleet_dir, snap_dir,
+              persist::LeadingEnvelopeSize(*bytes));
+  FleetResult snapshot;
+  ASSERT_TRUE(LoadJournal(snap_dir, config, &snapshot).ok());
+  EXPECT_EQ(snapshot.shards_done, (std::set<int>{0, 1}));
+  (void)minidb::Env::Posix()->RemoveDirRecursive(options.fleet_dir);
+  (void)minidb::Env::Posix()->RemoveDirRecursive(snap_dir);
 }
 
 }  // namespace
